@@ -8,7 +8,7 @@
 //!
 //! | rule | roots | what fires |
 //! |---|---|---|
-//! | `panic-free-serve` | `route` methods, `serve_batch`, `from_wire`, `Scheme::repair` | `unwrap`/`expect`, panic macros; raw `[..]` indexing in the serve cone only |
+//! | `panic-free-serve` | `route` methods, `serve_batch`, `from_wire`, `Scheme::repair` | `unwrap`/`expect`, panic macros; `assert*!` and raw `[..]` indexing in the serve cone only |
 //! | `deterministic-output` | `save`, `to_wire`, `encode_*`, `write_*`, `render_*` | `HashMap`/`HashSet` mention, `.keys()`, `.values()` |
 //! | `no-alloc-in-route` | `route` methods | `Vec::new`, `vec!`, `.to_vec()`, `format!`, `.clone()`, `Box::new`; stops at decode constructors ([`alloc_cold`]) |
 //! | `octave-taint` | (per-fn dataflow, no cone) | `+`/`<<` on a value derived from `octave_radius` |
@@ -53,12 +53,11 @@ fn octave_home(path: &str) -> bool {
 }
 
 /// Cold boundary for `no-alloc-in-route`: decode constructors rebuild
-/// whole stores and allocate by design; reaching one from a route
-/// means a spill-reload cache miss (amortized, off the per-hop path),
-/// so the allocation cone stops there. `panic-free-serve` still
-/// covers these fns via its own decode roots.
+/// whole stores and allocate by design, off the per-hop path, so the
+/// allocation cone stops there. `panic-free-serve` still covers these
+/// fns via its own decode roots.
 fn alloc_cold(name: &str) -> bool {
-    name.starts_with("from_") || name.starts_with("try_from_") || name == "load_center"
+    name.starts_with("from_") || name.starts_with("try_from_")
 }
 
 /// Run all four interprocedural rules. `sources` maps each relative
@@ -176,7 +175,7 @@ fn in_spans(spans: &[(usize, usize)], i: usize) -> bool {
 }
 
 /// `panic-free-serve`: unwrap/expect, panic macros, and (serve cone
-/// only) raw indexing.
+/// only) `assert!`/`assert_eq!`/`assert_ne!` and raw indexing.
 fn scan_panic_sites(
     body: &[Tok],
     strict_indexing: bool,
@@ -209,6 +208,18 @@ fn scan_panic_sites(
         {
             Some(format!(
                 "`{}!` in the {cone} cone ({chain}): return an error/fallback outcome instead",
+                t.text
+            ))
+        } else if strict_indexing
+            && t.kind == TokKind::Ident
+            && matches!(t.text.as_str(), "assert" | "assert_eq" | "assert_ne")
+            && nxt(1) == Some("!")
+        {
+            // Serve cone only: repair's construction-invariant asserts
+            // check the builder's own output, not adversarial bytes.
+            Some(format!(
+                "`{}!` in the serve cone ({chain}): an assertion on stored or caller data \
+                 panics on corrupt input; check it and return an error/fallback instead",
                 t.text
             ))
         } else if strict_indexing

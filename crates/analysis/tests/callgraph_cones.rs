@@ -87,6 +87,57 @@ fn indexing_deep_in_the_serve_cone_is_caught() {
     assert!(f[0].1.msg.contains("indexing"), "{}", f[0].1.msg);
 }
 
+/// `assert!`, `assert_eq!` and `assert_ne!` on data reached from a
+/// serve root are panics like any other; `debug_assert!` compiles out
+/// of release builds and stays silent.
+#[test]
+fn asserts_in_the_serve_cone_are_caught() {
+    let f = findings(&[
+        ("src/serve.rs", "pub fn serve_batch(q: &[u32]) { check(q); }"),
+        (
+            "src/check.rs",
+            "pub fn check(q: &[u32]) {\n\
+             assert!(q.len() > 1);\n\
+             assert_eq!(q.len(), 2);\n\
+             assert_ne!(q.len(), 3);\n\
+             debug_assert!(q.is_empty());\n\
+             }",
+        ),
+    ]);
+    let lines: Vec<u32> = f.iter().map(|(_, x)| x.line).collect();
+    assert_eq!(lines, vec![2, 3, 4], "{f:?}");
+    assert!(f.iter().all(|(_, x)| x.rule == "panic-free-serve" && x.msg.contains("assert")));
+    assert!(f[0].1.msg.contains("serve_batch -> check"), "{}", f[0].1.msg);
+}
+
+/// The repair cone checks panics but not asserts: repair re-runs the
+/// builder, whose asserts check its own output, not stored bytes.
+#[test]
+fn asserts_in_the_repair_cone_are_not_counted() {
+    let f = findings(&[(
+        "crates/core/src/repair.rs",
+        "struct Scheme;\n\
+         impl Scheme { pub fn repair(&mut self, n: usize) { rebuild(n); } }\n\
+         fn rebuild(n: usize) { assert!(n > 0); let x: Option<u32> = None; x.unwrap(); }",
+    )]);
+    assert_eq!(f.len(), 1, "{f:?}");
+    assert!(f[0].1.msg.contains("unwrap"), "{}", f[0].1.msg);
+}
+
+/// A reasoned validate-then-index pragma suppresses an assert like any
+/// other serve-cone finding.
+#[test]
+fn a_pragma_covers_a_checked_assert() {
+    let f = findings(&[(
+        "src/serve.rs",
+        "pub fn serve_batch(q: &[u32]) {\n\
+         // lint:allow(panic-free-serve): validate-then-index — callers pass validated input\n\
+         assert!(!q.is_empty());\n\
+         }",
+    )]);
+    assert!(f.is_empty(), "{f:?}");
+}
+
 // ---- collisions and trait objects --------------------------------------
 
 /// A method-name collision must land in the ambiguous bucket and emit

@@ -28,7 +28,7 @@ use graphkit::{dijkstra, DistMatrix, Graph, NodeId, Tree};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sim::{RouteTrace, Router};
-use treeroute::labeled::{LabeledTree, RouteLabel};
+use treeroute::labeled::{LabeledRead, LabeledTree, RouteLabel};
 
 /// A cluster tree with its host-id index.
 struct ClusterTree {

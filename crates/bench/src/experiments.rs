@@ -21,8 +21,8 @@ use sim::{
     evaluate_parallel, evaluate_parallel_lenient, pairs, Router, StorageAudit, StretchStats,
 };
 use treeroute::cover_router::CoverTreeRouter;
-use treeroute::labeled::LabeledTree;
-use treeroute::laing::{ErrorReportingTree, SearchOutcome};
+use treeroute::labeled::{LabeledRead, LabeledTree};
+use treeroute::laing::{ErrorReportingTree, ErtRead, SearchOutcome};
 
 use crate::table::{bits, bitsf, f, Table};
 use crate::{ConstructionKind, RunConfig, TruthKind};

@@ -1,128 +1,227 @@
-//! Where completed landmark trees live after the build: an in-memory
-//! map of shared [`CenterTree`]s, or a spill file of length-prefixed
-//! [`ErrorReportingTree`] wire records read back at route time.
+//! Where completed landmark trees live: their Lemma-4 wire records
+//! (the layout [`ErrorReportingTree::to_wire`] writes, the same bytes a
+//! snapshot's `CENTER_TREES` section holds), kept next to a directory
+//! sorted by center. Routing reads a record in place through an
+//! [`ErtView`]; no tree is ever decoded into owned arrays.
 //!
-//! The spill path exists for constructions whose Õ(n^{1+1/k}) total
-//! tree state exceeds RAM: the fused per-center pipeline serializes
-//! each tree the moment it is finished (the full flat-arena store;
-//! see [`ErrorReportingTree::to_wire`]) and drops it. Routing reloads
-//! records on demand through a small FIFO cache; a reload is a single
-//! validated decode pass, bit-identical to the in-memory tree, so the
-//! two stores route the same paths (asserted by
-//! `tests/spill_parity.rs`). The same record format and the same
-//! reader serve scheme snapshots: [`SpillStore::from_file_index`]
-//! points the store at a snapshot's center-trees section.
+//! One store, two backings:
+//!
+//! * **resident** — the record bytes in memory: one buffer per record
+//!   for a built or repaired scheme (so repair moves a reused record
+//!   instead of copying it), or the whole loaded `CENTER_TREES` section
+//!   as one buffer;
+//! * **file** — records inside a file: a build's spill file, or the
+//!   snapshot itself when opened by `Scheme::load_lazy`. Each fetch is
+//!   one positional read into a per-thread buffer.
+//!
+//! **Validation rule.** A resident record is validated once: the build
+//! encodes it itself, and `Scheme::load` checksums the section and runs
+//! [`ErtView::new`] on every record before the store exists. After that
+//! it is viewed through its [`ErtLayout`], found once when the record
+//! became resident, and the view's accessors are still checked. A file record is validated with [`ErtView::new`] on every
+//! fetch, and nothing remembers that a record was good: lazy loading
+//! never checksums the section, so these checks are its only guard.
+//! The validation is allocation-free and linear in the record; the
+//! spill/snapshot parity suites assert both backings route exactly like
+//! a fresh build.
 
-use std::collections::{HashMap, VecDeque};
+use std::cell::RefCell;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
+use std::io;
 use std::os::unix::fs::FileExt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
-use graphkit::wire;
-use treeroute::laing::ErrorReportingTree;
+use graphkit::wire::{self, invalid};
+use treeroute::laing::{ErrorReportingTree, ErtLayout, ErtView};
 
-/// A landmark tree `T(c)` with the Lemma 4 scheme attached, plus the
-/// host-id → tree-index lookup routing needs.
-pub(crate) struct CenterTree {
-    pub ert: ErrorReportingTree,
-    /// host node id -> tree index. A sorted array rather than an
-    /// n-length vector or a hash map: matrix-free graphs carry Θ(n)
-    /// center trees totalling Õ(n^{1+1/k}) memberships, so per-entry
-    /// memory is what decides whether a 10⁵-node scheme fits in RAM.
-    pub ix_of: IdIndex,
+/// Where one center's record lives.
+#[derive(Clone, Copy, Debug)]
+struct Extent {
+    /// Resident: index of the buffer holding the record.
+    buf: u32,
+    /// Byte offset within that buffer, or within the file.
+    off: u64,
+    len: u32,
 }
 
-impl CenterTree {
-    /// Wrap a finished scheme, deriving the id index from the tree.
-    pub fn new(ert: ErrorReportingTree) -> Self {
-        let ix_of = IdIndex::from_graph_ids(ert.labeled().tree().graph_ids());
-        CenterTree { ert, ix_of }
-    }
+/// The bytes behind a [`CenterStore`].
+enum Backing {
+    /// One buffer per record, or one whole loaded section, plus each
+    /// record's array layout (aligned with the directory).
+    Memory { bufs: Vec<Box<[u8]>>, layouts: Vec<ErtLayout> },
+    /// A spill file or a lazily opened snapshot.
+    File(File),
 }
 
-/// Compact host-id → tree-index lookup: `(id, ix)` pairs sorted by id.
-pub(crate) struct IdIndex(Vec<(u32, u32)>);
-
-impl IdIndex {
-    /// Build from a tree's host ids (index = position in the array).
-    pub fn from_graph_ids(graph_ids: &[u32]) -> Self {
-        let mut pairs: Vec<(u32, u32)> =
-            graph_ids.iter().enumerate().map(|(i, &gid)| (gid, i as u32)).collect();
-        pairs.sort_unstable();
-        IdIndex(pairs)
-    }
-
-    /// Tree index of host id `v`, if present.
-    #[inline]
-    pub fn get(&self, v: u32) -> Option<u32> {
-        self.0.binary_search_by_key(&v, |&(id, _)| id).ok().map(|i| self.0[i].1)
-    }
+/// Every center tree of a scheme, as wire records plus a directory.
+pub(crate) struct CenterStore {
+    /// Centers with a tree, ascending; `extents[i]` locates `centers[i]`.
+    centers: Vec<u32>,
+    extents: Vec<Extent>,
+    backing: Backing,
 }
 
-/// Backing storage for the per-center trees.
-pub(crate) enum CenterStore {
-    /// Every tree resident, shared behind `Arc` (the default).
-    Memory(HashMap<u32, Arc<CenterTree>>),
-    /// Trees on disk; loads go through a FIFO cache.
-    Spilled(SpillStore),
+thread_local! {
+    /// Per-thread landing buffer for file fetches: grows to the largest
+    /// record this thread has read, then is reused.
+    static FETCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
 impl CenterStore {
-    /// The tree of center `c`. Routing only ever asks for centers the
-    /// plans recorded, so a miss — or, on the spilled store, an
-    /// unreadable/corrupt record — is reported as an error for the
-    /// caller to degrade on (a route falls through to its next level)
-    /// rather than panicking the serving process.
-    pub fn center_tree(&self, c: u32) -> io::Result<Arc<CenterTree>> {
-        match self {
-            CenterStore::Memory(m) => {
-                m.get(&c).map(Arc::clone).ok_or_else(|| wire::invalid("unknown center"))
-            }
-            CenterStore::Spilled(s) => s.load_center(c),
+    /// Resident store over records this process encoded, one buffer
+    /// each. A record whose arrays cannot be located is dropped, so
+    /// routes through its center miss at that level.
+    pub fn resident(mut records: Vec<(u32, Box<[u8]>)>) -> Self {
+        records.sort_unstable_by_key(|&(c, _)| c);
+        let mut centers = Vec::with_capacity(records.len());
+        let mut extents = Vec::with_capacity(records.len());
+        let mut bufs = Vec::with_capacity(records.len());
+        let mut layouts = Vec::with_capacity(records.len());
+        for (center, bytes) in records {
+            let Ok((_, layout)) = ErtView::locate(&bytes) else { continue };
+            centers.push(center);
+            extents.push(Extent { buf: bufs.len() as u32, off: 0, len: bytes.len() as u32 });
+            layouts.push(layout);
+            bufs.push(bytes);
         }
+        CenterStore { centers, extents, backing: Backing::Memory { bufs, layouts } }
     }
 
-    /// Every center with a tree, ascending (snapshot save iterates
-    /// these so section payloads are byte-deterministic).
-    pub fn centers(&self) -> Vec<u32> {
-        let mut cs: Vec<u32> = match self {
-            // lint:allow(deterministic-output): keys are collected then sorted below before any caller writes
-            CenterStore::Memory(m) => m.keys().copied().collect(),
-            // lint:allow(deterministic-output): keys are collected then sorted below before any caller writes
-            CenterStore::Spilled(s) => s.index.keys().copied().collect(),
+    /// Resident store over a loaded `CENTER_TREES` section, with
+    /// `(center, offset, len)` rows ascending by center. Every extent
+    /// must lie inside the section and every record must validate —
+    /// checked here, in parallel, before the store exists.
+    pub fn section(bytes: Vec<u8>, dir: &[(u32, u64, u32)]) -> io::Result<Self> {
+        let record = |&(_, off, len): &(u32, u64, u32)| {
+            usize::try_from(off)
+                .ok()
+                .and_then(|off| bytes.get(off..off.checked_add(len as usize)?))
+                .ok_or_else(|| invalid("center record extends past its section"))
         };
-        cs.sort_unstable();
-        cs
+        // merge: per-chunk layouts concatenated in chunk (= directory)
+        // order; the first error in chunk order wins.
+        let chunks = graphkit::metrics::par_chunks(dir.len(), |range| {
+            let rows = dir.get(range).unwrap_or_default();
+            rows.iter()
+                .map(|row| {
+                    let (view, layout) = ErtView::locate(record(row)?)?;
+                    view.validate()?;
+                    Ok(layout)
+                })
+                .collect::<io::Result<Vec<ErtLayout>>>()
+        });
+        let mut layouts = Vec::with_capacity(dir.len());
+        for chunk in chunks {
+            layouts.extend(chunk?);
+        }
+        let (centers, extents) = Self::directory(dir);
+        let bufs = vec![bytes.into_boxed_slice()];
+        Ok(CenterStore { centers, extents, backing: Backing::Memory { bufs, layouts } })
     }
 
-    /// The wire payload of center `c`'s tree. Resident trees are
-    /// encoded on the fly; spilled records are copied verbatim — the
-    /// spill file and the snapshot's center-trees section share the
-    /// same per-record format, so no decode/re-encode round trip.
-    pub fn payload(&self, c: u32) -> io::Result<Vec<u8>> {
-        match self {
-            CenterStore::Memory(m) => {
-                let ct = m.get(&c).ok_or_else(|| wire::invalid("unknown center"))?;
-                let mut w = wire::Writer::new();
-                ct.ert.to_wire(&mut w);
-                Ok(w.into_bytes())
+    /// File-backed store: `(center, absolute offset, len)` rows,
+    /// ascending by center.
+    pub fn file(file: File, dir: &[(u32, u64, u32)]) -> Self {
+        let (centers, extents) = Self::directory(dir);
+        CenterStore { centers, extents, backing: Backing::File(file) }
+    }
+
+    fn directory(dir: &[(u32, u64, u32)]) -> (Vec<u32>, Vec<Extent>) {
+        dir.iter().map(|&(center, off, len)| (center, Extent { buf: 0, off, len })).unzip()
+    }
+
+    /// Every center with a tree, ascending.
+    pub fn centers(&self) -> impl Iterator<Item = u32> + '_ {
+        self.centers.iter().copied()
+    }
+
+    /// Directory slot of center `c`.
+    fn slot(&self, c: u32) -> io::Result<usize> {
+        self.centers.binary_search(&c).map_err(|_| invalid("unknown center"))
+    }
+
+    /// Run `visit` on the raw bytes of center `c`'s record. Routing
+    /// only asks for centers the plans recorded, so a miss, a short read
+    /// or a record outside its buffer is an error for the caller to
+    /// degrade on — never a panic.
+    pub fn with_record<R>(&self, c: u32, visit: impl FnOnce(&[u8]) -> R) -> io::Result<R> {
+        self.read_slot(self.slot(c)?, visit)
+    }
+
+    fn read_slot<R>(&self, slot: usize, visit: impl FnOnce(&[u8]) -> R) -> io::Result<R> {
+        let e = *self.extents.get(slot).ok_or_else(|| invalid("unknown center"))?;
+        match &self.backing {
+            Backing::Memory { bufs, .. } => {
+                let bytes = bufs
+                    .get(e.buf as usize)
+                    .and_then(|b| b.get(usize::try_from(e.off).ok()?..)?.get(..e.len as usize))
+                    .ok_or_else(|| invalid("center record outside its buffer"))?;
+                Ok(visit(bytes))
             }
-            CenterStore::Spilled(s) => {
-                let &(off, len) = s.index.get(&c).ok_or_else(|| wire::invalid("unknown center"))?;
-                let mut buf = vec![0u8; len as usize];
-                s.file.read_exact_at(&mut buf, off)?;
-                Ok(buf)
+            Backing::File(file) => FETCH.with(|cell| {
+                // A nested fetch on this thread (none today) gets its
+                // own buffer rather than a borrow panic.
+                // lint:allow(no-alloc-in-route): Vec::new() does not allocate; the spare grows only on a nested fetch, which no route makes
+                let mut spare = Vec::new();
+                let mut held = cell.try_borrow_mut();
+                let buf = match held.as_deref_mut() {
+                    Ok(buf) => buf,
+                    Err(_) => &mut spare,
+                };
+                let len = e.len as usize;
+                if buf.len() < len {
+                    buf.resize(len, 0);
+                }
+                let bytes = buf.get_mut(..len).ok_or_else(|| invalid("fetch buffer"))?;
+                file.read_exact_at(bytes, e.off)?;
+                Ok(visit(bytes))
+            }),
+        }
+    }
+
+    /// Run `visit` on center `c`'s tree, read in place. File records
+    /// are validated on every fetch; resident ones were validated when
+    /// they became resident (see the module docs).
+    pub fn with_tree<R>(&self, c: u32, visit: impl FnOnce(&ErtView<'_>) -> R) -> io::Result<R> {
+        let slot = self.slot(c)?;
+        let layout = match &self.backing {
+            Backing::Memory { layouts, .. } => {
+                Some(layouts.get(slot).ok_or_else(|| invalid("center without a layout"))?)
+            }
+            Backing::File(_) => None,
+        };
+        self.read_slot(slot, |bytes| {
+            let view = match layout {
+                Some(layout) => ErtView::at(bytes, layout)?,
+                None => ErtView::new(bytes)?,
+            };
+            Ok(visit(&view))
+        })?
+    }
+
+    /// Move center `c`'s record out of a resident store (copying it
+    /// when it shares a buffer, or reading it from a file). The store
+    /// must not serve `c` afterwards — repair calls this only on the
+    /// store it is about to replace.
+    pub fn take_record(&mut self, c: u32) -> io::Result<Box<[u8]>> {
+        let slot = self.slot(c)?;
+        let e = *self.extents.get(slot).ok_or_else(|| invalid("unknown center"))?;
+        if let Backing::Memory { bufs, .. } = &mut self.backing {
+            if let Some(buf) = bufs.get_mut(e.buf as usize) {
+                if e.off == 0 && e.len as usize == buf.len() {
+                    return Ok(std::mem::take(buf));
+                }
             }
         }
+        self.read_slot(slot, |bytes| Box::from(bytes))
     }
 }
 
 /// Concurrent writer for the spill file. Workers of the fused
 /// per-center pipeline call [`SpillWriter::write`] as trees complete;
-/// the mutex serializes appends, and the in-memory index records where
-/// each center's payload landed.
+/// the mutex serializes appends, and the directory records where each
+/// center's record landed.
 pub(crate) struct SpillWriter {
     inner: Mutex<WriterState>,
 }
@@ -130,8 +229,8 @@ pub(crate) struct SpillWriter {
 struct WriterState {
     file: File,
     offset: u64,
-    /// center id -> (payload offset, payload byte length).
-    index: HashMap<u32, (u64, u32)>,
+    /// `(center, offset, len)` in write order.
+    dir: Vec<(u32, u64, u32)>,
 }
 
 /// Process-wide sequence for unique spill-file names.
@@ -154,7 +253,7 @@ impl SpillWriter {
                 Ok(file) => {
                     let _ = std::fs::remove_file(&path);
                     return Ok(SpillWriter {
-                        inner: Mutex::new(WriterState { file, offset: 0, index: HashMap::new() }),
+                        inner: Mutex::new(WriterState { file, offset: 0, dir: Vec::new() }),
                     });
                 }
                 Err(e) => last_err = Some(e),
@@ -163,73 +262,27 @@ impl SpillWriter {
         Err(last_err.unwrap_or_else(|| io::Error::other("spill file creation failed")))
     }
 
-    /// Append one record: `[u32 center][u32 len][payload]`, little
-    /// endian. Called from build workers; a failed write is fatal (the
-    /// scheme under construction would be unroutable).
-    pub fn write(&self, center: u32, payload: &[u8]) {
-        let mut record = Vec::with_capacity(8 + payload.len());
-        record.extend_from_slice(&center.to_le_bytes());
-        record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        record.extend_from_slice(payload);
+    /// Append one record. Called from build workers; a failed write is
+    /// fatal (the scheme under construction would be unroutable).
+    pub fn write(&self, center: u32, record: &[u8]) {
         let mut st = self.inner.lock().unwrap();
         let at = st.offset;
-        st.file.write_all_at(&record, at).expect("spill write failed");
-        st.index.insert(center, (at + 8, payload.len() as u32));
+        st.file.write_all_at(record, at).expect("spill write failed");
+        st.dir.push((center, at, record.len() as u32));
         st.offset += record.len() as u64;
     }
 
     /// Finish writing and flip to the read side.
-    pub fn finish(self) -> SpillStore {
+    pub fn finish(self) -> CenterStore {
         let mut st = self.inner.into_inner().unwrap();
-        st.file.flush().expect("spill flush failed");
-        SpillStore { file: st.file, index: st.index, cache: Mutex::new(VecDeque::new()) }
+        st.dir.sort_unstable_by_key(|&(c, _, _)| c);
+        CenterStore::file(st.file, &st.dir)
     }
 }
 
-/// Read side of the spill file: positional reads plus a small FIFO
-/// cache of rebuilt trees (route workloads revisit the same centers).
-pub(crate) struct SpillStore {
-    file: File,
-    index: HashMap<u32, (u64, u32)>,
-    cache: Mutex<VecDeque<(u32, Arc<CenterTree>)>>,
-}
-
-impl SpillStore {
-    const CACHE_CAP: usize = 8;
-
-    /// Point a store at records living inside an existing file — the
-    /// snapshot loader's lazy mode hands over the snapshot file itself
-    /// with absolute `(offset, len)` extents into its center-trees
-    /// section. This is the spill/snapshot unification: route-time
-    /// reloads go through exactly the same cache and decode path
-    /// whether the records came from a build spill or a saved scheme.
-    pub fn from_file_index(file: File, index: HashMap<u32, (u64, u32)>) -> SpillStore {
-        SpillStore { file, index, cache: Mutex::new(VecDeque::new()) }
-    }
-
-    /// Load (or fetch from cache) the tree of center `c`, decoding
-    /// the full Lemma 4 scheme from its flat-arena record. An index
-    /// miss, short read, or corrupt record surfaces as an error — the
-    /// route path treats it as "destination not found at this level".
-    /// The cache mutex recovers from poisoning (no invariant spans the
-    /// lock: the FIFO holds complete `Arc`s only).
-    fn load_center(&self, c: u32) -> io::Result<Arc<CenterTree>> {
-        {
-            let cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some((_, ct)) = cache.iter().find(|&&(id, _)| id == c) {
-                return Ok(Arc::clone(ct));
-            }
-        }
-        let &(off, len) =
-            self.index.get(&c).ok_or_else(|| wire::invalid("center missing from spill index"))?;
-        let mut buf = vec![0u8; len as usize];
-        self.file.read_exact_at(&mut buf, off)?;
-        let mut r = wire::Reader::new(&buf);
-        let ert = ErrorReportingTree::from_wire(&mut r)?;
-        let ct = Arc::new(CenterTree::new(ert));
-        let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-        cache.push_front((c, Arc::clone(&ct)));
-        cache.truncate(Self::CACHE_CAP);
-        Ok(ct)
-    }
+/// Encode one finished tree as its wire record.
+pub(crate) fn encode(ert: &ErrorReportingTree) -> Box<[u8]> {
+    let mut w = wire::Writer::with_capacity(ert.store().wire_len());
+    ert.to_wire(&mut w);
+    w.into_bytes().into_boxed_slice()
 }

@@ -52,16 +52,15 @@
 //! `core::churn` leans on this for node-leave/join epochs.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
 use decomposition::Decomposition;
 use graphkit::bits::bits_for_node;
 use graphkit::{apply_deltas, delta_impact, dijkstra, Cost, GraphDelta, NodeId, INFINITY};
 use landmarks::LandmarkHierarchy;
 
-use crate::center_store::{CenterStore, CenterTree, SpillWriter};
+use crate::center_store::{CenterStore, SpillWriter};
 use crate::scheme::{
-    b_for_scope, build_center_trees, build_scale_cover, index_and_bits, BuildSource,
+    build_center_trees, build_scale_cover, index_and_bits, set_plan_fills, BuildSource,
     HierarchySource, PhaseClock, Prepared, RepairState, ScaleCover, Scheme, TreeBatch,
 };
 
@@ -267,10 +266,11 @@ impl Scheme {
         let spill = params.spill.then(SpillWriter::create).and_then(Result::ok);
         let batch = build_center_trees(&g2, &params, &jobs, true, spill.as_ref());
         drop(jobs);
-        let TreeBatch { built, bix: mut bix2, lm_bits: batch_bits, labels: batch_labels } = batch;
+        let TreeBatch { records, bix: mut bix2, lm_bits: batch_bits, labels: batch_labels } = batch;
 
-        // Exact storage re-accounting: subtract the decoded old
-        // contributions of rebuilt/removed trees, add the new batch's.
+        // Exact storage re-accounting: subtract the old contributions of
+        // rebuilt/removed trees (read off their records), add the new
+        // batch's.
         // Reused trees keep their (identical) contributions untouched.
         let id_bits = bits_for_node(n);
         let mut landmark_bits = self.landmark_bits.clone();
@@ -279,8 +279,8 @@ impl Scheme {
             // An unreadable old record leaves that center's old bits
             // in place: the storage stats over-count (conservative),
             // routing is unaffected.
-            if let Ok(ct) = self.center_store.center_tree(c) {
-                let (_, bits, _) = index_and_bits(&ct.ert, id_bits);
+            if let Ok((_, bits, _)) = self.center_store.with_tree(c, |t| index_and_bits(t, id_bits))
+            {
                 for (gid, b) in bits {
                     landmark_bits[gid as usize] -= b;
                 }
@@ -295,37 +295,31 @@ impl Scheme {
         }
         let max_center_label_bits = center_labels.values().copied().max().unwrap_or(0);
 
+        // Reused records carry over as bytes — the stored record of an
+        // identical tree IS the fresh encoding. A reused record that can
+        // no longer be read is dropped: routes through that center fall
+        // through to their next level (degraded delivery, no panic).
+        let reused_centers =
+            centers.iter().enumerate().filter_map(|(ci, &c)| reused[ci].then_some(c));
         let center_store = match spill {
             Some(w) => {
                 // Rebuilt records are already in the file; reused ones
-                // are byte-copied — the stored payload of an identical
-                // tree IS the fresh encoding.
-                for (ci, &c) in centers.iter().enumerate() {
-                    if reused[ci] {
-                        // A reused record that can no longer be read
-                        // is dropped: routes through that center fall
-                        // through to their next level (degraded
-                        // delivery, no panic).
-                        if let Ok(payload) = self.center_store.payload(c) {
-                            w.write(c, &payload);
-                        }
-                    }
+                // are copied over.
+                for c in reused_centers {
+                    let _ = self.center_store.with_record(c, |bytes| w.write(c, bytes));
                 }
-                CenterStore::Spilled(w.finish())
+                w.finish()
             }
             None => {
-                let mut resident: HashMap<u32, Arc<CenterTree>> = built.into_iter().collect();
-                for (ci, &c) in centers.iter().enumerate() {
-                    if reused[ci] {
-                        // Same degradation as the spill branch: an
-                        // unreadable reused tree is dropped rather
-                        // than panicking the repair.
-                        if let Ok(ct) = self.center_store.center_tree(c) {
-                            resident.insert(c, ct);
-                        }
+                // Resident reused records move (the old store is about
+                // to be replaced), so repair holds no tree twice.
+                let mut records = records;
+                for c in reused_centers {
+                    if let Ok(bytes) = self.center_store.take_record(c) {
+                        records.push((c, bytes));
                     }
                 }
-                CenterStore::Memory(resident)
+                CenterStore::resident(records)
             }
         };
 
@@ -344,8 +338,9 @@ impl Scheme {
                 }
                 let c = plans[u][i].center;
                 if (impact.dirty[u] || !reused_set.contains(&c)) && !bix2.contains_key(&c) {
-                    if let Ok(ct) = center_store.center_tree(c) {
-                        let (entry, _, _) = index_and_bits(&ct.ert, id_bits);
+                    if let Ok((entry, _, _)) =
+                        center_store.with_tree(c, |t| index_and_bits(t, id_bits))
+                    {
                         bix2.insert(c, entry);
                     }
                 }
@@ -356,7 +351,7 @@ impl Scheme {
         // counters are sums, which commute.
         let b_shards = graphkit::metrics::par_chunks(n, |nodes| {
             let base = nodes.start;
-            let mut out = vec![0u8; nodes.len() * k];
+            let mut out = vec![(0u8, u32::MAX); nodes.len() * k];
             let mut checked = 0usize;
             let mut violations = 0usize;
             let mut recomputed = 0usize;
@@ -364,21 +359,25 @@ impl Scheme {
                 for i in 0..k {
                     let Some(scope) = &scopes2[u][i] else { continue };
                     let c = plans[u][i].center;
+                    let old = old_plans[u][i];
                     if !impact.dirty[u] && reused_set.contains(&c) {
-                        debug_assert_eq!(old_plans[u][i].center, c);
-                        debug_assert_eq!(old_plans[u][i].a, plans[u][i].a);
-                        out[(u - base) * k + i] = old_plans[u][i].b;
+                        // Same scope, same tree bytes: same b and the
+                        // same source index.
+                        debug_assert_eq!(old.center, c);
+                        debug_assert_eq!(old.a, plans[u][i].a);
+                        out[(u - base) * k + i] = (old.b, old.src_ix);
                     } else if let Some(ix) = bix2.get(&c) {
-                        let (b, ch, vi) = b_for_scope(scope, ix, n, k);
-                        out[(u - base) * k + i] = b;
-                        checked += ch;
-                        violations += vi;
+                        let fill = ix.plan(u as u32, scope, n, k);
+                        out[(u - base) * k + i] = (fill.b, fill.src_ix);
+                        checked += fill.checked;
+                        violations += fill.violations;
                         recomputed += 1;
                     } else {
                         // Index underivable (unreadable tree record):
-                        // keep the previous budget — routing stays
-                        // functional with a possibly stale b(u, i).
-                        out[(u - base) * k + i] = old_plans[u][i].b;
+                        // keep the previous budget; the unknown source
+                        // index makes the level a miss, so routing
+                        // falls through to the next level.
+                        out[(u - base) * k + i] = (old.b, u32::MAX);
                     }
                 }
             }
@@ -394,14 +393,7 @@ impl Scheme {
             lemma3_violations += violations;
             b_recomputed += recomputed;
         }
-        for (u, row) in plans.iter_mut().enumerate() {
-            for (i, plan) in row.iter_mut().enumerate() {
-                let b = b_flat[u * k + i];
-                if b != 0 {
-                    plan.b = b;
-                }
-            }
-        }
+        set_plan_fills(&mut plans, &b_flat, k);
         drop(bix2);
 
         // ---- cover collections per dense scale -----------------------

@@ -9,21 +9,21 @@
 //! count (asserted by `tests/thread_parity.rs`).
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use decomposition::Decomposition;
 use graphkit::bits::{bits_for_node, bits_for_universe};
 use graphkit::ids::octave_radius;
 use graphkit::{
-    apsp, dijkstra, induced_subgraph, wire, Cost, DijkstraScratch, DistMatrix, Graph, NodeId, Tree,
+    apsp, dijkstra, induced_subgraph, Cost, DijkstraScratch, DistMatrix, Graph, NodeId, Tree,
     TreeIx, TreeScratch, INFINITY,
 };
 use landmarks::{LandmarkDistances, LandmarkHierarchy};
 use sim::{GroundTruth, RouteTrace, Router, StretchStats};
 use treeroute::cover_router::{CoverOutcome, CoverTreeRouter};
-use treeroute::laing::{ErrorReportingTree, SearchOutcome};
+use treeroute::laing::{ErrorReportingTree, ErtRead};
+use treeroute::{LabeledRead, Naming};
 
-use crate::center_store::{CenterStore, CenterTree, SpillWriter};
+use crate::center_store::{self, CenterStore, SpillWriter};
 
 /// Ablation switch (experiment A1): disable one side of the
 /// sparse/dense decomposition to show why the paper needs both.
@@ -179,6 +179,10 @@ pub(crate) struct LevelPlan {
     pub(crate) center: u32,
     /// Sparse: the bounded-search level `b(u, i)`.
     pub(crate) b: u8,
+    /// Sparse: the source's own tree index inside `T(c(u, i))`
+    /// (`u32::MAX` when unknown). Simulation bookkeeping — a node knows
+    /// itself — not routing state, so storage accounting ignores it.
+    pub(crate) src_ix: u32,
 }
 
 /// Resolved S-set budgets: global per-level values, or a flat
@@ -202,14 +206,71 @@ impl Budgets {
 }
 
 /// What the `b(u,i)` pass needs from one finished center tree, without
-/// keeping (or reloading) the tree itself: each member's bounded-search
-/// level, sorted by host id.
+/// keeping (or reloading) the tree itself: each member's tree index and
+/// bounded-search level, sorted by host id.
 pub(crate) struct BuildIndex {
-    /// `(host id, search level)`, sorted by id.
-    levels: Vec<(u32, u8)>,
-    /// Max over `levels` — lets a whole-graph `E(u,i)` read `b(u,i)`
-    /// off the tree in O(1).
+    /// `(host id, tree index, search level)`, sorted by id.
+    members: Vec<(u32, u32, u8)>,
+    /// Max search level over `members` — lets a whole-graph `E(u,i)`
+    /// read `b(u,i)` off the tree in O(1).
     max_search_level: u8,
+}
+
+impl BuildIndex {
+    /// `(tree index, search level)` of host node `v`, if a member.
+    fn find(&self, v: u32) -> Option<(u32, u8)> {
+        let p = self.members.binary_search_by_key(&v, |&(id, _, _)| id).ok()?;
+        self.members.get(p).map(|&(_, ix, lvl)| (ix, lvl))
+    }
+
+    /// `b(u, i)` and `u`'s own tree index for one sparse scope of node
+    /// `u`, plus that region's Lemma 3 `(checked, violations)` counts.
+    pub(crate) fn plan(&self, u: u32, scope: &EScope, n: usize, k: usize) -> PlanFill {
+        let mut checked = 0usize;
+        let mut violations = 0usize;
+        let mut b = 1usize;
+        match scope {
+            EScope::Global => {
+                // E(u,i) = V: every non-member is a Lemma 3 violation,
+                // and the members' worst search level is a per-tree
+                // constant.
+                checked += n;
+                let missing = n - self.members.len();
+                if missing > 0 {
+                    violations += missing;
+                    b = k;
+                } else {
+                    b = self.max_search_level as usize;
+                }
+            }
+            EScope::Local(list) => {
+                for &(v, _) in list {
+                    checked += 1;
+                    match self.find(v) {
+                        Some((_, lvl)) => b = b.max(lvl as usize),
+                        None => {
+                            violations += 1;
+                            b = k; // fall back to the deepest search
+                        }
+                    }
+                }
+            }
+        }
+        PlanFill {
+            b: b.min(k).max(1) as u8,
+            src_ix: self.find(u).map_or(u32::MAX, |(ix, _)| ix),
+            checked,
+            violations,
+        }
+    }
+}
+
+/// One sparse plan's share of the b-levels pass.
+pub(crate) struct PlanFill {
+    pub(crate) b: u8,
+    pub(crate) src_ix: u32,
+    pub(crate) checked: usize,
+    pub(crate) violations: usize,
 }
 
 /// Per-center membership lists in CSR form: center `ci` (an index into
@@ -586,13 +647,13 @@ impl Scheme {
         let spill = params.spill.then(SpillWriter::create).and_then(Result::ok);
         let jobs: Vec<(u32, &[(u32, Cost)])> =
             centers.iter().enumerate().map(|(ci, &c)| (c, members.members(ci))).collect();
-        let TreeBatch { built, bix, lm_bits: landmark_bits, labels } =
+        let TreeBatch { records, bix, lm_bits: landmark_bits, labels } =
             build_center_trees(&g, &params, &jobs, bounded, spill.as_ref());
         drop(jobs);
         let max_center_label_bits = labels.iter().map(|&(_, l)| l).max().unwrap_or(0);
         let center_store = match spill {
-            Some(w) => CenterStore::Spilled(w.finish()),
-            None => CenterStore::Memory(built.into_iter().collect()),
+            Some(w) => w.finish(),
+            None => CenterStore::resident(records),
         };
         stats.num_center_trees = centers.len();
         stats.total_members = members.items.len();
@@ -603,17 +664,16 @@ impl Scheme {
         // check counters are sums, which commute.
         let b_shards = graphkit::metrics::par_chunks(n, |nodes| {
             let base = nodes.start;
-            let mut out = vec![0u8; nodes.len() * k];
+            let mut out = vec![(0u8, u32::MAX); nodes.len() * k];
             let mut checked = 0usize;
             let mut violations = 0usize;
             for u in nodes {
                 for i in 0..k {
                     let Some(scope) = &scopes[u][i] else { continue };
-                    let entry = &bix[&plans[u][i].center];
-                    let (b, c, v) = b_for_scope(scope, entry, n, k);
-                    out[(u - base) * k + i] = b;
-                    checked += c;
-                    violations += v;
+                    let fill = bix[&plans[u][i].center].plan(u as u32, scope, n, k);
+                    out[(u - base) * k + i] = (fill.b, fill.src_ix);
+                    checked += fill.checked;
+                    violations += fill.violations;
                 }
             }
             (out, checked, violations)
@@ -624,14 +684,7 @@ impl Scheme {
             stats.lemma3_checked += checked;
             stats.lemma3_violations += violations;
         }
-        for (u, row) in plans.iter_mut().enumerate() {
-            for (i, plan) in row.iter_mut().enumerate() {
-                let b = b_flat[u * k + i];
-                if b != 0 {
-                    plan.b = b;
-                }
-            }
-        }
+        set_plan_fills(&mut plans, &b_flat, k);
         drop(bix);
         clock.lap("b_levels", String::new());
 
@@ -703,7 +756,7 @@ impl Scheme {
                             } else {
                                 src.center(hier, u_id, dec.ball_radius(u_id, i))
                             };
-                            LevelPlan { dense, a, center, b: 1 }
+                            LevelPlan { dense, a, center, b: 1, src_ix: u32::MAX }
                         })
                         .collect()
                 })
@@ -1077,13 +1130,16 @@ impl Scheme {
         let Some(entry) = sc.routers.get(home as usize) else { return false };
         let Some(&from) = entry.ix.get(&src.0) else { return false };
         let (outcome, tpath) = entry.router.route(from, dst);
-        append_tree_path(entry.router.labeled().tree(), &tpath, path);
+        // The walk starts at the source, already the path's tail.
+        let tree = entry.router.labeled().tree();
+        path.extend(tpath.iter().skip(1).map(|&t| tree.graph_id(t)));
         *cost += outcome.cost();
         matches!(outcome, CoverOutcome::Found { .. })
     }
 
     /// Sparse strategy (§3.3): climb to the center `c(u, i)`, run a
     /// `b(u, i)`-bounded search on `T(c(u, i))`, and come back on a miss.
+    /// The tree is read in place from its record.
     fn sparse_phase(
         &self,
         src: NodeId,
@@ -1092,41 +1148,13 @@ impl Scheme {
         path: &mut Vec<NodeId>,
         cost: &mut Cost,
     ) -> bool {
-        // A missing or unreadable center tree (torn spill file, bad
-        // disk) degrades to "not found at this level": the caller
-        // falls through to the next level and ultimately reports an
-        // undelivered route — never a panicked serving thread.
-        let Ok(ct) = self.center_store.center_tree(plan.center) else {
-            return false;
-        };
-        let tree = ct.ert.labeled().tree();
-        let src_ix = ct.ix_of.get(src.0).unwrap_or(u32::MAX);
-        debug_assert_ne!(src_ix, u32::MAX, "source must be in its own center's tree");
-        // Climb to the root along tree parents.
-        // lint:allow(no-alloc-in-route): per-route climb scratch, sized by tree depth; measured negligible vs the bounded search
-        let mut climb = vec![src_ix];
-        let mut at = src_ix;
-        while let Some(p) = tree.parent(at) {
-            *cost += tree.parent_weight(at);
-            at = p;
-            climb.push(at);
-        }
-        append_tree_path(tree, &climb, path);
-        // Bounded search from the root.
-        let (outcome, tpath) = ct.ert.search(dst, plan.b as usize);
-        append_tree_path(tree, &tpath, path);
-        *cost += outcome.cost();
-        match outcome {
-            SearchOutcome::Found { .. } => true,
-            SearchOutcome::NotFound { .. } => {
-                // Back down to the source for the next phase.
-                for &t in climb.iter().rev().skip(1) {
-                    *cost += tree.parent_weight(t);
-                    path.push(tree.graph_id(t));
-                }
-                false
-            }
-        }
+        // A missing or unreadable center tree (torn spill file, corrupt
+        // lazily loaded record) degrades to "not found at this level":
+        // the caller falls through to the next level and ultimately
+        // reports an undelivered route — never a panicked serving thread.
+        self.center_store
+            .with_tree(plan.center, |ert| sparse_walk(ert, src, dst, plan, path, cost))
+            .unwrap_or(false)
     }
 
     /// Evaluate this scheme over `pairs` with the parallel engine
@@ -1223,6 +1251,73 @@ pub(crate) fn level_is_dense(
     }
 }
 
+/// The sparse phase on one center tree, owned or read in place: climb
+/// from the source to the root, search, and on a miss retrace the climb.
+fn sparse_walk(
+    ert: &impl ErtRead,
+    src: NodeId,
+    dst: NodeId,
+    plan: LevelPlan,
+    path: &mut Vec<NodeId>,
+    cost: &mut Cost,
+) -> bool {
+    let tree = ert.labeled();
+    // A source index that does not name the source in this tree (a
+    // stale or corrupt plan) finds nothing at this level.
+    if tree.host(plan.src_ix) != Some(src.0) {
+        return false;
+    }
+    let host = |t| NodeId(tree.host(t).unwrap_or(u32::MAX));
+    // Climb to the root along tree parents. The source sits at
+    // path[base]; the climb lands in path[base + 1..].
+    let base = path.len().saturating_sub(1);
+    let mut climb_cost: Cost = 0;
+    let mut at = plan.src_ix;
+    for _ in 0..tree.size() {
+        let Some(p) = tree.parent(at) else { break };
+        climb_cost = climb_cost.saturating_add(tree.parent_weight(at));
+        at = p;
+        path.push(host(at));
+    }
+    let top = path.len();
+    let climbed = top - base - 1;
+    *cost = cost.saturating_add(climb_cost);
+    // Bounded search from the root.
+    let outcome = ert.bounded_search(dst.0, plan.b as usize, &mut |t| path.push(host(t)));
+    *cost = cost.saturating_add(outcome.cost());
+    if outcome.is_found() {
+        return true;
+    }
+    // A miss ends back at the root (Lemma 4); only a corrupt record can
+    // strand the walk elsewhere, and then its hops are dropped so the
+    // phase still retraces to the source.
+    if path.last() != path.get(top - 1) {
+        path.truncate(top);
+    }
+    // Back down to the source for the next phase: the climb reversed.
+    *cost = cost.saturating_add(climb_cost);
+    for i in (base..base + climbed).rev() {
+        if let Some(&v) = path.get(i) {
+            path.push(v);
+        }
+    }
+    false
+}
+
+/// Write the b-levels pass's `(b, source index)` per (node, level) into
+/// the plans; a 0 `b` marks a dense level and leaves the plan alone.
+pub(crate) fn set_plan_fills(plans: &mut [Vec<LevelPlan>], fills: &[(u8, u32)], k: usize) {
+    for (u, row) in plans.iter_mut().enumerate() {
+        for (i, plan) in row.iter_mut().enumerate() {
+            let (b, src_ix) = fills[u * k + i];
+            if b != 0 {
+                plan.b = b;
+                plan.src_ix = src_ix;
+            }
+        }
+    }
+}
+
 /// Phase wall-clock bookkeeping behind [`BuildStats::phase_seconds`],
 /// echoed to stderr when `SCHEME_TIMING` is set.
 pub(crate) struct PhaseClock {
@@ -1268,12 +1363,12 @@ pub(crate) struct Prepared {
     pub(crate) s_budgets: Vec<usize>,
 }
 
-/// One finished batch from the fused per-center pipeline: resident
-/// trees (empty when spilled — the writer received them instead), the
-/// b-pass indexes keyed by center, per-node storage-bit contributions,
-/// and each tree's largest routing label.
+/// One finished batch from the fused per-center pipeline: the encoded
+/// tree records (empty when spilled — the writer received them
+/// instead), the b-pass indexes keyed by center, per-node storage-bit
+/// contributions, and each tree's largest routing label.
 pub(crate) struct TreeBatch {
-    pub(crate) built: Vec<(u32, Arc<CenterTree>)>,
+    pub(crate) records: Vec<(u32, Box<[u8]>)>,
     pub(crate) bix: HashMap<u32, BuildIndex>,
     pub(crate) lm_bits: Vec<u64>,
     pub(crate) labels: Vec<(u32, u64)>,
@@ -1281,10 +1376,11 @@ pub(crate) struct TreeBatch {
 
 /// The fused per-center pipeline over an explicit job list: bounded
 /// Dijkstra → tree extraction against reusable scratch → Lemma 4
-/// scheme → storage accounting → store (resident Arc or spill
-/// record). Nothing tree-sized survives the pass beyond what routing
-/// and the b-pass actually consume. A full build passes every center;
-/// repair passes only the invalidated ones.
+/// scheme → storage accounting → wire record (kept, or appended to the
+/// spill file). Each tree is encoded the moment it is finished and the
+/// owned scheme dropped, so nothing tree-sized survives the pass beyond
+/// the record bytes routing reads and the b-pass index. A full build
+/// passes every center; repair passes only the invalidated ones.
 pub(crate) fn build_center_trees(
     g: &Graph,
     params: &SchemeParams,
@@ -1297,7 +1393,7 @@ pub(crate) fn build_center_trees(
     let sigma = graphkit::ids::nth_root_ceil(n as u64, k as u32).max(2);
     let id_bits = bits_for_node(n);
     struct CenterShard {
-        built: Vec<(u32, Arc<CenterTree>)>,
+        records: Vec<(u32, Box<[u8]>)>,
         index: Vec<(u32, BuildIndex)>,
         lm_bits: Vec<u64>,
         labels: Vec<(u32, u64)>,
@@ -1307,7 +1403,7 @@ pub(crate) fn build_center_trees(
     let shards = graphkit::metrics::par_chunks(jobs.len(), |range| {
         let mut scratch = DijkstraScratch::new(n);
         let mut tscratch = TreeScratch::new(n);
-        let mut built = Vec::new();
+        let mut records = Vec::new();
         let mut index = Vec::with_capacity(range.len());
         let mut lm_bits = vec![0u64; n];
         let mut labels = Vec::with_capacity(range.len());
@@ -1339,95 +1435,55 @@ pub(crate) fn build_center_trees(
             }
             labels.push((c, max_label));
             index.push((c, entry));
-            if let Some(w) = spill {
-                let mut rec = wire::Writer::new();
-                ert.to_wire(&mut rec);
-                w.write(c, &rec.into_bytes());
-            } else {
-                built.push((c, Arc::new(CenterTree::new(ert))));
+            let record = center_store::encode(&ert);
+            match spill {
+                Some(w) => w.write(c, &record),
+                None => records.push((c, record)),
             }
         }
-        CenterShard { built, index, lm_bits, labels }
+        CenterShard { records, index, lm_bits, labels }
     });
-    let mut built = Vec::new();
+    let mut records = Vec::new();
     let mut bix: HashMap<u32, BuildIndex> = HashMap::with_capacity(jobs.len());
     let mut lm_bits = vec![0u64; n];
     let mut labels = Vec::with_capacity(jobs.len());
     for shard in shards {
-        built.extend(shard.built);
+        records.extend(shard.records);
         for (acc, add) in lm_bits.iter_mut().zip(&shard.lm_bits) {
             *acc += add;
         }
         bix.extend(shard.index);
         labels.extend(shard.labels);
     }
-    TreeBatch { built, bix, lm_bits, labels }
+    TreeBatch { records, bix, lm_bits, labels }
 }
 
-/// Per-tree derived data, usable on a freshly built tree or one
-/// decoded back from the spill/snapshot store: the b-pass index, each
-/// member's `(host id, storage-bit)` contribution (root id + τ), and
-/// the largest routing label.
+/// Per-tree derived data, usable on a freshly built tree or one read
+/// back from the store: the b-pass index, each member's
+/// `(host id, storage-bit)` contribution (root id + τ), and the largest
+/// routing label.
 pub(crate) fn index_and_bits(
-    ert: &ErrorReportingTree,
+    ert: &impl ErtRead,
     id_bits: u64,
 ) -> (BuildIndex, Vec<(u32, u64)>, u64) {
-    let size = ert.labeled().tree().size();
-    let mut levels: Vec<(u32, u8)> = Vec::with_capacity(size);
+    let tree = ert.labeled();
+    let size = tree.size();
+    let naming = Naming::new(size, ert.sigma());
+    let mut members: Vec<(u32, u32, u8)> = Vec::with_capacity(size);
     let mut bits: Vec<(u32, u64)> = Vec::with_capacity(size);
     let mut max_search_level = 1u8;
     let mut max_label = 0u64;
     for ix in 0..size as u32 {
-        let gid = ert.labeled().tree().graph_id(ix).0;
-        let lvl =
-            ert.naming().level_of_rank(ert.rank(ix) as usize).clamp(1, u8::MAX as usize) as u8;
+        let gid = tree.host(ix).unwrap_or(u32::MAX);
+        let rank = ert.rank_of(ix).unwrap_or(0) as usize;
+        let lvl = naming.level_of_rank(rank).clamp(1, u8::MAX as usize) as u8;
         max_search_level = max_search_level.max(lvl);
-        levels.push((gid, lvl));
+        members.push((gid, ix, lvl));
         bits.push((gid, id_bits + ert.node_bits(ix)));
-        max_label = max_label.max(ert.labeled().label_bits(ix));
+        max_label = max_label.max(tree.label_bits(ix));
     }
-    levels.sort_unstable();
-    (BuildIndex { levels, max_search_level }, bits, max_label)
-}
-
-/// `b(u, i)` for one sparse scope against its center's tree index,
-/// plus that region's Lemma 3 `(checked, violations)` counts.
-pub(crate) fn b_for_scope(
-    scope: &EScope,
-    entry: &BuildIndex,
-    n: usize,
-    k: usize,
-) -> (u8, usize, usize) {
-    let mut checked = 0usize;
-    let mut violations = 0usize;
-    let mut b = 1usize;
-    match scope {
-        EScope::Global => {
-            // E(u,i) = V: every non-member is a Lemma 3 violation, and
-            // the members' worst search level is a per-tree constant.
-            checked += n;
-            let missing = n - entry.levels.len();
-            if missing > 0 {
-                violations += missing;
-                b = k;
-            } else {
-                b = entry.max_search_level as usize;
-            }
-        }
-        EScope::Local(list) => {
-            for &(v, _) in list {
-                checked += 1;
-                match entry.levels.binary_search_by_key(&v, |&(id, _)| id) {
-                    Ok(p) => b = b.max(entry.levels[p].1 as usize),
-                    Err(_) => {
-                        violations += 1;
-                        b = k; // fall back to the deepest search
-                    }
-                }
-            }
-        }
-    }
-    (b.min(k).max(1) as u8, checked, violations)
+    members.sort_unstable();
+    (BuildIndex { members, max_search_level }, bits, max_label)
 }
 
 /// All cover trees of one dense scale `s`: the extended-range member
@@ -1495,26 +1551,9 @@ fn remap_tree(t: &Tree, to_host: &[u32]) -> Tree {
     Tree::from_parents(ids, parents, weights)
 }
 
-/// Append a tree-index walk to a host-id path, skipping the first node
-/// (it must equal the path's current tail).
-fn append_tree_path(tree: &Tree, tpath: &[TreeIx], path: &mut Vec<NodeId>) {
-    if tpath.is_empty() {
-        return;
-    }
-    debug_assert_eq!(
-        tree.graph_id(tpath[0]),
-        *path.last().unwrap(),
-        "tree walk must continue from the current node"
-    );
-    for &t in tpath.iter().skip(1) {
-        path.push(tree.graph_id(t));
-    }
-}
-
 // The parallel evaluator shards pairs across threads that all borrow
-// the scheme; the only interior mutability is the spill store's
-// mutex-guarded record cache, which affects load timing, never routing
-// results.
+// the scheme; routing mutates nothing shared (file-backed center stores
+// read into per-thread buffers).
 const _: () = {
     const fn assert_sync<T: Sync>() {}
     assert_sync::<Scheme>();

@@ -4,8 +4,7 @@
 //! no construction, no ground truth, just `route(src, dst)` over a
 //! batch of queries against an already-built (typically
 //! snapshot-loaded) router. Queries are sharded by source node id, so
-//! a query's thread assignment — and therefore the exact interleaving
-//! of any store-cache effects — is a function of the workload alone,
+//! a query's thread assignment is a function of the workload alone,
 //! not of scheduler timing.
 //!
 //! The engine reports throughput (routes/sec over the batch wall

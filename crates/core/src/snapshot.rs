@@ -10,38 +10,37 @@
 //! | `GRAPH` | the host graph's CSR arenas |
 //! | `DECOMPOSITION` | ranges `a(u, i)` + `⌈log₂Δ⌉` |
 //! | `HIERARCHY` | landmark levels `C_0 … C_{k−1}` |
-//! | `PLANS` | per-(node, level) plans, SoA |
+//! | `PLANS` | per-(node, level) plans, SoA (incl. the source's tree index) |
 //! | `LANDMARK_BITS` | per-node landmark storage accounting |
 //! | `CENTER_DIR` | center id → extent into `CENTER_TREES` |
 //! | `CENTER_TREES` | concatenated Lemma-4 tree records |
 //! | `SCALE_COVERS` | per dense scale: home map + Lemma-7 stores |
 //!
-//! Loading is a decode pass into the same stores routing uses — no
-//! Dijkstras, no tree construction, no hashing re-derivation — so a
-//! scheme saved by one process and loaded by another routes
-//! bit-identically (asserted by `tests/snapshot_parity.rs`).
+//! Loading rebuilds nothing — no Dijkstras, no tree construction, no
+//! hashing re-derivation — so a scheme saved by one process and loaded
+//! by another routes bit-identically (asserted by
+//! `tests/snapshot_parity.rs`).
 //!
-//! [`Scheme::load`] materializes every center tree in memory;
-//! [`Scheme::load_lazy`] leaves the (dominant) center-tree section on
-//! disk and serves records through the spill store's FIFO cache — the
-//! spill substrate and the snapshot format share their per-record
-//! layout, so a spilled build saves by copying record bytes verbatim.
-//! Lazy mode trades the one-time section checksum for not reading the
-//! section at all; each record decode still validates structurally.
+//! The center trees are never decoded: their records are the store
+//! routing reads ([`crate::center_store`]). [`Scheme::load`] reads the
+//! `CENTER_TREES` section, checksums it, validates every record in
+//! place and keeps the bytes; [`Scheme::save`] writes them back
+//! unchanged. [`Scheme::load_lazy`] does not read the section at all:
+//! the snapshot file becomes the store's backing file, and every fetch
+//! is one positional read validated on the spot. The spill file shares
+//! the record layout, so a spilled build saves by copying records.
 
 use std::collections::HashMap;
 use std::io;
 use std::path::Path;
-use std::sync::Arc;
 
 use decomposition::Decomposition;
 use graphkit::wire::{self, Reader, SnapshotReader, SnapshotWriter, Writer};
 use graphkit::Graph;
 use landmarks::LandmarkHierarchy;
 use treeroute::cover_router::{CoverStore, CoverTreeRouter};
-use treeroute::laing::ErrorReportingTree;
 
-use crate::center_store::{CenterStore, CenterTree, SpillStore};
+use crate::center_store::CenterStore;
 use crate::scheme::{
     BuildStats, CoverEntry, ForceMode, HierarchySource, LevelPlan, SBudgetMode, ScaleCover, Scheme,
     SchemeParams,
@@ -89,22 +88,23 @@ impl Scheme {
         w.slice_u64(&self.landmark_bits);
         sw.section(SEC_LANDMARK_BITS, &w.into_bytes())?;
 
-        // Center trees: streamed payload-by-payload (a spilled store
-        // copies record bytes straight from the spill file), with the
-        // directory accumulated alongside and written as its own
-        // section.
-        let centers = self.center_store.centers();
+        // Center trees: the stored records, streamed one by one in
+        // center order (a file-backed store reads each from its file),
+        // with the directory accumulated alongside and written as its
+        // own section.
+        let centers: Vec<u32> = self.center_store.centers().collect();
         let mut dir = Writer::new();
         dir.len(centers.len());
         let mut off = 0u64;
         sw.begin_section(SEC_CENTER_TREES);
         for &c in &centers {
-            let payload = self.center_store.payload(c)?;
-            sw.write(&payload)?;
+            let len = self
+                .center_store
+                .with_record(c, |record| sw.write(record).map(|()| record.len() as u64))??;
             dir.u32(c);
             dir.u64(off);
-            dir.u32(payload.len() as u32);
-            off += payload.len() as u64;
+            dir.u32(len as u32);
+            off += len;
         }
         sw.end_section();
         sw.section(SEC_CENTER_DIR, &dir.into_bytes())?;
@@ -130,19 +130,19 @@ impl Scheme {
 
     /// Load a snapshot with every center tree resident in memory (the
     /// serving default: no disk reads on the route path). Every
-    /// section is checksum-verified before decoding; center trees
-    /// decode in parallel.
+    /// section is checksum-verified before use; the center-tree records
+    /// are validated in place, in parallel, and kept as bytes.
     pub fn load(path: impl AsRef<Path>) -> io::Result<Scheme> {
         Self::load_impl(path, false)
     }
 
     /// Load a snapshot leaving the center-tree records on disk: the
-    /// snapshot file itself becomes the spill store's backing file,
-    /// and routing reloads records through its FIFO cache. Peak memory
-    /// excludes the Õ(n^{1+1/k}) tree state, exactly as a spilled
-    /// build does. The center-trees section's checksum is *not*
-    /// verified (that would require reading it whole); every other
-    /// section is.
+    /// snapshot file itself becomes the store's backing file, and each
+    /// route reads the records it needs with one positional read apiece,
+    /// validating every record on every fetch. Peak memory excludes the
+    /// Õ(n^{1+1/k}) tree state, exactly as a spilled build does. The
+    /// center-trees section's checksum is *not* verified (that would
+    /// require reading it whole); every other section is.
     pub fn load_lazy(path: impl AsRef<Path>) -> io::Result<Scheme> {
         Self::load_impl(path, true)
     }
@@ -198,18 +198,16 @@ impl Scheme {
 
         let center_store = if lazy {
             let (sec_off, sec_len) = sr.section_range(SEC_CENTER_TREES)?;
-            let mut index = HashMap::with_capacity(dir.len());
+            let mut abs = Vec::with_capacity(dir.len());
             for &(c, off, len) in &dir {
                 if off.checked_add(len as u64).is_none_or(|end| end > sec_len) {
                     return Err(wire::invalid("center record extends past its section"));
                 }
-                index.insert(c, (sec_off + off, len));
+                abs.push((c, sec_off + off, len));
             }
-            CenterStore::Spilled(SpillStore::from_file_index(sr.into_file(), index))
+            CenterStore::file(sr.into_file(), &abs)
         } else {
-            let bytes = sr.section(SEC_CENTER_TREES)?;
-            let trees = decode_center_trees(&bytes, &dir)?;
-            CenterStore::Memory(trees)
+            CenterStore::section(sr.section(SEC_CENTER_TREES)?, &dir)?
         };
 
         Ok(Scheme {
@@ -274,12 +272,14 @@ impl Scheme {
         let mut a = Vec::with_capacity(n * k);
         let mut center = Vec::with_capacity(n * k);
         let mut b = Vec::with_capacity(n * k);
+        let mut src_ix = Vec::with_capacity(n * k);
         for row in &self.plans {
             for p in row {
                 dense.push(p.dense as u8);
                 a.push(p.a);
                 center.push(p.center);
                 b.push(p.b);
+                src_ix.push(p.src_ix);
             }
         }
         let mut w = Writer::new();
@@ -289,6 +289,7 @@ impl Scheme {
         w.slice_u32(&a);
         w.slice_u32(&center);
         w.slice_u8(&b);
+        w.slice_u32(&src_ix);
         w.into_bytes()
     }
 }
@@ -362,7 +363,7 @@ fn decode_hierarchy(r: &mut Reader<'_>, n: usize, k: usize) -> io::Result<Landma
     LandmarkHierarchy::try_from_levels(n, k, levels).map_err(|msg| wire::invalid(&msg))
 }
 
-// lint:allow-fn(panic-free-serve): validate-then-index — all four tables are length-checked against n*k before the loop, and x < n*k
+// lint:allow-fn(panic-free-serve): validate-then-index — all five tables are length-checked against n*k before the loop, and x < n*k
 fn decode_plans(r: &mut Reader<'_>, n: usize, k: usize) -> io::Result<Vec<Vec<LevelPlan>>> {
     if r.u64()? as usize != n || r.u64()? as usize != k {
         return Err(wire::invalid("plan table does not match the graph"));
@@ -371,7 +372,10 @@ fn decode_plans(r: &mut Reader<'_>, n: usize, k: usize) -> io::Result<Vec<Vec<Le
     let a = r.slice_u32()?;
     let center = r.slice_u32()?;
     let b = r.slice_u8()?;
-    if dense.len() != n * k || a.len() != n * k || center.len() != n * k || b.len() != n * k {
+    // The source index needs no range check here: routing reads it
+    // through checked accessors and requires it to name the source.
+    let src_ix = r.slice_u32()?;
+    if [dense.len(), a.len(), center.len(), b.len(), src_ix.len()].iter().any(|&len| len != n * k) {
         return Err(wire::invalid("plan table has wrong length"));
     }
     let mut plans = Vec::with_capacity(n);
@@ -390,7 +394,7 @@ fn decode_plans(r: &mut Reader<'_>, n: usize, k: usize) -> io::Result<Vec<Vec<Le
             if b[x] < 1 || b[x] as usize > k {
                 return Err(wire::invalid("plan search bound out of range"));
             }
-            row.push(LevelPlan { dense, a: a[x], center: center[x], b: b[x] });
+            row.push(LevelPlan { dense, a: a[x], center: center[x], b: b[x], src_ix: src_ix[x] });
         }
         plans.push(row);
     }
@@ -409,35 +413,6 @@ fn decode_center_dir(r: &mut Reader<'_>) -> io::Result<Vec<(u32, u64, u32)>> {
         return Err(wire::invalid("center directory is not sorted"));
     }
     Ok(dir)
-}
-
-fn decode_center_trees(
-    bytes: &[u8],
-    dir: &[(u32, u64, u32)],
-) -> io::Result<HashMap<u32, Arc<CenterTree>>> {
-    for &(_, off, len) in dir {
-        if off.checked_add(len as u64).is_none_or(|end| end > bytes.len() as u64) {
-            return Err(wire::invalid("center record extends past its section"));
-        }
-    }
-    // merge: one shard per chunk of directory rows, extended into the map in chunk order.
-    let shards = graphkit::metrics::par_chunks(dir.len(), |range| {
-        range
-            .map(|di| {
-                // lint:allow(panic-free-serve): di ranges over 0..dir.len() by construction of par_chunks
-                let (c, off, len) = dir[di];
-                // lint:allow(panic-free-serve): every (off, len) was bounds-checked against the section above
-                let record = &bytes[off as usize..off as usize + len as usize];
-                let ert = ErrorReportingTree::from_wire(&mut Reader::new(record))?;
-                Ok((c, Arc::new(CenterTree::new(ert))))
-            })
-            .collect::<io::Result<Vec<(u32, Arc<CenterTree>)>>>()
-    });
-    let mut out = HashMap::with_capacity(dir.len());
-    for shard in shards {
-        out.extend(shard?);
-    }
-    Ok(out)
 }
 
 fn decode_scale_covers(r: &mut Reader<'_>, n: usize) -> io::Result<HashMap<u32, ScaleCover>> {

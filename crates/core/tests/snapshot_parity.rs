@@ -4,14 +4,20 @@
 //! storage, and report identical build stats; and a corrupted or
 //! truncated snapshot must surface as an `Err`, never a panic.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Barrier;
 
 use graphkit::gen::Family;
 use graphkit::metrics::apsp;
+use graphkit::wire::{Reader, SnapshotReader};
 use proptest::prelude::*;
 use routing_core::{Scheme, SchemeParams};
-use sim::{pairs, Router};
+use sim::{pairs, RouteTrace, Router};
+
+/// Snapshot section ids (stable across snapshot versions).
+const SEC_CENTER_DIR: u32 = 7;
+const SEC_CENTER_TREES: u32 = 8;
 
 static SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -142,6 +148,110 @@ fn corrupted_snapshots_error_instead_of_panicking() {
         corrupt[off] ^= 0x20;
         std::fs::write(&bad.0, &corrupt).expect("write corrupt");
         assert!(Scheme::load(&bad.0).is_err(), "flip at byte {off} must not load");
+    }
+}
+
+/// `(file offset, length)` of every center-tree record in a snapshot.
+fn center_records(path: &Path) -> Vec<(usize, usize)> {
+    let sr = SnapshotReader::open(path).expect("open");
+    let (section, _) = sr.section_range(SEC_CENTER_TREES).expect("center trees");
+    let dir = sr.section(SEC_CENTER_DIR).expect("center directory");
+    let mut r = Reader::new(&dir);
+    (0..r.len().expect("count"))
+        .map(|_| {
+            let (_center, off, len) = (r.u32().unwrap(), r.u64().unwrap(), r.u32().unwrap());
+            ((section + off) as usize, len as usize)
+        })
+        .collect()
+}
+
+fn read_u64(bytes: &[u8], at: usize) -> usize {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize
+}
+
+/// Lazy mode never checksums CENTER_TREES, so a corrupt record reaches
+/// the route path; it must cost that level, not the serving thread.
+/// Covers the two corruptions that used to panic — a hash coefficient
+/// outside GF(p) and graph ids moved out of range, which dropped the
+/// source from its tree — plus a byte-flip sweep over the section.
+#[test]
+fn corrupt_center_trees_degrade_lazy_routes_instead_of_panicking() {
+    let g = Family::Geometric.generate(80, 0x54B3);
+    let d = apsp(&g);
+    let scheme = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(2, 0x54B3));
+    let path = TempPath::new();
+    scheme.save(&path.0).expect("save");
+    let bytes = std::fs::read(&path.0).expect("read back");
+    let records = center_records(&path.0);
+    assert!(!records.is_empty());
+    let queries = pairs::sample(g.n(), 50, 0x54B4);
+    let bad = TempPath::new();
+    let serve = |corrupt: &[u8]| {
+        std::fs::write(&bad.0, corrupt).expect("write corrupt");
+        let lazy = Scheme::load_lazy(&bad.0).expect("lazy load never reads the trees");
+        for &(s, t) in &queries {
+            let _ = lazy.route(s, t);
+        }
+    };
+    // Record layout: k (8), σ (8), hash-verified flag (1), then the
+    // length-prefixed hash coefficients, then the tree's graph ids.
+    let mut hashes = bytes.clone();
+    for &(off, _) in &records {
+        hashes[off + 25 + 7] |= 0x80; // top bit of the first coefficient
+    }
+    serve(&hashes);
+    let mut ids = bytes.clone();
+    for &(off, _) in &records {
+        let at = off + 25 + 8 * read_u64(&ids, off + 17);
+        for i in 0..read_u64(&ids, at) {
+            let p = at + 8 + 4 * i;
+            let v = u32::from_le_bytes(ids[p..p + 4].try_into().unwrap());
+            ids[p..p + 4].copy_from_slice(&(v + 1_000_000).to_le_bytes());
+        }
+    }
+    serve(&ids);
+    // ~250 flips, spread over the whole section.
+    let (first, last) = (records[0].0, records.iter().map(|&(o, l)| o + l).max().unwrap());
+    for off in (first..last).step_by((last - first) / 250 + 1) {
+        let mut flipped = bytes.clone();
+        flipped[off] ^= 0x20;
+        serve(&flipped);
+    }
+}
+
+/// Two threads released together by a barrier route the same pairs on
+/// a lazily loaded scheme and on a spilled one: every fetch lands in a
+/// per-thread buffer, and every trace must equal the resident scheme's.
+#[test]
+fn lazy_and_spilled_schemes_route_identically_from_two_threads() {
+    let g = Family::PrefAttach.generate(120, 0x54B5);
+    let d = apsp(&g);
+    let params = SchemeParams::new(2, 0x54B5);
+    let resident = Scheme::build_with_matrix(g.clone(), &d, params);
+    let spilled = Scheme::build_with_matrix(g.clone(), &d, params.with_spill());
+    let path = TempPath::new();
+    resident.save(&path.0).expect("save");
+    let lazy = Scheme::load_lazy(&path.0).expect("load_lazy");
+    let queries = pairs::sample(g.n(), 300, 0x54B6);
+    let want: Vec<RouteTrace> = queries.iter().map(|&(s, t)| resident.route(s, t)).collect();
+    for (name, scheme) in [("lazy", &lazy), ("spilled", &spilled)] {
+        let barrier = Barrier::new(2);
+        let got: Vec<Vec<RouteTrace>> = std::thread::scope(|sc| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    sc.spawn(|| {
+                        barrier.wait();
+                        queries.iter().map(|&(s, t)| scheme.route(s, t)).collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().expect("routing thread panicked")).collect()
+        });
+        for (thread, traces) in got.iter().enumerate() {
+            for (i, (a, b)) in want.iter().zip(traces).enumerate() {
+                assert_eq!(a, b, "{name}, thread {thread}: {:?}", queries[i]);
+            }
+        }
     }
 }
 

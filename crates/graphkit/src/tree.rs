@@ -279,6 +279,16 @@ impl Tree {
         &self.graph_ids
     }
 
+    /// Parent tree index of every node (`u32::MAX` at the root).
+    pub fn parents(&self) -> &[TreeIx] {
+        &self.parents
+    }
+
+    /// Weight of every node's parent edge (0 at the root).
+    pub fn parent_weights(&self) -> &[Weight] {
+        &self.parent_weights
+    }
+
     /// Tree index of graph node `v`, linear scan (use [`Tree::index_map`]
     /// for bulk lookups).
     pub fn find(&self, v: NodeId) -> Option<TreeIx> {
@@ -307,7 +317,6 @@ impl Tree {
 
     /// Weight of the edge from `t` to its parent.
     #[inline(always)]
-    // lint:allow-fn(panic-free-serve): validate-then-index — every TreeIx handed out by this tree is < size(); decode checks lengths
     pub fn parent_weight(&self, t: TreeIx) -> Weight {
         self.parent_weights[t as usize]
     }

@@ -23,6 +23,7 @@ use crate::ids::Weight;
 use crate::tree::Tree;
 use std::fs::File;
 use std::io::{self, Seek, SeekFrom, Write as _};
+use std::marker::PhantomData;
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 
@@ -36,6 +37,11 @@ impl Writer {
     /// Fresh empty writer.
     pub fn new() -> Self {
         Writer::default()
+    }
+
+    /// Fresh writer with room for `bytes` bytes.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Writer { buf: Vec::with_capacity(bytes) }
     }
 
     /// Write a `u8`.
@@ -82,16 +88,16 @@ impl Writer {
     /// Write a length-prefixed `u32` slice.
     pub fn slice_u32(&mut self, xs: &[u32]) {
         self.len(xs.len());
-        for &x in xs {
-            self.u32(x);
+        for (out, x) in self.grow(4 * xs.len()).chunks_exact_mut(4).zip(xs) {
+            out.copy_from_slice(&x.to_le_bytes());
         }
     }
 
     /// Write a length-prefixed `u64` slice.
     pub fn slice_u64(&mut self, xs: &[u64]) {
         self.len(xs.len());
-        for &x in xs {
-            self.u64(x);
+        for (out, x) in self.grow(8 * xs.len()).chunks_exact_mut(8).zip(xs) {
+            out.copy_from_slice(&x.to_le_bytes());
         }
     }
 
@@ -99,10 +105,19 @@ impl Writer {
     /// every directory arena in `treeroute`).
     pub fn slice_pairs(&mut self, xs: &[(u32, u32)]) {
         self.len(xs.len());
-        for &(a, b) in xs {
-            self.u32(a);
-            self.u32(b);
+        for (out, &(a, b)) in self.grow(8 * xs.len()).chunks_exact_mut(8).zip(xs) {
+            let (lo, hi) = out.split_at_mut(4);
+            lo.copy_from_slice(&a.to_le_bytes());
+            hi.copy_from_slice(&b.to_le_bytes());
         }
+    }
+
+    /// Append `n` zero bytes and hand them out for filling: one bounds
+    /// check per array instead of one per element.
+    fn grow(&mut self, n: usize) -> &mut [u8] {
+        let start = self.buf.len();
+        self.buf.resize(start + n, 0);
+        self.buf.get_mut(start..).unwrap_or_default()
     }
 
     /// Finish and take the bytes.
@@ -123,6 +138,7 @@ fn truncated() -> io::Error {
 
 /// The standard malformed-record error.
 pub fn invalid(what: &str) -> io::Error {
+    // lint:allow(no-alloc-in-route): error path — the message is allocated only when a read fails
     io::Error::new(io::ErrorKind::InvalidData, what.to_string())
 }
 
@@ -195,32 +211,29 @@ impl<'a> Reader<'a> {
 
     /// Read a length-prefixed `u32` slice.
     pub fn slice_u32(&mut self) -> io::Result<Vec<u32>> {
-        let n = self.len()?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.u32()?);
-        }
-        Ok(out)
+        Ok(self.le_slice::<u32>()?.iter().collect())
     }
 
     /// Read a length-prefixed `u64` slice.
     pub fn slice_u64(&mut self) -> io::Result<Vec<u64>> {
-        let n = self.len()?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.u64()?);
-        }
-        Ok(out)
+        Ok(self.le_slice::<u64>()?.iter().collect())
     }
 
     /// Read a length-prefixed `(u32, u32)` pair slice.
     pub fn slice_pairs(&mut self) -> io::Result<Vec<(u32, u32)>> {
+        Ok(self.le_slice::<(u32, u32)>()?.iter().collect())
+    }
+
+    /// Borrow a length-prefixed array in place (no copy).
+    pub fn le_slice<T: LeValue>(&mut self) -> io::Result<LeSlice<'a, T>> {
+        Ok(LeSlice::new(self.array(T::WIDTH)?))
+    }
+
+    /// The payload bytes of a length-prefixed array of `width`-byte
+    /// elements.
+    pub fn array(&mut self, width: usize) -> io::Result<&'a [u8]> {
         let n = self.len()?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push((self.u32()?, self.u32()?));
-        }
-        Ok(out)
+        self.take(n.checked_mul(width).ok_or_else(truncated)?)
     }
 
     /// Bytes consumed so far.
@@ -231,6 +244,107 @@ impl<'a> Reader<'a> {
     /// True if every byte has been consumed.
     pub fn is_empty(&self) -> bool {
         self.pos == self.buf.len()
+    }
+}
+
+/// A fixed-width little-endian value stored in a record array.
+pub trait LeValue: Copy + 'static {
+    /// Bytes per element.
+    const WIDTH: usize;
+    /// Decode one element from exactly `WIDTH` bytes.
+    fn from_le(bytes: &[u8]) -> Self;
+}
+
+impl LeValue for u32 {
+    const WIDTH: usize = 4;
+    fn from_le(b: &[u8]) -> u32 {
+        b.try_into().map_or(0, u32::from_le_bytes)
+    }
+}
+
+impl LeValue for u64 {
+    const WIDTH: usize = 8;
+    fn from_le(b: &[u8]) -> u64 {
+        b.try_into().map_or(0, u64::from_le_bytes)
+    }
+}
+
+impl LeValue for (u32, u32) {
+    const WIDTH: usize = 8;
+    fn from_le(b: &[u8]) -> (u32, u32) {
+        let (lo, hi) = b.split_at(b.len().min(4));
+        (<u32 as LeValue>::from_le(lo), <u32 as LeValue>::from_le(hi))
+    }
+}
+
+/// A little-endian array read in place from a record. Every accessor is
+/// checked: an index past the end is `None`, never a panic, so code
+/// reading a record it has not validated degrades instead of crashing.
+#[derive(Debug)]
+pub struct LeSlice<'a, T> {
+    bytes: &'a [u8],
+    of: PhantomData<T>,
+}
+
+/// A `u32` array read in place.
+pub type U32s<'a> = LeSlice<'a, u32>;
+/// A `u64` array read in place.
+pub type U64s<'a> = LeSlice<'a, u64>;
+/// A `(u32, u32)` pair array read in place.
+pub type Pairs<'a> = LeSlice<'a, (u32, u32)>;
+
+// Manual impls: the derives would needlessly require `T: Clone`.
+impl<T> Clone for LeSlice<'_, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for LeSlice<'_, T> {}
+
+impl<T> Default for LeSlice<'_, T> {
+    fn default() -> Self {
+        LeSlice { bytes: &[], of: PhantomData }
+    }
+}
+
+impl<'a, T: LeValue> LeSlice<'a, T> {
+    /// View array payload bytes (as [`Reader::array`] returns them);
+    /// a ragged tail is ignored.
+    #[inline]
+    pub fn new(bytes: &'a [u8]) -> Self {
+        LeSlice { bytes, of: PhantomData }
+    }
+
+    /// Number of elements.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.bytes.len() / T::WIDTH
+    }
+
+    /// True if the array is empty.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Element `i`, if in range.
+    #[inline]
+    pub fn get(&self, i: usize) -> Option<T> {
+        let at = i.checked_mul(T::WIDTH)?;
+        Some(T::from_le(self.bytes.get(at..)?.get(..T::WIDTH)?))
+    }
+
+    /// Elements `lo..hi`, if that range is in bounds.
+    #[inline]
+    pub fn range(&self, lo: usize, hi: usize) -> Option<Self> {
+        let (lo, hi) = (lo.checked_mul(T::WIDTH)?, hi.checked_mul(T::WIDTH)?);
+        Some(Self::new(self.bytes.get(lo..hi)?))
+    }
+
+    /// Every element in order.
+    pub fn iter(&self) -> impl Iterator<Item = T> + 'a {
+        self.bytes.chunks_exact(T::WIDTH).map(T::from_le)
     }
 }
 
@@ -317,7 +431,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"AGMSNAP\0";
 /// Current snapshot format version. Bump on any layout change; readers
 /// reject unknown versions instead of misparsing.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Header: magic (8) + version (4) + section-table offset (8).
 const HEADER_LEN: u64 = 20;
@@ -540,6 +654,30 @@ mod tests {
         assert_eq!(r.slice_u64().unwrap(), Vec::<u64>::new());
         assert_eq!(r.slice_pairs().unwrap(), vec![(9, 10)]);
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn borrowed_arrays_read_in_place() {
+        let mut w = Writer::new();
+        w.slice_u32(&[1, 2, 0xDEAD_BEEF]);
+        w.u8(9); // misalign everything after
+        w.slice_u64(&[u64::MAX, 5]);
+        w.slice_pairs(&[(7, 8), (9, 10), (11, 12)]);
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        let a: U32s = r.le_slice().unwrap();
+        assert_eq!(r.u8().unwrap(), 9);
+        let b: U64s = r.le_slice().unwrap();
+        let c: Pairs = r.le_slice().unwrap();
+        assert!(r.is_empty());
+        assert_eq!((a.len(), a.get(2), a.get(3)), (3, Some(0xDEAD_BEEF), None));
+        assert_eq!(a.iter().collect::<Vec<_>>(), vec![1, 2, 0xDEAD_BEEF]);
+        assert_eq!((b.len(), b.get(0), b.get(usize::MAX)), (2, Some(u64::MAX), None));
+        assert_eq!(c.get(1), Some((9, 10)));
+        let mid = c.range(1, 3).unwrap();
+        assert_eq!(mid.iter().collect::<Vec<_>>(), vec![(9, 10), (11, 12)]);
+        assert!(c.range(2, 4).is_none() && c.range(3, 2).is_none());
+        assert!(U32s::default().is_empty() && U32s::default().get(0).is_none());
     }
 
     #[test]

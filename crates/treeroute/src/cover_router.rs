@@ -27,7 +27,7 @@ use graphkit::{Cost, NodeId, Tree, TreeIx};
 use std::io;
 
 use crate::hashing::PolyHash;
-use crate::labeled::{LabeledStore, LabeledTree};
+use crate::labeled::{LabeledRead, LabeledStore, LabeledTree};
 
 /// Outcome of a cover-tree lookup.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -207,7 +207,8 @@ impl CoverStore {
         if fanout < 2 || coeffs.is_empty() {
             return Err(invalid("bad cover-store record header"));
         }
-        let hash = PolyHash::from_coeffs(coeffs);
+        let hash = PolyHash::try_from_coeffs(coeffs)
+            .ok_or_else(|| invalid("cover-store hash coefficient outside GF(p)"))?;
         let labeled = LabeledTree::from_store(LabeledStore::from_wire(r)?);
         let m = labeled.tree().size();
         let cg_off = r.slice_u32()?;
@@ -373,14 +374,17 @@ impl CoverTreeRouter {
                     // same degradation as a missing child guide.
                     return (CoverOutcome::NotFound { cost }, path);
                 };
-                assert_ne!(cand, next, "sibling guide made no progress");
+                // A guide that makes no progress, or a descent deeper
+                // than the deepest guide, is a corrupt store too.
+                guard += 1;
+                if cand == next || guard > self.store.max_guide_depth + 1 {
+                    return (CoverOutcome::NotFound { cost }, path);
+                }
                 // Correction: next -> parent -> cand (2 edges).
                 cost += edge_w(tree, next, parent) + edge_w(tree, parent, cand);
                 path.push(parent);
                 path.push(cand);
                 next = cand;
-                guard += 1;
-                assert!(guard <= self.store.max_guide_depth + 1, "guide descent diverged");
             }
             at = next;
         }

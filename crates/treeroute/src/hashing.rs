@@ -40,26 +40,14 @@ impl PolyHash {
 
     /// Evaluate the polynomial at `x` (Horner over GF(p)).
     pub fn eval(&self, x: u64) -> u64 {
-        let x = x % FIELD_P;
-        let mut acc: u64 = 0;
-        for &c in &self.coeffs {
-            acc = mul_mod(acc, x);
-            acc = add_mod(acc, c);
-        }
-        acc
+        poly_eval(self.coeffs.iter().copied(), x)
     }
 
     /// Hash `x` to `k` digits, each in `0..sigma` (most significant
     /// first). Requires `sigma^k ≤ p` so digits are near-uniform.
     pub fn digits(&self, x: u64, sigma: u64, k: usize) -> Vec<u32> {
-        assert!(sigma >= 1);
-        let mut v = self.eval(x);
-        // lint:allow(no-alloc-in-route): k-word digit buffer (k ≤ ~8) allocated once per bounded search, returned to the caller
         let mut out = vec![0u32; k];
-        for d in out.iter_mut().rev() {
-            *d = (v % sigma) as u32;
-            v /= sigma;
-        }
+        self.digits_into(x, sigma, &mut out);
         out
     }
 
@@ -67,7 +55,9 @@ impl PolyHash {
     /// digits (most significant first) into `out`. The hot path of bulk
     /// directory building, where a `Vec` per hashed id would dominate.
     pub fn digits_into(&self, x: u64, sigma: u64, out: &mut [u32]) {
-        assert!(sigma >= 1);
+        // σ = 0 is no alphabet; read it as unary (every digit 0) so the
+        // expansion stays total.
+        let sigma = sigma.max(1);
         let mut v = self.eval(x);
         for d in out.iter_mut().rev() {
             *d = (v % sigma) as u32;
@@ -80,17 +70,45 @@ impl PolyHash {
         &self.coeffs
     }
 
-    /// Rebuild from a serialized coefficient vector.
-    pub fn from_coeffs(coeffs: Vec<u64>) -> Self {
-        assert!(!coeffs.is_empty(), "polynomial needs at least one coefficient");
-        assert!(coeffs.iter().all(|&c| c < FIELD_P), "coefficient outside GF(p)");
-        PolyHash { coeffs }
+    /// Rebuild from a serialized coefficient vector: `None` unless it
+    /// is non-empty and every coefficient lies in GF(p).
+    pub fn try_from_coeffs(coeffs: Vec<u64>) -> Option<Self> {
+        (!coeffs.is_empty() && coeffs.iter().all(|&c| c < FIELD_P)).then_some(PolyHash { coeffs })
     }
 
     /// Bits to store the hash description (the coefficient vector) —
     /// Θ(log² n) when degree = Θ(log n).
     pub fn storage_bits(&self) -> u64 {
         self.coeffs.len() as u64 * 61
+    }
+}
+
+/// Horner evaluation over GF(p) of the coefficients `coeffs` (highest
+/// degree first) at `x` — shared by [`PolyHash`] and hash descriptions
+/// read in place from a record. Every coefficient must be below
+/// [`FIELD_P`].
+pub(crate) fn poly_eval(coeffs: impl IntoIterator<Item = u64>, x: u64) -> u64 {
+    let x = x % FIELD_P;
+    let mut acc: u64 = 0;
+    for c in coeffs {
+        acc = mul_mod(acc, x);
+        acc = add_mod(acc, c);
+    }
+    acc
+}
+
+/// Digit `i` (0 = most significant) of the `k`-digit base-`sigma`
+/// expansion of `v` — exactly `digits(…)[i]`, computed without the
+/// buffer. Digits above the expansion's top are 0.
+pub(crate) fn digit_at(v: u64, sigma: u64, k: usize, i: usize) -> u32 {
+    if sigma <= 1 {
+        return 0;
+    }
+    let e = k.saturating_sub(i + 1);
+    match u32::try_from(e).ok().and_then(|e| sigma.checked_pow(e)) {
+        Some(p) => ((v / p) % sigma) as u32,
+        // σ^e ≥ 2^64 > v.
+        None => 0,
     }
 }
 
@@ -169,6 +187,31 @@ mod tests {
     fn storage_bits_matches_degree() {
         let h = PolyHash::new(12, 1);
         assert_eq!(h.storage_bits(), 13 * 61);
+    }
+
+    #[test]
+    fn digit_at_matches_the_expansion() {
+        let h = PolyHash::new(9, 3);
+        for x in 0..300u64 {
+            let v = h.eval(x);
+            for (sigma, k) in [(2u64, 5usize), (7, 3), (16, 5), (1 << 40, 3), (3, 70)] {
+                let all = h.digits(x, sigma, k);
+                for (i, &d) in all.iter().enumerate() {
+                    assert_eq!(digit_at(v, sigma, k, i), d, "x={x} sigma={sigma} k={k} i={i}");
+                }
+            }
+        }
+        assert_eq!(digit_at(12345, 1, 4, 0), 0);
+        assert_eq!(digit_at(12345, 0, 4, 3), 0);
+    }
+
+    #[test]
+    fn coefficients_outside_the_field_are_rejected() {
+        assert!(PolyHash::try_from_coeffs(vec![]).is_none());
+        assert!(PolyHash::try_from_coeffs(vec![1, FIELD_P]).is_none());
+        assert!(PolyHash::try_from_coeffs(vec![1, u64::MAX]).is_none());
+        let h = PolyHash::try_from_coeffs(vec![3, FIELD_P - 1]).unwrap();
+        assert_eq!(h.eval(5), poly_eval([3, FIELD_P - 1], 5));
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! downstream within Theorem 1's `O(k² n^{1/k} log³ n)` (see DESIGN.md).
 
 use graphkit::bits::{bits_for_node, StorageCost};
-use graphkit::wire::{self, Reader, Writer};
-use graphkit::{Cost, Tree, TreeIx};
+use graphkit::wire::{self, Pairs, Reader, U32s, U64s, Writer};
+use graphkit::{Cost, Tree, TreeIx, Weight};
 use std::io;
 
 /// One light edge on the root→v path: the light child entered, plus its
@@ -71,7 +71,7 @@ impl LabelRef<'_> {
 }
 
 /// Per-node routing information `µ(T,u)`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct NodeLocal {
     /// Own DFS number (= interval start).
     pub dfs_in: u32,
@@ -127,93 +127,409 @@ impl LabeledStore {
     pub fn to_wire(&self, w: &mut Writer) {
         wire::write_tree(w, &self.tree);
         let m = self.tree.size();
-        let mut dfs_in = Vec::with_capacity(m);
-        let mut dfs_out = Vec::with_capacity(m);
-        let mut light_depth = Vec::with_capacity(m);
-        let mut heavy = Vec::with_capacity(m);
+        w.len(m);
+        self.locals.iter().for_each(|l| w.u32(l.dfs_in));
+        w.len(m);
+        self.locals.iter().for_each(|l| w.u32(l.dfs_out));
+        w.len(m);
+        self.locals.iter().for_each(|l| w.u32(l.light_depth));
+        w.len(3 * m);
         for l in &self.locals {
-            dfs_in.push(l.dfs_in);
-            dfs_out.push(l.dfs_out);
-            light_depth.push(l.light_depth);
             let (hi, ho, hc) = l.heavy.unwrap_or((0, 0, u32::MAX));
-            heavy.push(hi);
-            heavy.push(ho);
-            heavy.push(hc);
+            w.u32(hi);
+            w.u32(ho);
+            w.u32(hc);
         }
-        w.slice_u32(&dfs_in);
-        w.slice_u32(&dfs_out);
-        w.slice_u32(&light_depth);
-        w.slice_u32(&heavy);
         w.slice_u32(&self.light_off);
-        let hops: Vec<(u32, u32)> =
-            self.light_hops.iter().map(|h| (h.child_dfs, h.child)).collect();
-        w.slice_pairs(&hops);
+        w.len(self.light_hops.len());
+        for h in &self.light_hops {
+            w.u32(h.child_dfs);
+            w.u32(h.child);
+        }
         w.slice_u32(&self.dfs_order);
     }
 
-    /// Inverse of [`LabeledStore::to_wire`]: one decode pass plus O(m)
-    /// invariant checks, so a corrupt record errors instead of leaving
-    /// out-of-bounds indices for the read path to trip over.
-    // lint:allow-fn(panic-free-serve): validate-then-index — every array is length- and range-checked before the indexing passes below
+    /// Exact length of [`LabeledStore::to_wire`]'s output.
+    pub fn wire_len(&self) -> usize {
+        let m = self.tree.size();
+        // Ten length-prefixed arrays; per node: graph id, parent,
+        // dfs_in, dfs_out, light depth, dfs order (4 B each), weight
+        // (8 B), heavy triple (12 B), light offset (4 B, plus one).
+        10 * 8 + m * (6 * 4 + 8 + 12 + 4) + 4 + self.light_hops.len() * 8
+    }
+
+    /// Inverse of [`LabeledStore::to_wire`]: the checks of
+    /// [`LabeledView::validate`], then one copy into owned arrays, so a
+    /// corrupt record errors instead of leaving out-of-bounds indices
+    /// for the read path to trip over.
     pub fn from_wire(r: &mut Reader) -> io::Result<Self> {
+        let view = LabeledView::split(r)?;
+        view.validate()?;
+        view.to_store()
+    }
+}
+
+/// A destination label as the Lemma-5 walk reads it: the DFS number
+/// plus the light hops on the root→destination path. Implemented by
+/// owned labels ([`LabelRef`]) and labels read in place from a record
+/// ([`RecordLabel`]).
+pub trait TreeLabel: Copy {
+    /// DFS number of the destination.
+    fn dfs(&self) -> u32;
+    /// Light hop `i` of the root→destination path, if present.
+    fn light_hop(&self, i: usize) -> Option<LightHop>;
+    /// Number of light hops.
+    fn hop_count(&self) -> usize;
+}
+
+impl TreeLabel for LabelRef<'_> {
+    fn dfs(&self) -> u32 {
+        self.dfs
+    }
+
+    fn light_hop(&self, i: usize) -> Option<LightHop> {
+        self.light_path.get(i).copied()
+    }
+
+    fn hop_count(&self) -> usize {
+        self.light_path.len()
+    }
+}
+
+/// A label read in place from a [`LabeledView`]'s hop arena.
+#[derive(Clone, Copy, Debug)]
+pub struct RecordLabel<'a> {
+    dfs: u32,
+    hops: Pairs<'a>,
+}
+
+impl TreeLabel for RecordLabel<'_> {
+    fn dfs(&self) -> u32 {
+        self.dfs
+    }
+
+    fn light_hop(&self, i: usize) -> Option<LightHop> {
+        self.hops.get(i).map(|(child_dfs, child)| LightHop { child_dfs, child })
+    }
+
+    fn hop_count(&self) -> usize {
+        self.hops.len()
+    }
+}
+
+/// Read access to a Lemma-5 labeled tree, over owned arenas
+/// ([`LabeledTree`]) or record bytes ([`LabeledView`]). Every accessor
+/// is checked — an out-of-range index reads as `None` — so the walk
+/// below, written once for both, degrades to "not in this tree" on a
+/// corrupt store instead of panicking.
+pub trait LabeledRead {
+    /// The label type this store hands out.
+    type Label<'s>: TreeLabel
+    where
+        Self: 's;
+
+    /// Number of tree nodes.
+    fn size(&self) -> usize;
+    /// Host-graph id of tree node `t`.
+    fn host(&self, t: TreeIx) -> Option<u32>;
+    /// Parent of `t` (`None` at the root or out of range).
+    fn parent(&self, t: TreeIx) -> Option<TreeIx>;
+    /// Weight of `t`'s parent edge (0 at the root or out of range).
+    fn parent_weight(&self, t: TreeIx) -> Weight;
+    /// `t`'s DFS number (its subtree interval's start).
+    fn dfs_in(&self, t: TreeIx) -> Option<u32>;
+    /// End of `t`'s subtree interval, exclusive.
+    fn dfs_out(&self, t: TreeIx) -> Option<u32>;
+    /// `t`'s heavy child as `(dfs_in, dfs_out, tree index)`; `None` at
+    /// a leaf or out of range.
+    fn heavy(&self, t: TreeIx) -> Option<(u32, u32, TreeIx)>;
+    /// Number of light edges on the root→t path.
+    fn light_depth(&self, t: TreeIx) -> Option<u32>;
+    /// Label `λ(T,t)`.
+    fn label_at(&self, t: TreeIx) -> Option<Self::Label<'_>>;
+
+    /// Walk from `from` to the node carrying `label`, handing every
+    /// node entered to `hop` (not `from` itself). Returns the walk's
+    /// cost and the delivery node, or `None` for a foreign label. A
+    /// walk that fails midway has already reported the hops it made.
+    fn walk(
+        &self,
+        from: TreeIx,
+        label: impl TreeLabel,
+        hop: &mut impl FnMut(TreeIx),
+    ) -> Option<(Cost, TreeIx)> {
+        let mut at = from;
+        let mut cost: Cost = 0;
+        // A tree walk never revisits nodes; size() + 1 steps means the
+        // label's invariants are broken (corrupt light path). Treat it
+        // like any other foreign label — undeliverable, not a panic.
+        for _ in 0..=self.size() {
+            let (next, w) = match advance(self, at, label) {
+                Move::Deliver => return Some((cost, at)),
+                Move::Stuck => return None,
+                Move::Up(p) => (p, self.parent_weight(at)),
+                // A child the store names but that does not hang below
+                // `at` is a corrupt store, not a hop.
+                Move::Down(c) if self.parent(c) == Some(at) => (c, self.parent_weight(c)),
+                Move::Down(_) => return None,
+            };
+            cost = cost.saturating_add(w);
+            at = next;
+            hop(at);
+        }
+        None
+    }
+
+    /// Storage bits of `µ(T,t)` for one node.
+    fn local_bits(&self, t: TreeIx) -> u64 {
+        let b = bits_for_node(self.size());
+        // dfs_in + dfs_out + heavy option (2 interval ends + port) + light depth.
+        let heavy = 1 + if self.heavy(t).is_some() { 3 * b } else { 0 };
+        2 * b + heavy + b
+    }
+
+    /// Storage bits of `λ(T,t)`.
+    fn label_bits(&self, t: TreeIx) -> u64 {
+        let b = bits_for_node(self.size());
+        let hops = self.label_at(t).map_or(0, |l| l.hop_count()) as u64;
+        b + hops * 2 * b + b // dfs + hops + length field
+    }
+}
+
+/// One forwarding decision, with its direction.
+enum Move {
+    Deliver,
+    Up(TreeIx),
+    Down(TreeIx),
+    Stuck,
+}
+
+/// The Lemma-5 decision at `at`, reading each field of `µ(T,at)` only
+/// when the decision needs it — a record stores them in separate
+/// arrays, so every field read is its own cache line.
+fn advance<T: LabeledRead + ?Sized>(tree: &T, at: TreeIx, label: impl TreeLabel) -> Move {
+    // An out-of-range position (corrupt caller state) is "not in this
+    // tree", not a panic.
+    let Some(din) = tree.dfs_in(at) else { return Move::Stuck };
+    let dfs = label.dfs();
+    if dfs == din {
+        return Move::Deliver;
+    }
+    // Destination outside my subtree: go up.
+    let up = || tree.parent(at).map_or(Move::Stuck, Move::Up);
+    if dfs < din {
+        return up();
+    }
+    let Some(dout) = tree.dfs_out(at) else { return Move::Stuck };
+    if dfs >= dout {
+        return up();
+    }
+    if let Some((hi, ho, hc)) = tree.heavy(at) {
+        if dfs >= hi && dfs < ho {
+            return Move::Down(hc);
+        }
+    }
+    // Destination is in one of my light subtrees; the light path entry
+    // at index `light_depth` is the edge leaving me.
+    let hop = tree.light_depth(at).and_then(|ld| label.light_hop(ld as usize));
+    match hop {
+        Some(hop) if hop.child_dfs > din && hop.child_dfs < dout => Move::Down(hop.child),
+        _ => Move::Stuck,
+    }
+}
+
+/// A [`LabeledStore`] read in place from its wire record: borrowed
+/// little-endian arrays, no decode. [`LabeledView::split`] finds the
+/// arrays in O(1); [`LabeledView::validate`] checks, without
+/// allocating, every invariant the owned decode relies on.
+#[derive(Clone, Copy, Debug)]
+pub struct LabeledView<'a> {
+    graph_ids: U32s<'a>,
+    parents: U32s<'a>,
+    weights: U64s<'a>,
+    dfs_in: U32s<'a>,
+    dfs_out: U32s<'a>,
+    light_depth: U32s<'a>,
+    heavy: U32s<'a>,
+    light_off: U32s<'a>,
+    hops: Pairs<'a>,
+    dfs_order: U32s<'a>,
+}
+
+impl<'a> LabeledView<'a> {
+    /// Locate the store's arrays at the reader's position (the layout
+    /// [`LabeledStore::to_wire`] writes). Checks nothing beyond the
+    /// length prefixes.
+    pub fn split(r: &mut Reader<'a>) -> io::Result<Self> {
+        Self::from_arrays(&mut |width| r.array(width))
+    }
+
+    /// Assemble from the store's arrays in record order; `next(width)`
+    /// hands out each array's payload given its element width. The one
+    /// place that knows the record's array order.
+    pub(crate) fn from_arrays(
+        next: &mut impl FnMut(usize) -> io::Result<&'a [u8]>,
+    ) -> io::Result<Self> {
+        Ok(LabeledView {
+            graph_ids: U32s::new(next(4)?),
+            parents: U32s::new(next(4)?),
+            weights: U64s::new(next(8)?),
+            dfs_in: U32s::new(next(4)?),
+            dfs_out: U32s::new(next(4)?),
+            light_depth: U32s::new(next(4)?),
+            heavy: U32s::new(next(4)?),
+            light_off: U32s::new(next(4)?),
+            hops: Pairs::new(next(8)?),
+            dfs_order: U32s::new(next(4)?),
+        })
+    }
+
+    /// Check every invariant the walk and the owned decode rely on, in
+    /// O(m + hops) without allocating: consistent lengths, node 0 the
+    /// only root, in-range parents, heavy children and light hops, a
+    /// DFS numbering that is a permutation inverse to `dfs_order`,
+    /// proper subtree intervals, and light offsets that agree with the
+    /// light depths.
+    ///
+    /// Acyclicity needs no traversal: every non-root `t` must satisfy
+    /// `dfs_in[parent(t)] < dfs_in[t]`. DFS numbers are distinct, so
+    /// every parent chain strictly descends and must end at the one
+    /// node without a parent — the root.
+    pub fn validate(&self) -> io::Result<()> {
         use wire::invalid;
-        let tree = wire::read_tree(r)?;
-        let m = tree.size();
-        let dfs_in = r.slice_u32()?;
-        let dfs_out = r.slice_u32()?;
-        let light_depth = r.slice_u32()?;
-        let heavy = r.slice_u32()?;
-        let light_off = r.slice_u32()?;
-        let hops = r.slice_pairs()?;
-        let dfs_order = r.slice_u32()?;
-        if dfs_in.len() != m
-            || dfs_out.len() != m
-            || light_depth.len() != m
-            || heavy.len() != 3 * m
-            || light_off.len() != m + 1
-            || dfs_order.len() != m
+        let m = self.graph_ids.len();
+        if m == 0 || self.parents.len() != m || self.weights.len() != m {
+            return Err(invalid("inconsistent tree record"));
+        }
+        if self.dfs_in.len() != m
+            || self.dfs_out.len() != m
+            || self.light_depth.len() != m
+            || self.heavy.len() != 3 * m
+            || self.light_off.len() != m + 1
+            || self.dfs_order.len() != m
         {
             return Err(invalid("labeled store arrays have mismatched lengths"));
         }
-        // dfs_order must be a permutation inverse to dfs_in.
-        for (t, &d) in dfs_in.iter().enumerate() {
-            if d as usize >= m || dfs_order[d as usize] as usize != t {
-                return Err(invalid("labeled store DFS order is not a permutation"));
-            }
+        if self.parents.get(0) != Some(u32::MAX) {
+            return Err(invalid("node 0 must be the root"));
         }
-        if light_off[0] != 0 || light_off[m] as usize != hops.len() {
+        if self.light_off.get(0) != Some(0) || self.light_off.get(m) != Some(self.hops.len() as u32)
+        {
             return Err(invalid("labeled store light-path arena bounds"));
         }
-        let mut locals = Vec::with_capacity(m);
-        for t in 0..m {
-            if dfs_out[t] <= dfs_in[t] || dfs_out[t] as usize > m {
+        let locals = self.dfs_in.iter().zip(self.dfs_out.iter()).zip(self.light_depth.iter());
+        for (t, ((d, out), ld)) in locals.enumerate() {
+            if d as usize >= m || self.dfs_order.get(d as usize) != Some(t as u32) {
+                return Err(invalid("labeled store DFS order is not a permutation"));
+            }
+            if out <= d || out as usize > m {
                 return Err(invalid("labeled store subtree interval out of range"));
             }
-            if light_off[t + 1] < light_off[t] || light_off[t + 1] - light_off[t] != light_depth[t]
-            {
+            let lo = self.light_off.get(t).unwrap_or(u32::MAX);
+            let hi = self.light_off.get(t + 1).unwrap_or(0);
+            if hi < lo || hi - lo != ld {
                 return Err(invalid("labeled store light offsets disagree with depths"));
             }
-            let hc = heavy[3 * t + 2];
-            let h = if hc == u32::MAX {
-                None
-            } else if (hc as usize) < m {
-                Some((heavy[3 * t], heavy[3 * t + 1], hc))
-            } else {
+            let hc = self.heavy.get(3 * t + 2).unwrap_or(0);
+            if hc != u32::MAX && hc as usize >= m {
                 return Err(invalid("labeled store heavy child out of range"));
-            };
-            locals.push(NodeLocal {
-                dfs_in: dfs_in[t],
-                dfs_out: dfs_out[t],
-                heavy: h,
-                light_depth: light_depth[t],
-            });
+            }
+            if t > 0 {
+                let p = self.parents.get(t).unwrap_or(u32::MAX);
+                if p as usize >= m {
+                    return Err(invalid(&format!("bad parent for node {t}")));
+                }
+                if self.dfs_in.get(p as usize).is_none_or(|pd| pd >= d) {
+                    return Err(invalid("parent relation is not a connected tree"));
+                }
+            }
         }
-        let light_hops: Vec<LightHop> =
-            hops.into_iter().map(|(child_dfs, child)| LightHop { child_dfs, child }).collect();
-        if light_hops.iter().any(|h| h.child as usize >= m) {
+        if self.hops.iter().any(|(_, child)| child as usize >= m) {
             return Err(invalid("labeled store light hop out of range"));
         }
-        Ok(LabeledStore { tree, locals, light_off, light_hops, dfs_order })
+        Ok(())
+    }
+
+    /// Copy a validated view into an owned [`LabeledStore`].
+    pub(crate) fn to_store(self) -> io::Result<LabeledStore> {
+        let tree = Tree::try_from_parents(
+            self.graph_ids.iter().collect(),
+            self.parents.iter().collect(),
+            self.weights.iter().collect(),
+        )
+        .map_err(|msg| wire::invalid(&msg))?;
+        let locals = (0..self.size() as u32)
+            .map(|t| {
+                Some(NodeLocal {
+                    dfs_in: self.dfs_in(t)?,
+                    dfs_out: self.dfs_out(t)?,
+                    heavy: self.heavy(t),
+                    light_depth: self.light_depth(t)?,
+                })
+            })
+            .collect::<Option<Vec<NodeLocal>>>()
+            .ok_or_else(|| wire::invalid("labeled store locals truncated"))?;
+        Ok(LabeledStore {
+            tree,
+            locals,
+            light_off: self.light_off.iter().collect(),
+            light_hops: self
+                .hops
+                .iter()
+                .map(|(child_dfs, child)| LightHop { child_dfs, child })
+                .collect(),
+            dfs_order: self.dfs_order.iter().collect(),
+        })
+    }
+}
+
+impl LabeledRead for LabeledView<'_> {
+    type Label<'s>
+        = RecordLabel<'s>
+    where
+        Self: 's;
+
+    fn size(&self) -> usize {
+        self.graph_ids.len()
+    }
+
+    fn host(&self, t: TreeIx) -> Option<u32> {
+        self.graph_ids.get(t as usize)
+    }
+
+    fn parent(&self, t: TreeIx) -> Option<TreeIx> {
+        self.parents.get(t as usize).filter(|&p| p != u32::MAX)
+    }
+
+    fn parent_weight(&self, t: TreeIx) -> Weight {
+        self.weights.get(t as usize).unwrap_or(0)
+    }
+
+    fn dfs_in(&self, t: TreeIx) -> Option<u32> {
+        self.dfs_in.get(t as usize)
+    }
+
+    fn dfs_out(&self, t: TreeIx) -> Option<u32> {
+        self.dfs_out.get(t as usize)
+    }
+
+    fn heavy(&self, t: TreeIx) -> Option<(u32, u32, TreeIx)> {
+        let t = 3 * t as usize;
+        let hc = self.heavy.get(t + 2).filter(|&hc| hc != u32::MAX)?;
+        Some((self.heavy.get(t)?, self.heavy.get(t + 1)?, hc))
+    }
+
+    fn light_depth(&self, t: TreeIx) -> Option<u32> {
+        self.light_depth.get(t as usize)
+    }
+
+    fn label_at(&self, t: TreeIx) -> Option<RecordLabel<'_>> {
+        let t = t as usize;
+        let (lo, hi) = (self.light_off.get(t)?, self.light_off.get(t + 1)?);
+        Some(RecordLabel {
+            dfs: self.dfs_in.get(t)?,
+            hops: self.hops.range(lo as usize, hi as usize)?,
+        })
     }
 }
 
@@ -366,79 +682,70 @@ impl LabeledTree {
     /// One forwarding decision at `at` toward `label` — uses only
     /// `µ(T,at)` and the label (plus physical ports).
     pub fn route_step(&self, at: TreeIx, label: LabelRef<'_>) -> Step {
-        // An out-of-range position (corrupt caller state) is "not in
-        // this tree", not a panic.
-        let Some(me) = self.store.locals.get(at as usize) else {
-            return Step::NotInTree;
-        };
-        if label.dfs == me.dfs_in {
-            return Step::Deliver;
-        }
-        if label.dfs < me.dfs_in || label.dfs >= me.dfs_out {
-            // Destination outside my subtree: go up.
-            return match self.store.tree.parent(at) {
-                Some(p) => Step::Forward(p),
-                None => Step::NotInTree,
-            };
-        }
-        if let Some((hi, ho, hc)) = me.heavy {
-            if label.dfs >= hi && label.dfs < ho {
-                return Step::Forward(hc);
-            }
-        }
-        // Destination is in one of my light subtrees; the light path
-        // entry at index `light_depth` is the edge leaving me.
-        match label.light_path.get(me.light_depth as usize) {
-            Some(hop) if hop.child_dfs > me.dfs_in && hop.child_dfs < me.dfs_out => {
-                Step::Forward(hop.child)
-            }
-            _ => Step::NotInTree,
+        match advance(self, at, label) {
+            Move::Deliver => Step::Deliver,
+            Move::Up(next) | Move::Down(next) => Step::Forward(next),
+            Move::Stuck => Step::NotInTree,
         }
     }
 
     /// Route from `from` to the node carrying `label`. Returns the visited
     /// tree path (inclusive) and its cost, or `None` for foreign labels.
     pub fn route(&self, from: TreeIx, label: LabelRef<'_>) -> Option<(Vec<TreeIx>, Cost)> {
-        let mut at = from;
         // lint:allow(no-alloc-in-route): the returned walk owns its path; one Vec per tree route is the API
-        let mut path = vec![at];
-        let mut cost: Cost = 0;
-        // A tree walk never revisits nodes; size() + 1 steps means the
-        // label's invariants are broken (corrupt light path). Treat it
-        // like any other foreign label — undeliverable, not a panic.
-        for _ in 0..=self.store.tree.size() {
-            match self.route_step(at, label) {
-                Step::Deliver => return Some((path, cost)),
-                Step::NotInTree => return None,
-                Step::Forward(next) => {
-                    cost += edge_weight(&self.store.tree, at, next);
-                    at = next;
-                    path.push(at);
-                }
-            }
-        }
-        None
+        let mut path = vec![from];
+        let (cost, _) = self.walk(from, label, &mut |t| path.push(t))?;
+        Some((path, cost))
     }
 
     /// Max light-path length over all labels (≤ ceil(log2 m)).
     pub fn max_light_depth(&self) -> u32 {
         self.store.locals.iter().map(|l| l.light_depth).max().unwrap_or(0)
     }
+}
 
-    /// Storage bits of `µ(T,t)` for one node.
-    pub fn local_bits(&self, t: TreeIx) -> u64 {
-        let b = bits_for_node(self.store.tree.size());
-        // dfs_in + dfs_out + heavy option (2 interval ends + port) + light depth.
-        let heavy = 1 + if self.store.locals[t as usize].heavy.is_some() { 3 * b } else { 0 };
-        2 * b + heavy + b
+impl LabeledRead for LabeledTree {
+    type Label<'s> = LabelRef<'s>;
+
+    fn size(&self) -> usize {
+        self.store.tree.size()
     }
 
-    /// Storage bits of `λ(T,t)`.
-    pub fn label_bits(&self, t: TreeIx) -> u64 {
-        let b = bits_for_node(self.store.tree.size());
-        let off = &self.store.light_off;
-        let hops = (off[t as usize + 1] - off[t as usize]) as u64;
-        b + hops * 2 * b + bits_for_node(self.store.tree.size()) // dfs + hops + length field
+    fn host(&self, t: TreeIx) -> Option<u32> {
+        self.store.tree.graph_ids().get(t as usize).copied()
+    }
+
+    fn parent(&self, t: TreeIx) -> Option<TreeIx> {
+        self.store.tree.parents().get(t as usize).copied().filter(|&p| p != u32::MAX)
+    }
+
+    fn parent_weight(&self, t: TreeIx) -> Weight {
+        self.store.tree.parent_weights().get(t as usize).copied().unwrap_or(0)
+    }
+
+    fn dfs_in(&self, t: TreeIx) -> Option<u32> {
+        self.store.locals.get(t as usize).map(|l| l.dfs_in)
+    }
+
+    fn dfs_out(&self, t: TreeIx) -> Option<u32> {
+        self.store.locals.get(t as usize).map(|l| l.dfs_out)
+    }
+
+    fn heavy(&self, t: TreeIx) -> Option<(u32, u32, TreeIx)> {
+        self.store.locals.get(t as usize).and_then(|l| l.heavy)
+    }
+
+    fn light_depth(&self, t: TreeIx) -> Option<u32> {
+        self.store.locals.get(t as usize).map(|l| l.light_depth)
+    }
+
+    fn label_at(&self, t: TreeIx) -> Option<LabelRef<'_>> {
+        let s = &self.store;
+        let (lo, hi) = (*s.light_off.get(t as usize)?, *s.light_off.get(t as usize + 1)?);
+        Some(LabelRef {
+            dfs: s.locals.get(t as usize)?.dfs_in,
+            light_path: s.light_hops.get(lo as usize..hi as usize)?,
+        })
     }
 }
 
@@ -447,16 +754,6 @@ impl StorageCost for RouteLabel {
         // Conservative: 32-bit fields; schemes that know their tree size
         // should prefer `LabeledTree::label_bits`.
         32 + self.light_path.len() as u64 * 64
-    }
-}
-
-/// Weight of the tree edge between adjacent nodes `a` and `b`.
-fn edge_weight(tree: &Tree, a: TreeIx, b: TreeIx) -> Cost {
-    if tree.parent(a) == Some(b) {
-        tree.parent_weight(a)
-    } else {
-        debug_assert_eq!(tree.parent(b), Some(a), "route step between non-adjacent nodes");
-        tree.parent_weight(b)
     }
 }
 

@@ -30,14 +30,25 @@
 //! ([`Naming::child_rank`] / [`Naming::rank_of_name`] on a borrowed
 //! digit slice) — no `Vec<u32>`-keyed hash maps anywhere, so building a
 //! tree's directories performs O(1) allocations total.
+//!
+//! ## Two read paths, one search
+//!
+//! The search is written once, as [`ErtRead::bounded_search`], over
+//! either the owned arenas of an [`ErrorReportingTree`] (the builder,
+//! tests, the public [`ErrorReportingTree::search`]) or an [`ErtView`]
+//! — the same arrays read in place from the record
+//! [`ErtStore::to_wire`] writes, with no decode. [`ErtView::new`]
+//! validates a record without allocating; [`ErtStore::from_wire`] is
+//! that validation plus a copy into owned arrays.
 
 use graphkit::bits::{bits_for_node, StorageCost};
 use graphkit::ids::ceil_log2;
-use graphkit::{wire, Cost, NodeId, Tree, TreeIx};
+use graphkit::wire::{self, Pairs, Reader, U32s, U64s};
+use graphkit::{Cost, NodeId, Tree, TreeIx};
 use std::io;
 
-use crate::hashing::PolyHash;
-use crate::labeled::LabeledTree;
+use crate::hashing::{digit_at, poly_eval, PolyHash, FIELD_P};
+use crate::labeled::{LabeledRead, LabeledTree, LabeledView};
 use crate::names::Naming;
 
 /// Outcome of a j-bounded search.
@@ -76,9 +87,9 @@ impl SearchOutcome {
 
 /// The plain-old-data half of an [`ErrorReportingTree`]: the labeled
 /// store plus every Lemma-4 directory arena, already assembled. A store
-/// serializes as flat arrays and deserializes in one pass — no
-/// re-running of naming, labeling, or directory assembly — which is
-/// what makes spill reloads and snapshot loads cheap.
+/// serializes as flat arrays — no re-running of naming, labeling, or
+/// directory assembly on the way back — and those same arrays are what
+/// an [`ErtView`] routes on in place.
 #[derive(Clone, Debug)]
 pub struct ErtStore {
     labeled: LabeledTree,
@@ -118,66 +129,390 @@ impl ErtStore {
         w.slice_pairs(&self.hd);
     }
 
-    /// Inverse of [`ErtStore::to_wire`] with O(m + directory) validation:
-    /// corrupt bytes are an [`io::Error`], never a panic or a latent
-    /// out-of-bounds index.
-    // lint:allow-fn(panic-free-serve): validate-then-index — CSR bounds and directory ranges are checked before the indexing passes below
+    /// Exact length of [`ErtStore::to_wire`]'s record.
+    pub fn wire_len(&self) -> usize {
+        let m = self.rank_of.len();
+        // Header (k, σ, verified flag), then seven length-prefixed
+        // arrays around the labeled store.
+        17 + 7 * 8
+            + 8 * self.hash.coeffs().len()
+            + self.labeled.store().wire_len()
+            + 4 * (2 * m + 2 * (m + 1))
+            + 8 * (self.nc.len() + self.hd.len())
+    }
+
+    /// Inverse of [`ErtStore::to_wire`]: the checks of
+    /// [`ErtView::new`], then one copy into owned arrays. Corrupt bytes
+    /// are an [`io::Error`], never a panic or a latent out-of-bounds
+    /// index.
     pub fn from_wire(r: &mut wire::Reader) -> io::Result<Self> {
-        use graphkit::wire::invalid;
-        let k = r.u64()? as usize;
+        let view = ErtView::split(r)?;
+        view.validate()?;
+        view.to_store()
+    }
+}
+
+/// Read access to a Lemma-4 tree over owned arenas
+/// ([`ErrorReportingTree`]) or record bytes ([`ErtView`]): the
+/// per-node directories plus the hash description. Accessors are
+/// checked, so the search degrades to a miss on a corrupt store.
+pub trait ErtRead {
+    /// The underlying labeled tree.
+    type Tree: LabeledRead;
+    /// A directory row: `(digit or graph id, tree index)` entries.
+    type Row<'s>: Iterator<Item = (u32, TreeIx)>
+    where
+        Self: 's;
+
+    /// The underlying labeled scheme (and physical tree).
+    fn labeled(&self) -> &Self::Tree;
+    /// Search depth bound k.
+    fn k(&self) -> usize;
+    /// Alphabet size σ.
+    fn sigma(&self) -> u64;
+    /// The tree's hash of network id `x`, as a field element.
+    fn hash_eval(&self, x: u64) -> u64;
+    /// Bits to store the hash description.
+    fn hash_bits(&self) -> u64;
+    /// Distance rank of tree node `t`.
+    fn rank_of(&self, t: TreeIx) -> Option<u32>;
+    /// Item (2) of `t`'s storage: `(digit, name-child tree index)`.
+    fn name_row(&self, t: TreeIx) -> Self::Row<'_>;
+    /// Item (3) of `t`'s storage: `(target graph id, tree index)`.
+    fn hash_row(&self, t: TreeIx) -> Self::Row<'_>;
+
+    /// Execute a `j`-bounded search from the root for the node whose
+    /// network id is `target`, handing every node walked after the root
+    /// to `hop`. Pure simulation: every decision uses only the current
+    /// node's stored directories.
+    fn bounded_search(&self, target: u32, j: usize, hop: &mut impl FnMut(TreeIx)) -> SearchOutcome {
+        let tree = self.labeled();
+        let k = self.k();
+        // A 0-bounded search is read as 1-bounded. Names gain a digit
+        // per round and no name is longer than size − 1 digits, so a
+        // round past size() can only miss the same way the bound does;
+        // the cap keeps a corrupt record's name cycle from spinning.
+        let j = j.max(1).min(k).min(tree.size());
+        let v = self.hash_eval(target as u64);
+        let root: TreeIx = 0;
+        let mut current = root;
+        let mut cost: Cost = 0;
+        let mut round = 1usize;
+        // Every stored label below routes inside this tree by
+        // construction; a label that no longer routes means a corrupt
+        // store, and the search degrades to a failure from where it
+        // stands — never a panicked serving thread.
+        loop {
+            // Does `current` know the target?
+            let known = if tree.host(current) == Some(target) {
+                Some(current)
+            } else {
+                self.hash_row(current).find(|&(gid, _)| gid == target).map(|(_, ix)| ix)
+            };
+            if let Some(tix) = known {
+                let routed = tree.label_at(tix).and_then(|l| tree.walk(current, l, hop));
+                return match routed {
+                    Some((c, delivered_at)) => {
+                        SearchOutcome::Found { cost: cost.saturating_add(c), delivered_at }
+                    }
+                    None => SearchOutcome::NotFound { cost },
+                };
+            }
+            // Move to the node named (y_1 … y_round); a missing name
+            // means the target is not in the tree at all (names fill
+            // rank-by-rank; see module docs).
+            let next = if round >= j {
+                None
+            } else {
+                let digit = digit_at(v, self.sigma(), k, round - 1);
+                self.name_row(current).find(|&(d, _)| d == digit).map(|(_, c)| c)
+            };
+            let Some(child) = next else {
+                // Bounded out or name miss: report failure back to the
+                // root.
+                if let Some((c, _)) = tree.label_at(root).and_then(|l| tree.walk(current, l, hop)) {
+                    cost = cost.saturating_add(c);
+                }
+                return SearchOutcome::NotFound { cost };
+            };
+            let Some((c, at)) = tree.label_at(child).and_then(|l| tree.walk(current, l, hop))
+            else {
+                return SearchOutcome::NotFound { cost };
+            };
+            cost = cost.saturating_add(c);
+            current = at;
+            round += 1;
+        }
+    }
+
+    /// Storage bits of tree node `t` under this scheme: µ(T,t) + the two
+    /// directories + the hash description (τ(T,t) in the paper's
+    /// notation).
+    fn node_bits(&self, t: TreeIx) -> u64 {
+        let tree = self.labeled();
+        let id_bits = bits_for_node(tree.size());
+        let digit_bits = ceil_log2(self.sigma()) as u64;
+        let mut bits = tree.local_bits(t) + self.hash_bits();
+        for (_, child) in self.name_row(t) {
+            bits += digit_bits + tree.label_bits(child);
+        }
+        for (_, ix) in self.hash_row(t) {
+            bits += id_bits + tree.label_bits(ix);
+        }
+        bits
+    }
+}
+
+/// One Lemma-4 tree record ([`ErtStore::to_wire`]'s layout) read in
+/// place: borrowed little-endian arrays, nothing decoded. Serving
+/// routes straight off a view; [`ErtView::new`] validates a record
+/// without allocating, [`ErtView::locate`] only finds its arrays.
+#[derive(Clone, Copy, Debug)]
+pub struct ErtView<'a> {
+    labeled: LabeledView<'a>,
+    k: usize,
+    sigma: u64,
+    hash_verified: bool,
+    coeffs: U64s<'a>,
+    node_of_rank: U32s<'a>,
+    rank_of: U32s<'a>,
+    nc_off: U32s<'a>,
+    nc: Pairs<'a>,
+    hd_off: U32s<'a>,
+    hd: Pairs<'a>,
+}
+
+impl<'a> ErtView<'a> {
+    /// View one whole record and validate it: every check
+    /// [`ErtStore::from_wire`] makes (it is the same code), in
+    /// O(m + directories) without allocating. Trailing bytes are an
+    /// error too.
+    pub fn new(record: &'a [u8]) -> io::Result<Self> {
+        let (view, _) = Self::locate(record)?;
+        view.validate()?;
+        Ok(view)
+    }
+
+    /// View one whole record without validating its contents, and note
+    /// where its arrays are so [`ErtView::at`] can view it again cheaply
+    /// — for records this process encoded or already validated. Only the
+    /// array boundaries are checked (trailing bytes are an error);
+    /// accessors stay checked, so even a bad record degrades, never
+    /// panics.
+    pub fn locate(record: &'a [u8]) -> io::Result<(Self, ErtLayout)> {
+        let mut r = Reader::new(record);
+        let mut ends = [0u32; ARRAYS];
+        let mut i = 0;
+        let view = Self::split_with(&mut r, &mut |r, width| {
+            let bytes = r.array(width)?;
+            if let Some(end) = ends.get_mut(i) {
+                *end = r.position() as u32;
+            }
+            i += 1;
+            Ok(bytes)
+        })?;
+        if !r.is_empty() {
+            return Err(wire::invalid("trailing bytes after ERT record"));
+        }
+        Ok((view, ErtLayout { ends }))
+    }
+
+    /// Rebuild the view of a record whose layout was found earlier by
+    /// [`ErtView::locate`], reading only the record's header — not the
+    /// length prefixes, which on a large record each sit on a separate
+    /// cache line.
+    pub fn at(record: &'a [u8], layout: &ErtLayout) -> io::Result<Self> {
+        let mut r = Reader::new(record);
+        let mut starts_at = HEADER;
+        let mut ends = layout.ends.iter();
+        Self::split_with(&mut r, &mut |_, _| {
+            let end = *ends.next().ok_or_else(|| wire::invalid("ERT layout too short"))? as usize;
+            let start = starts_at + 8;
+            starts_at = end;
+            record.get(start..end).ok_or_else(|| wire::invalid("ERT layout outside its record"))
+        })
+    }
+
+    fn split(r: &mut Reader<'a>) -> io::Result<Self> {
+        Self::split_with(r, &mut |r, width| r.array(width))
+    }
+
+    /// Read the header from `r`, then take the record's arrays in order
+    /// from `next(r, element width)`.
+    fn split_with(
+        r: &mut Reader<'a>,
+        next: &mut impl FnMut(&mut Reader<'a>, usize) -> io::Result<&'a [u8]>,
+    ) -> io::Result<Self> {
+        let k = r.u64()?;
         let sigma = r.u64()?;
-        let verified = r.u8()? != 0;
-        let coeffs = r.slice_u64()?;
-        if k == 0 || sigma == 0 || coeffs.is_empty() {
+        let hash_verified = r.u8()? != 0;
+        let mut next = |width| next(r, width);
+        Ok(ErtView {
+            k: usize::try_from(k).unwrap_or(usize::MAX),
+            sigma,
+            hash_verified,
+            coeffs: U64s::new(next(8)?),
+            labeled: LabeledView::from_arrays(&mut next)?,
+            node_of_rank: U32s::new(next(4)?),
+            rank_of: U32s::new(next(4)?),
+            nc_off: U32s::new(next(4)?),
+            nc: Pairs::new(next(8)?),
+            hd_off: U32s::new(next(4)?),
+            hd: Pairs::new(next(8)?),
+        })
+    }
+
+    /// The record checks: a sane header and a hash inside GF(p), the
+    /// labeled store ([`LabeledView::validate`]), rank arrays that are
+    /// inverse permutations, and CSR directories whose offsets are
+    /// monotone and in bounds and whose entries name real tree nodes.
+    pub fn validate(&self) -> io::Result<()> {
+        use wire::invalid;
+        if self.k == 0
+            || self.sigma == 0
+            || self.coeffs.is_empty()
+            || self.coeffs.iter().any(|c| c >= FIELD_P)
+        {
             return Err(invalid("bad ERT record header"));
         }
-        let hash = PolyHash::from_coeffs(coeffs);
-        let labeled = LabeledTree::from_store(crate::labeled::LabeledStore::from_wire(r)?);
-        let m = labeled.tree().size();
-        let node_of_rank = r.slice_u32()?;
-        let rank_of = r.slice_u32()?;
-        let nc_off = r.slice_u32()?;
-        let nc = r.slice_pairs()?;
-        let hd_off = r.slice_u32()?;
-        let hd = r.slice_pairs()?;
-        if node_of_rank.len() != m || rank_of.len() != m {
+        self.labeled.validate()?;
+        let m = self.labeled.size();
+        if self.node_of_rank.len() != m || self.rank_of.len() != m {
             return Err(invalid("ERT rank arrays have mismatched lengths"));
         }
-        for (rank, &t) in node_of_rank.iter().enumerate() {
-            if t as usize >= m || rank_of[t as usize] as usize != rank {
+        for (rank, t) in self.node_of_rank.iter().enumerate() {
+            if t as usize >= m || self.rank_of.get(t as usize) != Some(rank as u32) {
                 return Err(invalid("ERT rank order is not a permutation"));
             }
         }
-        let check_csr = |off: &[u32], arena: &[(u32, TreeIx)], what: &str| {
+        let check_csr = |off: U32s<'_>, arena: Pairs<'_>, what: &str| {
+            let mut prev = 0u32;
+            let monotone = off.iter().all(|o| {
+                let ok = o >= prev;
+                prev = o;
+                ok
+            });
             if off.len() != m + 1
-                || off[0] != 0
-                || off[m] as usize != arena.len()
-                || off.windows(2).any(|w| w[0] > w[1])
+                || off.get(0) != Some(0)
+                || off.get(m) != Some(arena.len() as u32)
+                || !monotone
             {
                 return Err(invalid(&format!("ERT {what} directory offsets corrupt")));
             }
-            if arena.iter().any(|&(_, ix)| ix as usize >= m) {
+            if arena.iter().any(|(_, ix)| ix as usize >= m) {
                 return Err(invalid(&format!("ERT {what} directory entry out of range")));
             }
             Ok(())
         };
-        check_csr(&nc_off, &nc, "name-child")?;
-        check_csr(&hd_off, &hd, "hash")?;
-        let max_load = ErrorReportingTree::load_budget(m, sigma);
+        check_csr(self.nc_off, self.nc, "name-child")?;
+        check_csr(self.hd_off, self.hd, "hash")
+    }
+
+    /// Copy a validated view into an owned [`ErtStore`].
+    fn to_store(self) -> io::Result<ErtStore> {
+        let labeled = LabeledTree::from_store(self.labeled.to_store()?);
+        let hash = PolyHash::try_from_coeffs(self.coeffs.iter().collect())
+            .ok_or_else(|| wire::invalid("bad ERT record header"))?;
+        let max_load = ErrorReportingTree::load_budget(self.labeled.size(), self.sigma);
         Ok(ErtStore {
             labeled,
             hash,
-            k,
-            sigma,
+            k: self.k,
+            sigma: self.sigma,
             max_load,
-            node_of_rank,
-            rank_of,
-            nc_off,
-            nc,
-            hd_off,
-            hd,
-            hash_verified: verified,
+            node_of_rank: self.node_of_rank.iter().collect(),
+            rank_of: self.rank_of.iter().collect(),
+            nc_off: self.nc_off.iter().collect(),
+            nc: self.nc.iter().collect(),
+            hd_off: self.hd_off.iter().collect(),
+            hd: self.hd.iter().collect(),
+            hash_verified: self.hash_verified,
         })
+    }
+
+    /// Did the hash pass the prefix-load verification at build time?
+    pub fn hash_verified(&self) -> bool {
+        self.hash_verified
+    }
+
+    /// The CSR row `r` of a directory, empty when out of range.
+    fn row(off: U32s<'a>, arena: Pairs<'a>, rank: Option<u32>) -> Pairs<'a> {
+        rank.and_then(|r| {
+            let (lo, hi) = (off.get(r as usize)?, off.get(r as usize + 1)?);
+            arena.range(lo as usize, hi as usize)
+        })
+        .unwrap_or_default()
+    }
+}
+
+impl<'a> ErtRead for ErtView<'a> {
+    type Tree = LabeledView<'a>;
+    type Row<'s>
+        = PairRow<'s>
+    where
+        Self: 's;
+
+    fn labeled(&self) -> &LabeledView<'a> {
+        &self.labeled
+    }
+
+    fn k(&self) -> usize {
+        self.k
+    }
+
+    fn sigma(&self) -> u64 {
+        self.sigma
+    }
+
+    fn hash_eval(&self, x: u64) -> u64 {
+        poly_eval(self.coeffs.iter(), x)
+    }
+
+    fn hash_bits(&self) -> u64 {
+        self.coeffs.len() as u64 * 61
+    }
+
+    fn rank_of(&self, t: TreeIx) -> Option<u32> {
+        self.rank_of.get(t as usize)
+    }
+
+    fn name_row(&self, t: TreeIx) -> PairRow<'_> {
+        PairRow { pairs: Self::row(self.nc_off, self.nc, self.rank_of(t)), next: 0 }
+    }
+
+    fn hash_row(&self, t: TreeIx) -> PairRow<'_> {
+        PairRow { pairs: Self::row(self.hd_off, self.hd, self.rank_of(t)), next: 0 }
+    }
+}
+
+/// Header bytes of an ERT record: k, σ, the hash-verified flag.
+const HEADER: usize = 17;
+/// Length-prefixed arrays in an ERT record.
+const ARRAYS: usize = 17;
+
+/// Where the arrays of one ERT record end, found once by
+/// [`ErtView::locate`] so a store that keeps the record can rebuild its
+/// view with [`ErtView::at`] without re-reading the length prefixes.
+#[derive(Clone, Copy, Debug)]
+pub struct ErtLayout {
+    /// End offset of each array within the record, in record order.
+    ends: [u32; ARRAYS],
+}
+
+/// A directory row read in place (the [`ErtView`] row type).
+pub struct PairRow<'a> {
+    pairs: Pairs<'a>,
+    next: usize,
+}
+
+impl Iterator for PairRow<'_> {
+    type Item = (u32, TreeIx);
+
+    #[inline]
+    fn next(&mut self) -> Option<(u32, TreeIx)> {
+        let item = self.pairs.get(self.next)?;
+        self.next += 1;
+        Some(item)
     }
 }
 
@@ -232,23 +567,12 @@ impl ErrorReportingTree {
         Self::assemble(labeled, naming, order, k, sigma, hash, verified)
     }
 
-    /// Deterministically rebuild the full scheme from its irreducible
-    /// parts: the physical tree plus the already-selected hash. This is
-    /// the spill-file read path — everything else (naming, labels,
-    /// directories) is a pure function of these and is reconstructed
-    /// bit-identically.
-    pub fn from_parts(tree: Tree, k: usize, sigma: u64, hash: PolyHash, verified: bool) -> Self {
-        assert!(k >= 1, "k must be at least 1");
-        assert!(sigma >= 1);
-        let order = tree.nodes_by_depth();
-        let naming = Naming::new(tree.size(), sigma);
-        let labeled = LabeledTree::new(tree);
-        Self::assemble(labeled, naming, order, k, sigma, hash, verified)
-    }
-
     /// σ·log n directory budget (≥ σ + 2 so tiny trees stay correct).
     fn load_budget(m: usize, sigma: u64) -> usize {
-        ((sigma as usize) * (ceil_log2(m.max(2) as u64) as usize).max(1)).max(sigma as usize + 2)
+        let sigma = sigma as usize;
+        sigma
+            .saturating_mul((ceil_log2(m.max(2) as u64) as usize).max(1))
+            .max(sigma.saturating_add(2))
     }
 
     fn assemble(
@@ -432,19 +756,24 @@ impl ErrorReportingTree {
     }
 
     /// Item (2) of node `t`'s storage: `(digit, name-child tree index)`.
-    // lint:allow-fn(panic-free-serve): validate-then-index — from_wire checks rank_of < n and nc_off monotone/in-bounds for every rank
     pub fn name_children(&self, t: TreeIx) -> &[(u32, TreeIx)] {
         let s = &self.store;
-        let r = s.rank_of[t as usize] as usize;
-        &s.nc[s.nc_off[r] as usize..s.nc_off[r + 1] as usize]
+        Self::row(&s.nc_off, &s.nc, s.rank_of.get(t as usize))
     }
 
     /// Item (3) of node `t`'s storage: `(target graph id, tree index)`.
-    // lint:allow-fn(panic-free-serve): validate-then-index — from_wire checks rank_of < n and hd_off monotone/in-bounds for every rank
     pub fn hash_dir(&self, t: TreeIx) -> &[(u32, TreeIx)] {
         let s = &self.store;
-        let r = s.rank_of[t as usize] as usize;
-        &s.hd[s.hd_off[r] as usize..s.hd_off[r + 1] as usize]
+        Self::row(&s.hd_off, &s.hd, s.rank_of.get(t as usize))
+    }
+
+    /// CSR row of the node at `rank`, empty when out of range.
+    fn row<'s>(off: &[u32], arena: &'s [(u32, TreeIx)], rank: Option<&u32>) -> &'s [(u32, TreeIx)] {
+        rank.and_then(|&r| {
+            let (lo, hi) = (*off.get(r as usize)?, *off.get(r as usize + 1)?);
+            arena.get(lo as usize..hi as usize)
+        })
+        .unwrap_or_default()
     }
 
     /// Depth of the farthest node in `V_j` (used by the Lemma 4 cost
@@ -471,101 +800,12 @@ impl ErrorReportingTree {
     }
 
     /// Execute a `j`-bounded search from the root for the node whose
-    /// network id is `target`. Pure simulation: every decision uses only
-    /// the current node's stored directories. Returns the outcome and
-    /// the sequence of tree nodes visited.
+    /// network id is `target` ([`ErtRead::bounded_search`]). Returns the
+    /// outcome and the sequence of tree nodes visited.
     pub fn search(&self, target: NodeId, j: usize) -> (SearchOutcome, Vec<TreeIx>) {
-        assert!(j >= 1, "searches must be at least 1-bounded");
-        let ErtStore { labeled, hash, k, sigma, .. } = &self.store;
-        let j = j.min(*k);
-        let y = hash.digits(target.0 as u64, *sigma, *k);
-        let root = labeled.tree().root();
-        let mut current = root;
-        let mut cost: Cost = 0;
-        // lint:allow(no-alloc-in-route): the returned search owns its visited path; one Vec per search is the API
-        let mut visited = vec![root];
-        let mut round = 1usize;
-        // Every stored label below routes inside this tree by
-        // construction; a label that no longer routes means a corrupt
-        // store, and the search degrades to a failure from where it
-        // stands — never a panicked serving thread.
-        loop {
-            // Does `current` know the target?
-            if let Some(tix) = self.lookup_at(current, target) {
-                let Some((mut path, c)) = labeled.route(current, labeled.label(tix)) else {
-                    return (SearchOutcome::NotFound { cost }, visited);
-                };
-                cost += c;
-                let delivered_at = path.last().copied().unwrap_or(current);
-                path.remove(0);
-                visited.extend(path);
-                return (SearchOutcome::Found { cost, delivered_at }, visited);
-            }
-            if round >= j {
-                // Bounded out: report failure back to the root.
-                if let Some((mut path, c)) = labeled.route(current, labeled.label(root)) {
-                    cost += c;
-                    path.remove(0);
-                    visited.extend(path);
-                }
-                return (SearchOutcome::NotFound { cost }, visited);
-            }
-            // Move to the node named (y_1 … y_round). A missing digit
-            // (impossible for round < j ≤ k) falls through to the
-            // name-miss arm below.
-            let digit = y.get(round - 1).copied().unwrap_or(u32::MAX);
-            let next =
-                self.name_children(current).iter().find(|(d, _)| *d == digit).map(|&(_, c)| c);
-            match next {
-                Some(child) => {
-                    let Some((mut path, c)) = labeled.route(current, labeled.label(child)) else {
-                        return (SearchOutcome::NotFound { cost }, visited);
-                    };
-                    cost += c;
-                    current = path.last().copied().unwrap_or(current);
-                    path.remove(0);
-                    visited.extend(path);
-                    round += 1;
-                }
-                None => {
-                    // The name does not exist ⇒ the target is not in the
-                    // tree at all (names fill rank-by-rank; see module
-                    // docs). Report failure.
-                    if let Some((mut path, c)) = labeled.route(current, labeled.label(root)) {
-                        cost += c;
-                        path.remove(0);
-                        visited.extend(path);
-                    }
-                    return (SearchOutcome::NotFound { cost }, visited);
-                }
-            }
-        }
-    }
-
-    /// Local lookup: does tree node `t` store the target's label? The
-    /// returned tree index resolves to a label via the shared arena.
-    fn lookup_at(&self, t: TreeIx, target: NodeId) -> Option<TreeIx> {
-        if self.store.labeled.tree().graph_id(t) == target {
-            return Some(t);
-        }
-        self.hash_dir(t).iter().find(|(gid, _)| *gid == target.0).map(|&(_, ix)| ix)
-    }
-
-    /// Storage bits of tree node `t` under this scheme: µ(T,t) + the two
-    /// directories + the hash description (τ(T,t) in the paper's
-    /// notation).
-    pub fn node_bits(&self, t: TreeIx) -> u64 {
-        let labeled = &self.store.labeled;
-        let m = labeled.tree().size();
-        let id_bits = bits_for_node(m);
-        let mut bits = labeled.local_bits(t) + self.store.hash.storage_bits();
-        for &(_, child) in self.name_children(t) {
-            bits += ceil_log2(self.store.sigma) as u64 + labeled.label_bits(child);
-        }
-        for &(_, ix) in self.hash_dir(t) {
-            bits += id_bits + labeled.label_bits(ix);
-        }
-        bits
+        let mut visited = vec![self.labeled().tree().root()];
+        let outcome = self.bounded_search(target.0, j, &mut |t| visited.push(t));
+        (outcome, visited)
     }
 
     /// Total storage over all nodes.
@@ -574,11 +814,10 @@ impl ErrorReportingTree {
     }
 
     /// Serialize the full [`ErtStore`] — every directory arena verbatim,
-    /// so [`ErrorReportingTree::from_wire`] is a one-pass decode with no
-    /// reassembly. (Earlier revisions wrote only the irreducible parts
-    /// and re-ran [`ErrorReportingTree::from_parts`] on every reload;
-    /// the full-store record trades bytes for O(m log m) rebuild work,
-    /// and lets a snapshot copy a spilled record without decoding it.)
+    /// so an [`ErtView`] can route on the record in place and
+    /// [`ErrorReportingTree::from_wire`] needs no reassembly. The
+    /// full-store record trades bytes for the O(m log m) work of
+    /// re-deriving the directories.
     pub fn to_wire(&self, w: &mut wire::Writer) {
         self.store.to_wire(w);
     }
@@ -586,6 +825,43 @@ impl ErrorReportingTree {
     /// Inverse of [`ErrorReportingTree::to_wire`].
     pub fn from_wire(r: &mut wire::Reader) -> io::Result<Self> {
         Ok(Self::from_store(ErtStore::from_wire(r)?))
+    }
+}
+
+impl ErtRead for ErrorReportingTree {
+    type Tree = LabeledTree;
+    type Row<'s> = std::iter::Copied<std::slice::Iter<'s, (u32, TreeIx)>>;
+
+    fn labeled(&self) -> &LabeledTree {
+        &self.store.labeled
+    }
+
+    fn k(&self) -> usize {
+        self.store.k
+    }
+
+    fn sigma(&self) -> u64 {
+        self.store.sigma
+    }
+
+    fn hash_eval(&self, x: u64) -> u64 {
+        self.store.hash.eval(x)
+    }
+
+    fn hash_bits(&self) -> u64 {
+        self.store.hash.storage_bits()
+    }
+
+    fn rank_of(&self, t: TreeIx) -> Option<u32> {
+        self.store.rank_of.get(t as usize).copied()
+    }
+
+    fn name_row(&self, t: TreeIx) -> Self::Row<'_> {
+        self.name_children(t).iter().copied()
+    }
+
+    fn hash_row(&self, t: TreeIx) -> Self::Row<'_> {
+        self.hash_dir(t).iter().copied()
     }
 }
 
@@ -837,6 +1113,119 @@ mod tests {
                 assert_eq!(s2.search(NodeId(gid), j), s.search(NodeId(gid), j));
             }
         }
+    }
+
+    fn record_of(s: &ErrorReportingTree) -> Vec<u8> {
+        let mut w = wire::Writer::new();
+        s.to_wire(&mut w);
+        w.into_bytes()
+    }
+
+    /// Visited tree path of a search on any read path.
+    fn walk_search(e: &impl ErtRead, target: u32, j: usize) -> (SearchOutcome, Vec<TreeIx>) {
+        let mut visited = vec![0];
+        let outcome = e.bounded_search(target, j, &mut |t| visited.push(t));
+        (outcome, visited)
+    }
+
+    #[test]
+    fn record_view_searches_like_the_owned_tree() {
+        for (seed, k) in [(60u64, 2usize), (61, 3), (62, 1), (63, 4)] {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let g = gen::random_tree(140, WeightDist::UniformInt { lo: 1, hi: 9 }, &mut rng);
+            let s = build(&g, NodeId(3), k, seed);
+            let bytes = record_of(&s);
+            assert_eq!(bytes.len(), s.store().wire_len());
+            let v = ErtView::new(&bytes).expect("a fresh record validates");
+            assert_eq!((v.labeled().size(), v.k(), v.sigma()), (140, k, s.sigma()));
+            assert_eq!(v.hash_verified(), s.hash_verified());
+            for t in 0..140u32 {
+                assert_eq!(v.node_bits(t), s.node_bits(t), "seed={seed} t={t}");
+                assert_eq!(v.labeled().label_bits(t), s.labeled().label_bits(t));
+                assert_eq!(v.labeled().host(t), Some(s.labeled().tree().graph_id(t).0));
+            }
+            let (_, layout) = ErtView::locate(&bytes).unwrap();
+            let again = ErtView::at(&bytes, &layout).unwrap();
+            for gid in (0..150u32).chain([999, u32::MAX]) {
+                for j in 0..=k + 1 {
+                    let owned = s.search(NodeId(gid), j.max(1));
+                    assert_eq!(walk_search(&v, gid, j.max(1)), owned, "seed={seed} {gid} j={j}");
+                    assert_eq!(walk_search(&s, gid, j), walk_search(&v, gid, j));
+                    assert_eq!(walk_search(&again, gid, j), walk_search(&v, gid, j));
+                }
+            }
+            // A layout applied to the wrong record reads garbage, but
+            // never out of bounds.
+            let other = record_of(&build(&g, NodeId(0), k, seed + 100));
+            for rec in [&other[..], &bytes[..bytes.len() / 2], &[]] {
+                if let Ok(w) = ErtView::at(rec, &layout) {
+                    let _ = walk_search(&w, 5, k);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn record_view_rejects_what_from_wire_rejects() {
+        let mut rng = SmallRng::seed_from_u64(64);
+        let g = gen::random_tree(40, WeightDist::UniformInt { lo: 1, hi: 5 }, &mut rng);
+        let s = build(&g, NodeId(0), 2, 13);
+        let good = record_of(&s);
+        for cut in 0..good.len() {
+            assert!(ErtView::new(&good[..cut]).is_err(), "prefix {cut} must not validate");
+        }
+        let mut longer = good.clone();
+        longer.push(0);
+        assert!(ErtView::new(&longer).is_err(), "trailing bytes must not validate");
+        // Every single-bit flip: the view and the owned decode agree on
+        // acceptance, and whatever is accepted searches without panics.
+        for i in 0..good.len() {
+            for bit in [0x01u8, 0x80] {
+                let mut bad = good.clone();
+                bad[i] ^= bit;
+                let view = ErtView::new(&bad);
+                let owned = ErrorReportingTree::from_wire(&mut wire::Reader::new(&bad));
+                assert_eq!(view.is_ok(), owned.is_ok(), "flip {bit:#x} at byte {i}");
+                if let Ok(v) = view {
+                    for gid in [0u32, 7, 39, 1000] {
+                        let _ = walk_search(&v, gid, 2);
+                        let _ = (0..40).map(|t| v.node_bits(t)).sum::<u64>();
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hash_coefficients_outside_the_field_are_rejected() {
+        let mut rng = SmallRng::seed_from_u64(65);
+        let g = gen::random_tree(30, WeightDist::Unit, &mut rng);
+        let good = record_of(&build(&g, NodeId(0), 2, 14));
+        // Header: k (8) + sigma (8) + verified (1) + coefficient count (8).
+        let first = 25;
+        for top in [0x20u8, 0x80, 0xFF] {
+            let mut bad = good.clone();
+            bad[first + 7] |= top;
+            assert!(ErtView::new(&bad).is_err(), "top byte {top:#x}");
+            assert!(ErrorReportingTree::from_wire(&mut wire::Reader::new(&bad)).is_err());
+        }
+    }
+
+    #[test]
+    fn parent_cycles_are_rejected_by_dfs_order() {
+        // Re-point the root's heavy child at a deep descendant: still a
+        // parent array of in-range indices, but no longer a tree.
+        let t = Tree::from_parents(vec![10, 11, 12, 13], vec![u32::MAX, 0, 1, 2], vec![0, 1, 1, 1]);
+        let s = ErrorReportingTree::new(t, 2, 5);
+        let good = record_of(&s);
+        assert!(ErtView::new(&good).is_ok());
+        // parents array: after the header, the hash, and graph_ids.
+        let coeffs = s.store().hash.coeffs().len();
+        let parents = 25 + 8 * coeffs + (8 + 4 * 4) + 8;
+        let mut bad = good.clone();
+        bad[parents + 4..parents + 8].copy_from_slice(&3u32.to_le_bytes()); // 1 -> 3 -> 2 -> 1
+        assert!(ErtView::new(&bad).is_err());
+        assert!(ErrorReportingTree::from_wire(&mut wire::Reader::new(&bad)).is_err());
     }
 
     #[test]

@@ -25,6 +25,8 @@ pub mod names;
 
 pub use cover_router::{CoverOutcome, CoverStore, CoverTreeRouter};
 pub use hashing::PolyHash;
-pub use labeled::{LabelRef, LabeledStore, LabeledTree, RouteLabel, Step};
-pub use laing::{ErrorReportingTree, ErtStore, SearchOutcome};
+pub use labeled::{
+    LabelRef, LabeledRead, LabeledStore, LabeledTree, LabeledView, RouteLabel, Step, TreeLabel,
+};
+pub use laing::{ErrorReportingTree, ErtLayout, ErtRead, ErtStore, ErtView, SearchOutcome};
 pub use names::{Name, Naming};

@@ -23,8 +23,11 @@ pub struct Naming {
 impl Naming {
     /// Plan names for `count` ranked nodes with alphabet size `sigma`.
     pub fn new(count: usize, sigma: u64) -> Self {
-        assert!(count >= 1);
-        assert!(sigma >= 1);
+        // lint:allow(panic-free-serve): validate-then-index — decoders reach this only with a validated record (non-empty tree, σ ≥ 1: `ErtView::validate` rejects both), and the builders check k and σ before naming
+        assert!(
+            count >= 1 && sigma >= 1,
+            "naming needs at least one node and a non-empty alphabet"
+        );
         let mut level_end = vec![1usize];
         let mut total = 1u128;
         let mut level_size = 1u128;
