@@ -10,7 +10,7 @@
 //! |---|---|---|
 //! | `panic-free-serve` | `route` methods, `serve_batch`, `from_wire`, `Scheme::repair` | `unwrap`/`expect`, panic macros; `assert*!` and raw `[..]` indexing in the serve cone only |
 //! | `deterministic-output` | `save`, `to_wire`, `encode_*`, `write_*`, `render_*` | `HashMap`/`HashSet` mention, `.keys()`, `.values()` |
-//! | `no-alloc-in-route` | `route` methods | `Vec::new`, `vec!`, `.to_vec()`, `format!`, `.clone()`, `Box::new`; stops at decode constructors ([`alloc_cold`]) |
+//! | `no-alloc-in-route` | `route` methods | `Vec::new`, `vec!`, `.to_vec()`, `format!`, `.clone()`, `Box::new`; stops at decode constructors (`alloc_cold`) |
 //! | `octave-taint` | (per-fn dataflow, no cone) | `+`/`<<` on a value derived from `octave_radius` |
 //!
 //! The **repair cone** (`Scheme::repair`) deliberately checks only

@@ -847,8 +847,8 @@ pub fn dx(cfg: &RunConfig) -> String {
 /// `--per-node-budgets`; `--construction dense` swaps in the
 /// APSP-backed parity build (use with `--quick` — it *is* the n²
 /// wall). Each AGM build also emits a machine-readable datapoint; the
-/// collected records land in `BENCH_construction.json` (path override:
-/// `BENCH_CONSTRUCTION_OUT`).
+/// collected records are merged into `BENCH_construction.json`, keeping
+/// rows at other `(n, k)` (path override: `BENCH_CONSTRUCTION_OUT`).
 pub fn sc(cfg: &RunConfig) -> String {
     let sizes: &[usize] = if cfg.quick { &[2_000, 5_000] } else { &[10_000, 50_000] };
     let k = 2;
@@ -958,7 +958,7 @@ pub fn sc(cfg: &RunConfig) -> String {
         }
         (out, _) => {
             let out = out.unwrap_or_else(|| "BENCH_construction.json".to_string());
-            match std::fs::write(&out, bench_record::render_json(&records)) {
+            match bench_record::write_merged(&out, &bench_record::render_json(&records)) {
                 Ok(()) => t.note(format!(
                     "Construction records written to {out} (per-phase laps, peak RSS,"
                 )),
@@ -981,9 +981,9 @@ pub fn sc(cfg: &RunConfig) -> String {
 /// (resident and lazy), and serves the same batch through
 /// [`routing_core::serve_batch`] next to the shortest-path-table
 /// baseline — throughput (routes/sec) and latency (p50/p99 µs) per
-/// router. The scheme rows also emit `BENCH_serving.json` datapoints
-/// (path override: `BENCH_SERVING_OUT`; suppressed in `--quick` runs
-/// unless redirected, mirroring `sc`).
+/// router. The scheme rows are also merged into `BENCH_serving.json`,
+/// keeping rows at other `(n, k)` (path override: `BENCH_SERVING_OUT`;
+/// suppressed in `--quick` runs unless redirected, mirroring `sc`).
 pub fn serve(cfg: &RunConfig) -> String {
     let (n, batch) = if cfg.quick { (400, 2_000) } else { (3_000, 20_000) };
     let k = 2;
@@ -1062,7 +1062,7 @@ pub fn serve(cfg: &RunConfig) -> String {
         }
         (out, _) => {
             let out = out.unwrap_or_else(|| "BENCH_serving.json".to_string());
-            match std::fs::write(&out, bench_record::render_serving_json(&records)) {
+            match bench_record::write_merged(&out, &bench_record::render_serving_json(&records)) {
                 Ok(()) => t.note(format!("Serving records written to {out}.")),
                 Err(e) => t.note(format!("Serving records NOT written to {out}: {e}.")),
             };
@@ -1083,9 +1083,10 @@ pub fn serve(cfg: &RunConfig) -> String {
 /// workload is measured again — degradation and recovery side by side.
 /// Honors `--pairs-sampled`, `--threads`, `--spill`, and
 /// `--per-node-budgets`. Each epoch also emits a machine-readable
-/// [`EvaluationRecord`]; the collected records land in
-/// `BENCH_evaluation.json` (path override: `BENCH_EVALUATION_OUT`;
-/// suppressed in `--quick` runs unless redirected, mirroring `sc`).
+/// [`EvaluationRecord`]; the collected records are merged into
+/// `BENCH_evaluation.json`, keeping rows at other `(n, k)` (path
+/// override: `BENCH_EVALUATION_OUT`; suppressed in `--quick` runs unless
+/// redirected, mirroring `sc`).
 pub fn churn(cfg: &RunConfig) -> String {
     let (n, epochs, fails, reweights, pairs_default) =
         if cfg.quick { (1_200, 3, 6, 6, 400) } else { (10_000, 3, 30, 30, 2_000) };
@@ -1173,7 +1174,8 @@ pub fn churn(cfg: &RunConfig) -> String {
         }
         (out, _) => {
             let out = out.unwrap_or_else(|| "BENCH_evaluation.json".to_string());
-            match std::fs::write(&out, bench_record::render_evaluation_json(&records)) {
+            match bench_record::write_merged(&out, &bench_record::render_evaluation_json(&records))
+            {
                 Ok(()) => t.note(format!("Evaluation records written to {out}.")),
                 Err(e) => t.note(format!("Evaluation records NOT written to {out}: {e}.")),
             };

@@ -20,6 +20,9 @@
 //!
 //! Baseline scanning works on any topic document via
 //! [`baseline_value`], anchored on the record's leading `"n"` field.
+//! Writers go through [`write_merged`], which replaces only the records
+//! at the sizes they measured, so a reference-size run never erases the
+//! rows other sizes (and the CI gates) rely on.
 
 use crate::churn::EpochRow;
 use crate::repair::RepairOutcome;
@@ -92,10 +95,60 @@ pub fn render_topic_json(benchmark: &str, records: &[TopicRecord]) -> String {
             format!("    {{\n{}\n    }}", fields.join(",\n"))
         })
         .collect();
+    document(benchmark, &body)
+}
+
+/// The document around already-rendered record blocks.
+fn document(benchmark: &str, records: &[impl AsRef<str>]) -> String {
+    let body: Vec<&str> = records.iter().map(AsRef::as_ref).collect();
     format!(
         "{{\n  \"benchmark\": \"{benchmark}\",\n  \"records\": [\n{}\n  ]\n}}\n",
         body.join(",\n")
     )
+}
+
+/// The rendered record blocks of a topic document, `{` to `}`, in order.
+fn record_blocks(doc: &str) -> Vec<&str> {
+    let mut out = Vec::new();
+    let mut rest = doc;
+    while let Some(at) = rest.find("\n    {\n") {
+        let block = &rest[at + 1..];
+        let Some(end) = block.find("\n    }") else { break };
+        out.push(&block[..end + "\n    }".len()]);
+        rest = &block[end..];
+    }
+    out
+}
+
+/// Merge a freshly rendered topic document into the text of an
+/// existing one: every existing record whose `(n, k)` no fresh record
+/// has is kept byte for byte, in order, and the fresh records follow,
+/// replacing the ones that matched. Text with no records keeps nothing.
+fn merge_topic_json(existing: &str, fresh: &str) -> String {
+    let key = |block: &str| {
+        let int = |name| baseline_anchors(block, name).first().copied();
+        (int("n"), int("k"))
+    };
+    let fresh_blocks = record_blocks(fresh);
+    let fresh_keys: Vec<_> = fresh_blocks.iter().map(|b| key(b)).collect();
+    let mut blocks: Vec<&str> =
+        record_blocks(existing).into_iter().filter(|b| !fresh_keys.contains(&key(b))).collect();
+    blocks.extend(fresh_blocks);
+    let benchmark = fresh.split("\"benchmark\": \"").nth(1).and_then(|s| s.split('"').next());
+    document(benchmark.unwrap_or_default(), &blocks)
+}
+
+/// Write the freshly rendered topic document `fresh` into the one at
+/// `path` (a missing file starts empty): existing records at an
+/// `(n, k)` that `fresh` has no record for are kept byte for byte, the
+/// rest are replaced by `fresh`'s records, which follow them.
+pub fn write_merged(path: impl AsRef<std::path::Path>, fresh: &str) -> std::io::Result<()> {
+    let existing = match std::fs::read_to_string(&path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
+        Err(e) => return Err(e),
+    };
+    std::fs::write(path, merge_topic_json(&existing, fresh))
 }
 
 /// One Theorem-1 construction datapoint.
@@ -503,6 +556,48 @@ mod tests {
             baseline_value(&json, "n", 50_000, "baseline_sp_tables_p50_us"),
             Some("150.250")
         );
+    }
+
+    #[test]
+    fn merge_keeps_records_at_other_sizes() {
+        let checked_in = include_str!("../../../BENCH_serving.json");
+        let anchor = record_blocks(checked_in);
+        assert_eq!(anchor.len(), 1);
+        let report = ServeReport {
+            queries: 20_000,
+            delivered: 20_000,
+            threads: 2,
+            elapsed_seconds: 0.1,
+            routes_per_sec: 200_000.0,
+            p50_us: 5.0,
+            p99_us: 12.0,
+        };
+        let small = ServingRecord {
+            n: 3_000,
+            k: 2,
+            snapshot_bytes: 500_000_000,
+            load_seconds: 1.5,
+            scheme: report.clone(),
+            baseline: None,
+        };
+        let merged =
+            merge_topic_json(checked_in, &render_serving_json(std::slice::from_ref(&small)));
+        // The 50k CI anchor survives byte for byte, and the new row is
+        // appended after it.
+        assert_eq!(record_blocks(&merged)[0], anchor[0]);
+        assert!(merged.starts_with("{\n  \"benchmark\": \"agm-theorem1-serving\""));
+        assert_eq!(baseline_value(&merged, "n", 3_000, "queries"), Some("20000"));
+        assert_eq!(baseline_value(&merged, "n", 50_000, "queries"), Some("10000"));
+        // Re-measuring a size replaces its row instead of adding one.
+        let again = ServingRecord { load_seconds: 2.0, ..small };
+        let merged = merge_topic_json(&merged, &render_serving_json(&[again]));
+        assert_eq!(record_blocks(&merged).len(), 2);
+        assert_eq!(record_blocks(&merged)[0], anchor[0]);
+        assert_eq!(baseline_value(&merged, "n", 3_000, "load_seconds"), Some("2.000"));
+        // A fresh document merged into nothing is the fresh document.
+        let fresh = sample();
+        assert_eq!(merge_topic_json("", &fresh), fresh);
+        assert_eq!(merge_topic_json(&fresh, &fresh), fresh);
     }
 
     #[test]

@@ -37,6 +37,9 @@ mod scheme;
 pub mod serve;
 mod snapshot;
 
+#[cfg(test)]
+mod s_requirement_oracle;
+
 pub use bench_record::{ConstructionRecord, EvaluationRecord, ServingRecord};
 pub use directed::{validate_directed_trace, DirectedScheme};
 pub use repair::{DeferReason, RebuildReason, RepairOutcome, RepairReport};

@@ -331,7 +331,32 @@ pub(crate) enum BuildSource<'a> {
     },
 }
 
-impl BuildSource<'_> {
+impl<'a> BuildSource<'a> {
+    /// The dense source: every node's `C_l` lists sorted by
+    /// `(d(v,·), id)`, straight from the matrix rows.
+    pub(crate) fn dense(d: &'a DistMatrix, hier: &LandmarkHierarchy, k: usize) -> Self {
+        // merge: per-node lists, flattened in chunk (= node id) order.
+        let sorted = graphkit::metrics::par_chunks(d.n(), |nodes| {
+            nodes
+                .map(|v| {
+                    let row = d.row(NodeId(v as u32));
+                    (0..k)
+                        .map(|l| {
+                            let mut m: Vec<(Cost, u32)> =
+                                hier.level(l).iter().map(|&c| (row[c as usize], c)).collect();
+                            m.sort_unstable();
+                            m
+                        })
+                        .collect()
+                })
+                .collect::<Vec<Vec<Vec<(Cost, u32)>>>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+        BuildSource::Dense { d, sorted }
+    }
+
     /// The center `c(u, r)` (identical across sources).
     fn center(&self, hier: &LandmarkHierarchy, u: NodeId, r: Cost) -> u32 {
         match self {
@@ -340,18 +365,31 @@ impl BuildSource<'_> {
         }
     }
 
-    /// Position of center `c` (rank `l`) in `v`'s `(distance, id)`
-    /// order over `C_l`. The on-demand source serves `l ≥ 1` from the
-    /// landmark columns; level-0 positions come from the batched
-    /// bounded-Dijkstra pass (`pos0`), so this must not be called for
-    /// `l = 0` there.
-    fn position(&self, v: NodeId, l: usize, c: u32) -> usize {
+    /// `d(v, c)`; on the matrix-free source only for a landmark `c` of
+    /// rank ≥ 1 (those have columns).
+    fn dist(&self, v: u32, c: u32) -> Cost {
         match self {
-            BuildSource::Dense { d, sorted } => {
-                let key = (d.d(v, NodeId(c)), c);
-                sorted[v.idx()][l].partition_point(|&e| e < key)
-            }
-            BuildSource::OnDemand { ld } => ld.position(v, l, c),
+            BuildSource::Dense { d, .. } => d.d(NodeId(v), NodeId(c)),
+            BuildSource::OnDemand { ld } => ld.d(c, NodeId(v)),
+        }
+    }
+
+    /// `d(v, c)` for every node `v`, for a center `c` of rank `l`. The
+    /// matrix-free source has no column for `C_0 = V`, so a rank-0
+    /// center costs one full Dijkstra.
+    fn column(&self, g: &Graph, c: u32, l: usize) -> Vec<Cost> {
+        match self {
+            BuildSource::OnDemand { .. } if l == 0 => dijkstra::dijkstra(g, NodeId(c)).dist,
+            _ => (0..g.n() as u32).map(|v| self.dist(v, c)).collect(),
+        }
+    }
+
+    /// `v`'s `C_l` as `(d(v,·), id)`, sorted; `None` for level 0 on the
+    /// matrix-free source, whose callers run a Dijkstra around `v`.
+    fn list(&self, v: u32, l: usize) -> Option<&[(Cost, u32)]> {
+        match self {
+            BuildSource::Dense { sorted, .. } => Some(&sorted[v as usize][l]),
+            BuildSource::OnDemand { ld } => (l >= 1).then(|| ld.list(NodeId(v), l)),
         }
     }
 }
@@ -452,28 +490,9 @@ impl Scheme {
             }
             HierarchySource::Greedy => landmarks::greedy_hierarchy(d, k),
         };
-        // sorted[v][l] = C_l members ordered by (d(v,·), id).
-        // merge: per-node lists, flattened in chunk (= node id) order.
-        let sorted: Vec<Vec<Vec<(u64, u32)>>> = graphkit::metrics::par_chunks(g.n(), |nodes| {
-            nodes
-                .map(|v| {
-                    let row = d.row(NodeId(v as u32));
-                    (0..k)
-                        .map(|l| {
-                            let mut m: Vec<(u64, u32)> =
-                                hier.level(l).iter().map(|&c| (row[c as usize], c)).collect();
-                            m.sort_unstable();
-                            m
-                        })
-                        .collect()
-                })
-                .collect::<Vec<Vec<Vec<(u64, u32)>>>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
+        let src = BuildSource::dense(d, &hier, k);
         let scopes = Self::dense_scopes(&g, d, &dec, &params);
-        Self::assemble(g, params, dec, hier, BuildSource::Dense { d, sorted }, scopes)
+        Self::assemble(g, params, dec, hier, src, scopes)
     }
 
     /// Build the scheme without ever materializing an n×n matrix — the
@@ -540,7 +559,7 @@ impl Scheme {
 
     /// Per-(u, i) `E(u,i)` scopes from dense rows (`None` = dense
     /// level, no sparse region), parallel over node chunks.
-    fn dense_scopes(
+    pub(crate) fn dense_scopes(
         g: &Graph,
         d: &DistMatrix,
         dec: &Decomposition,
@@ -768,80 +787,7 @@ impl Scheme {
 
         clock.lap("plans", String::new());
         // ---- instance-tuned S budgets (see DESIGN.md) ----------------
-        // Level-0 positions for the on-demand source: batched bounded
-        // Dijkstras, one per queried node, covering every (v, center)
-        // pair the local scopes produce.
-        let pos0 = match src {
-            BuildSource::Dense { .. } => HashMap::new(),
-            BuildSource::OnDemand { .. } => Self::level0_positions(g, hier, &plans, scopes, n),
-        };
-        let position_of = |v: u32, l: usize, c: u32| -> usize {
-            if l == 0 {
-                if let BuildSource::OnDemand { .. } = src {
-                    return pos0[&pos0_key(v, c)];
-                }
-            }
-            src.position(NodeId(v), l, c)
-        };
-        // Whole-graph scopes first: their position columns are shared
-        // by every (u, i) that capped, so compute each distinct
-        // center's column once (each internally parallel).
-        let mut global_centers: Vec<(u32, usize)> = Vec::new();
-        for u in 0..n {
-            for i in 0..k {
-                if matches!(scopes[u][i], Some(EScope::Global)) {
-                    let c = plans[u][i].center;
-                    global_centers.push((c, hier.rank(NodeId(c))));
-                }
-            }
-        }
-        global_centers.sort_unstable();
-        global_centers.dedup();
-        let global_pos: HashMap<u32, Vec<u32>> = global_centers
-            .iter()
-            .map(|&(c, l)| (c, Self::positions_over_v(g, src, n, l, c)))
-            .collect();
-        // Raw per-(v, level) requirement: max over the sparse regions
-        // containing v of (position + 1 + margin). A region's members
-        // are arbitrary nodes, not the worker's own chunk, so workers
-        // accumulate into private n×k tables.
-        // merge: elementwise max — order-free, hence chunk-count independent.
-        let margin = params.s_margin as u32;
-        let mut raw = vec![0u32; n * k];
-        for shard in graphkit::metrics::par_chunks(n, |nodes| {
-            let mut local = vec![0u32; n * k];
-            for u in nodes {
-                for i in 0..k {
-                    let Some(EScope::Local(list)) = &scopes[u][i] else { continue };
-                    debug_assert!(!plans[u][i].dense);
-                    let c = plans[u][i].center;
-                    let l = hier.rank(NodeId(c));
-                    for &(v, _) in list {
-                        let slot = &mut local[v as usize * k + l];
-                        let val = position_of(v, l, c) as u32 + 1 + margin;
-                        if val > *slot {
-                            *slot = val;
-                        }
-                    }
-                }
-            }
-            local
-        }) {
-            for (acc, add) in raw.iter_mut().zip(shard) {
-                *acc = (*acc).max(add);
-            }
-        }
-        for &(c, l) in &global_centers {
-            let column = &global_pos[&c];
-            for (v, &pos) in column.iter().enumerate() {
-                let slot = &mut raw[v * k + l];
-                let val = pos + 1 + margin;
-                if val > *slot {
-                    *slot = val;
-                }
-            }
-        }
-        drop(global_pos);
+        let raw = Self::s_requirements(g, params, hier, src, &plans, scopes);
         // Never exceed the paper's budget (it is the proven bound);
         // every budget is at least 1 (a node is its own closest C_0
         // member).
@@ -877,82 +823,103 @@ impl Scheme {
         Prepared { plans, centers, members, s_budgets: level_max }
     }
 
-    /// Level-0 position oracle for the on-demand source: group every
-    /// `(v, c)` query by `v`, run one bounded Dijkstra per queried
-    /// node (radius = its farthest query), and read positions off the
-    /// settled `(distance, id)` order.
-    fn level0_positions(
+    /// The per-(node, level) S requirement table behind the budgets:
+    /// `raw[v·k + l]` is the max, over the sparse regions containing `v`
+    /// whose center `c` has rank `l`, of `pos(v, l, c) + 1 + margin`
+    /// (0 where no region asks). `pos(v, l, c)` counts the entries of
+    /// `v`'s `(distance, id)`-sorted `C_l` list below the key
+    /// `(d(v, c), c)`, so it is monotone in that key: a first pass folds
+    /// each (node, level)'s farthest key, a second takes one position
+    /// per (node, level).
+    pub(crate) fn s_requirements(
         g: &Graph,
+        params: &SchemeParams,
         hier: &LandmarkHierarchy,
+        src: &BuildSource<'_>,
         plans: &[Vec<LevelPlan>],
         scopes: &[Vec<Option<EScope>>],
-        n: usize,
-    ) -> HashMap<u64, usize> {
-        let mut queries: HashMap<u32, Vec<(u32, Cost)>> = HashMap::new();
+    ) -> Vec<u32> {
+        let n = g.n();
+        let k = params.k;
+        type Far = Vec<Option<(Cost, u32)>>;
+        let fold = |far: &mut Far, v: usize, l: usize, key: (Cost, u32)| {
+            let slot = &mut far[v * k + l];
+            *slot = (*slot).max(Some(key));
+        };
+        // Whole-graph scopes ask at every node, once per distinct center.
+        let mut global: Vec<(u32, usize)> = Vec::new();
         for (u, row) in scopes.iter().enumerate() {
             for (i, scope) in row.iter().enumerate() {
-                let Some(EScope::Local(list)) = scope else { continue };
-                let c = plans[u][i].center;
-                if hier.rank(NodeId(c)) != 0 {
-                    continue;
-                }
-                debug_assert_eq!(c, u as u32, "a rank-0 center is always the node itself");
-                for &(v, d_uv) in list {
-                    queries.entry(v).or_default().push((c, d_uv));
+                if let Some(EScope::Global) = scope {
+                    let c = plans[u][i].center;
+                    global.push((c, hier.rank(NodeId(c))));
                 }
             }
         }
-        let mut keys: Vec<u32> = queries.keys().copied().collect();
-        keys.sort_unstable();
-        // merge: entries keyed by pos0_key(v, c), which is unique per
-        // query — collection order is immaterial.
-        graphkit::metrics::par_chunks(keys.len(), |range| {
-            let mut scratch = DijkstraScratch::new(n);
-            let mut out = Vec::new();
-            for &v in &keys[range] {
-                let qs = &queries[&v];
-                let radius = qs.iter().map(|&(_, d)| d).max().unwrap_or(0);
-                scratch.run(g, NodeId(v), radius, usize::MAX);
-                for &(c, d_vc) in qs {
-                    out.push((pos0_key(v, c), scratch.position_below((d_vc, c))));
+        global.sort_unstable();
+        global.dedup();
+        // Both kinds of region touch arbitrary nodes, so workers fold
+        // into private n×k tables.
+        // merge: elementwise max — order-free, hence chunk-count independent.
+        let local = graphkit::metrics::par_chunks(n, |nodes| {
+            let mut far: Far = vec![None; n * k];
+            for u in nodes {
+                for (i, scope) in scopes[u].iter().enumerate() {
+                    let Some(EScope::Local(list)) = scope else { continue };
+                    let c = plans[u][i].center;
+                    let l = hier.rank(NodeId(c));
+                    for &(v, d_uv) in list {
+                        // A rank-0 center is u's closest C_0 member, at
+                        // distance 0 from u, so d(v, c) = d(v, u).
+                        let d_vc = if l == 0 { d_uv } else { src.dist(v, c) };
+                        fold(&mut far, v as usize, l, (d_vc, c));
+                    }
+                }
+            }
+            far
+        });
+        // merge: elementwise max, as above.
+        let whole = graphkit::metrics::par_chunks(global.len(), |range| {
+            let mut far: Far = vec![None; n * k];
+            for &(c, l) in &global[range] {
+                for (v, d_vc) in src.column(g, c, l).into_iter().enumerate() {
+                    fold(&mut far, v, l, (d_vc, c));
+                }
+            }
+            far
+        });
+        let mut far: Far = vec![None; n * k];
+        for shard in local.into_iter().chain(whole) {
+            for (acc, add) in far.iter_mut().zip(shard) {
+                *acc = (*acc).max(add);
+            }
+        }
+        // One position per (node, level). Matrix-free level 0 has no
+        // sorted list: a run out to the key's distance settles every
+        // node below the key, in key order.
+        let margin = params.s_margin as u32;
+        // merge: per-node rows, flattened in chunk (= node id) order.
+        graphkit::metrics::par_chunks(n, |nodes| {
+            let mut scratch = None;
+            let mut out = Vec::with_capacity(nodes.len() * k);
+            for v in nodes {
+                for (l, &key) in far[v * k..(v + 1) * k].iter().enumerate() {
+                    let Some(key) = key else {
+                        out.push(0);
+                        continue;
+                    };
+                    let pos = match src.list(v as u32, l) {
+                        Some(list) => list.partition_point(|&e| e < key),
+                        None => {
+                            let s = scratch.get_or_insert_with(|| DijkstraScratch::new(n));
+                            s.run(g, NodeId(v as u32), key.0, usize::MAX);
+                            s.position_below(key)
+                        }
+                    };
+                    out.push(pos as u32 + 1 + margin);
                 }
             }
             out
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    }
-
-    /// `position(v, l, c)` for every `v` — the S-budget column of a
-    /// whole-graph `E(u,i)`. For the on-demand source at `l = 0` (a
-    /// rank-0 center whose level capped — only reachable on instances
-    /// whose balls dodge every landmark) this falls back to one full
-    /// Dijkstra plus per-node bounded runs; DESIGN.md records it as
-    /// the construction's worst-case residue.
-    fn positions_over_v(g: &Graph, src: &BuildSource<'_>, n: usize, l: usize, c: u32) -> Vec<u32> {
-        if l == 0 {
-            if let BuildSource::OnDemand { .. } = src {
-                let row = dijkstra::dijkstra(g, NodeId(c)).dist;
-                // merge: per-node positions, flattened in chunk (= node id) order.
-                return graphkit::metrics::par_chunks(n, |nodes| {
-                    let mut scratch = DijkstraScratch::new(n);
-                    let mut out = Vec::with_capacity(nodes.len());
-                    for v in nodes {
-                        let d_vc = row[v];
-                        scratch.run(g, NodeId(v as u32), d_vc, usize::MAX);
-                        out.push(scratch.position_below((d_vc, c)) as u32);
-                    }
-                    out
-                })
-                .into_iter()
-                .flatten()
-                .collect();
-            }
-        }
-        // merge: per-node positions, flattened in chunk (= node id) order.
-        graphkit::metrics::par_chunks(n, |nodes| {
-            nodes.map(|v| src.position(NodeId(v as u32), l, c) as u32).collect::<Vec<u32>>()
         })
         .into_iter()
         .flatten()
@@ -990,46 +957,30 @@ impl Scheme {
             center_rank[c as usize] = hier.rank(NodeId(c)) as u8;
             center_slot[c as usize] = ci as u32;
         }
-        let dijkstra_rank0 = matches!(src, BuildSource::OnDemand { .. })
-            && centers.iter().any(|&c| center_rank[c as usize] == 0);
+        let has_rank0 = centers.iter().any(|&c| center_rank[c as usize] == 0);
         // merge: counting-sort scatter by center; within a center the
         // shard (= ascending node id) order is preserved.
         let shards: Vec<Vec<(u32, u32, Cost)>> = graphkit::metrics::par_chunks(n, |nodes| {
             let mut out = Vec::new();
-            let mut scratch = dijkstra_rank0.then(|| DijkstraScratch::new(n));
+            let mut scratch = None;
             for v in nodes {
-                match src {
-                    BuildSource::Dense { sorted, .. } => {
-                        for (l, list) in sorted[v].iter().enumerate() {
-                            let b = budgets.of(v as u32, l).min(list.len());
-                            for &(dist, c) in &list[..b] {
-                                if center_rank[c as usize] == l as u8 {
-                                    out.push((center_slot[c as usize], v as u32, dist));
-                                }
-                            }
+                for l in 0..k {
+                    let b = budgets.of(v as u32, l);
+                    let prefix = match src.list(v as u32, l) {
+                        Some(list) => &list[..b.min(list.len())],
+                        // Matrix-free rank 0: c ∈ S(v) ⟺ c is among v's
+                        // b closest nodes — one size-capped Dijkstra
+                        // yields every rank-0 membership.
+                        None if has_rank0 => {
+                            let s = scratch.get_or_insert_with(|| DijkstraScratch::new(n));
+                            s.run(g, NodeId(v as u32), INFINITY - 1, b);
+                            s.settled()
                         }
-                    }
-                    BuildSource::OnDemand { ld } => {
-                        // Rank 0: c ∈ S(v) ⟺ c is among v's
-                        // budget(v, 0) closest nodes — one size-capped
-                        // Dijkstra yields every rank-0 membership.
-                        if let Some(s) = scratch.as_mut() {
-                            s.run(g, NodeId(v as u32), INFINITY - 1, budgets.of(v as u32, 0));
-                            for &(dist, w) in s.settled() {
-                                if center_rank[w as usize] == 0 {
-                                    out.push((center_slot[w as usize], v as u32, dist));
-                                }
-                            }
-                        }
-                        // Rank ≥ 1: prefixes of the landmark columns.
-                        for l in 1..k {
-                            let list = ld.list(NodeId(v as u32), l);
-                            let b = budgets.of(v as u32, l).min(list.len());
-                            for &(dist, c) in &list[..b] {
-                                if center_rank[c as usize] == l as u8 {
-                                    out.push((center_slot[c as usize], v as u32, dist));
-                                }
-                            }
+                        None => continue,
+                    };
+                    for &(dist, c) in prefix {
+                        if center_rank[c as usize] == l as u8 {
+                            out.push((center_slot[c as usize], v as u32, dist));
                         }
                     }
                 }
@@ -1534,12 +1485,6 @@ pub(crate) fn build_scale_cover(
         .flatten()
         .collect();
     ScaleCover { routers, home }
-}
-
-/// Key for the batched level-0 position map.
-#[inline(always)]
-fn pos0_key(v: u32, c: u32) -> u64 {
-    (v as u64) << 32 | c as u64
 }
 
 /// Relabel a tree's node ids through a host map (used to lift subgraph

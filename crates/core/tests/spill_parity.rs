@@ -47,9 +47,9 @@ fn spilled_scheme_routes_identically() {
 
 #[test]
 fn spilled_scheme_survives_parallel_evaluation() {
-    // The spill cache is behind a mutex; hammer it from the parallel
-    // evaluator and check the aggregate stats match the sequential
-    // engine bit for bit.
+    // A spilled store serves each fetch with one positional read into
+    // a per-thread buffer; hammer it from the parallel evaluator and
+    // check the aggregate stats match the sequential engine bit for bit.
     let g = Family::Geometric.generate(120, 0x5113);
     let d = apsp(&g);
     let scheme =

@@ -203,7 +203,7 @@ pub mod collection {
     use crate::test_runner::TestRng;
     use std::ops::Range;
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     #[derive(Clone, Debug)]
     pub struct VecStrategy<S> {
         element: S,

@@ -129,7 +129,7 @@ fn main() {
 
     if let Ok(out) = std::env::var("BENCH_CONSTRUCTION_OUT") {
         let doc = routing_core::bench_record::render_json(std::slice::from_ref(&record));
-        std::fs::write(&out, doc).expect("write construction record");
+        routing_core::bench_record::write_merged(&out, &doc).expect("write construction record");
         println!("construction record written to {out}");
     }
 
@@ -204,7 +204,7 @@ fn main() {
             baseline: None, // sp-tables would need Θ(n²) state at this n
         };
         let doc = routing_core::bench_record::render_serving_json(std::slice::from_ref(&serving));
-        std::fs::write(&out, doc).expect("write serving record");
+        routing_core::bench_record::write_merged(&out, &doc).expect("write serving record");
         println!("serving record written to {out}");
     }
 

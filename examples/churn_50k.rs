@@ -199,7 +199,7 @@ fn main() {
         };
         let record = EvaluationRecord::collect(n, k, &row);
         let doc = routing_core::bench_record::render_evaluation_json(std::slice::from_ref(&record));
-        std::fs::write(&out, doc).expect("write evaluation record");
+        routing_core::bench_record::write_merged(&out, &doc).expect("write evaluation record");
         println!("evaluation record written to {out}");
     }
 
