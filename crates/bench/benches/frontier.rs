@@ -23,7 +23,7 @@ fn frontier(c: &mut Criterion) {
         Box::new(HierarchicalScheme::build(g.clone(), k, 14)),
         Box::new(LandmarkChaining::build_with_matrix(g.clone(), &d, k, 14)),
         Box::new(TzLabeled::build_with_matrix(g.clone(), &d, k, 14)),
-        Box::new(Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(k, 14))),
+        Box::new(Scheme::build_on_demand(g.clone(), SchemeParams::new(k, 14))),
     ];
     let mut group = c.benchmark_group("frontier/route");
     for r in &routers {

@@ -3,7 +3,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graphkit::gen;
-use graphkit::metrics::apsp;
 use routing_core::{Scheme, SchemeParams};
 
 fn build_vs_aspect_ratio(c: &mut Criterion) {
@@ -11,14 +10,9 @@ fn build_vs_aspect_ratio(c: &mut Criterion) {
     group.sample_size(10);
     for e in [4u32, 20, 40] {
         let g = gen::exponential_ring(64, e);
-        let d = apsp(&g);
         group.bench_with_input(BenchmarkId::from_parameter(format!("logdelta{e}")), &e, |b, _| {
             b.iter(|| {
-                std::hint::black_box(Scheme::build_with_matrix(
-                    g.clone(),
-                    &d,
-                    SchemeParams::new(2, 8),
-                ))
+                std::hint::black_box(Scheme::build_on_demand(g.clone(), SchemeParams::new(2, 8)))
             });
         });
     }

@@ -3,7 +3,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graphkit::gen::Family;
-use graphkit::metrics::apsp;
 use routing_core::{Scheme, SchemeParams};
 use sim::{pairs, Router};
 
@@ -11,8 +10,7 @@ fn route_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("theorem1/route");
     for k in [2usize, 3, 4] {
         let g = Family::Geometric.generate(256, 42);
-        let d = apsp(&g);
-        let scheme = Scheme::build_with_matrix(g, &d, SchemeParams::new(k, 42));
+        let scheme = Scheme::build_on_demand(g, SchemeParams::new(k, 42));
         let workload = pairs::sample(256, 512, 7);
         group.bench_with_input(BenchmarkId::from_parameter(format!("k{k}")), &k, |b, _| {
             let mut i = 0;
@@ -31,14 +29,9 @@ fn build_time(c: &mut Criterion) {
     group.sample_size(10);
     for n in [128usize, 256] {
         let g = Family::Geometric.generate(n, 43);
-        let d = apsp(&g);
         group.bench_with_input(BenchmarkId::from_parameter(format!("n{n}")), &n, |b, _| {
             b.iter(|| {
-                std::hint::black_box(Scheme::build_with_matrix(
-                    g.clone(),
-                    &d,
-                    SchemeParams::new(3, 43),
-                ))
+                std::hint::black_box(Scheme::build_on_demand(g.clone(), SchemeParams::new(3, 43)))
             });
         });
     }

@@ -2,29 +2,26 @@
 //!
 //! ```text
 //! experiments [--quick] [--pairs-sampled N] [--threads T]
-//!             [--truth dense|ondemand] [--construction dense|ondemand]
-//!             [--spill] [--per-node-budgets] [ids…|all]
+//!             [--truth dense|ondemand] [--spill] [--per-node-budgets]
+//!             [ids…|all]
 //! ```
 //!
 //! Without ids, prints the registry. `--quick` shrinks instance sizes
 //! (the mode the integration tests run). `--pairs-sampled` overrides
 //! the evaluation workload budget, `--threads` the evaluation/prefetch
 //! worker count (0 = auto), `--truth` selects the ground-truth engine
-//! (the dense Θ(n²) matrix or on-demand Dijkstra), and
-//! `--construction` picks the `sc` experiment's scheme preprocessing
-//! (matrix-free by default; `dense` is the APSP-backed parity build).
-//! `--spill` streams the `sc` builds' center trees to disk and
-//! `--per-node-budgets` switches them to instance-tuned per-node S
-//! budgets. Tables are bit-identical across `--threads`, `--truth`,
-//! `--construction`, and `--spill` settings.
+//! (the dense Θ(n²) matrix or on-demand Dijkstra). `--spill` streams
+//! the `sc` builds' center trees to disk and `--per-node-budgets`
+//! switches them to instance-tuned per-node S budgets. Tables are
+//! bit-identical across `--threads`, `--truth`, and `--spill`
+//! settings.
 
-use routing_bench::{ConstructionKind, RunConfig, TruthKind};
+use routing_bench::{RunConfig, TruthKind};
 
 fn usage(registry: &[(&str, &str, routing_bench::Runner)]) -> ! {
     eprintln!(
         "usage: experiments [--quick] [--pairs-sampled N] [--threads T] \
-         [--truth dense|ondemand] [--construction dense|ondemand] \
-         [--spill] [--per-node-budgets] [ids…|all]\n\n\
+         [--truth dense|ondemand] [--spill] [--per-node-budgets] [ids…|all]\n\n\
          available experiments:"
     );
     for (id, desc, _) in registry {
@@ -63,14 +60,6 @@ fn main() {
                 Some("ondemand") => cfg.truth = TruthKind::OnDemand,
                 _ => {
                     eprintln!("--truth must be 'dense' or 'ondemand'");
-                    usage(&registry);
-                }
-            },
-            "--construction" => match it.next().as_deref() {
-                Some("dense") => cfg.construction = ConstructionKind::Dense,
-                Some("ondemand") => cfg.construction = ConstructionKind::OnDemand,
-                _ => {
-                    eprintln!("--construction must be 'dense' or 'ondemand'");
                     usage(&registry);
                 }
             },

@@ -25,7 +25,7 @@ use treeroute::labeled::{LabeledRead, LabeledTree};
 use treeroute::laing::{ErrorReportingTree, ErtRead, SearchOutcome};
 
 use crate::table::{bits, bitsf, f, Table};
-use crate::{ConstructionKind, RunConfig, TruthKind};
+use crate::{RunConfig, TruthKind};
 
 fn spanning_tree(g: &Graph, root: NodeId) -> Tree {
     let sp = dijkstra::dijkstra(g, root);
@@ -46,11 +46,11 @@ fn pair_workload(n: usize, cfg: &RunConfig, quick: bool) -> Vec<(NodeId, NodeId)
 /// bit-identical across thread counts and truth kinds, so tables don't
 /// depend on the flags — only wall clock and memory do.
 ///
-/// Note the classic experiments still compute a dense matrix for
-/// *scheme construction*, so `--truth ondemand` here exercises the
-/// lazy engine for parity rather than saving memory (and pays a fresh
-/// prefetch per call); the `sc` experiment is the genuinely
-/// matrix-free path.
+/// Note the classic experiments still compute a dense matrix (for the
+/// matrix-built baselines and the stretch references), so
+/// `--truth ondemand` here exercises the lazy engine for parity rather
+/// than saving memory (and pays a fresh prefetch per call); the `sc`
+/// experiment is the genuinely matrix-free path.
 fn eval(
     cfg: &RunConfig,
     g: &Graph,
@@ -122,7 +122,7 @@ pub fn t1(cfg: &RunConfig) -> String {
                 if k == 2 && n > 512 {
                     continue; // k=2 S-budgets scale with n^{2/2}=n; cap the sweep
                 }
-                let scheme = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(k, 77));
+                let scheme = Scheme::build_on_demand(g.clone(), SchemeParams::new(k, 77));
                 let stats = eval(cfg, &g, &d, &scheme, &pair_workload(g.n(), cfg, quick));
                 let audit = StorageAudit::collect(&scheme, g.n());
                 t.row(vec![
@@ -168,8 +168,7 @@ pub fn t2(cfg: &RunConfig) -> String {
     );
     for &fam in &[Family::ErdosRenyi, Family::Geometric, Family::ExpRing] {
         let g = fam.generate(n, 2000);
-        let d = apsp(&g);
-        let scheme = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(k, 78));
+        let scheme = Scheme::build_on_demand(g.clone(), SchemeParams::new(k, 78));
         let mut plans = 0u64;
         let mut lmk = 0u64;
         let mut cov = 0u64;
@@ -254,8 +253,7 @@ pub fn f2(cfg: &RunConfig) -> String {
     for &fam in &[Family::Geometric, Family::Ring, Family::ExpRing, Family::ExpTree] {
         for k in [2usize, 3] {
             let g = fam.generate(n, 4000);
-            let d = apsp(&g);
-            let scheme = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(k, 79));
+            let scheme = Scheme::build_on_demand(g.clone(), SchemeParams::new(k, 79));
             let st = scheme.stats();
             t.row(vec![
                 fam.label().into(),
@@ -605,7 +603,7 @@ pub fn sf(cfg: &RunConfig) -> String {
     for &e in exps {
         let g = if e <= 6 { gen::ring(n, 1) } else { gen::exponential_ring(n, e) };
         let d = apsp(&g);
-        let scheme = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(k, 100));
+        let scheme = Scheme::build_on_demand(g.clone(), SchemeParams::new(k, 100));
         let hier = baselines::HierarchicalScheme::build(g.clone(), k, 100);
         let workload = pair_workload(n, cfg, true);
         let ss = eval(cfg, &g, &d, &scheme, &workload);
@@ -654,7 +652,7 @@ pub fn x1(cfg: &RunConfig) -> String {
     let workload = pair_workload(n, cfg, quick);
     let ks: &[usize] = if quick { &[2, 3, 4] } else { &[2, 3, 4, 5, 6] };
     for &k in ks {
-        let scheme = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(k, 101));
+        let scheme = Scheme::build_on_demand(g.clone(), SchemeParams::new(k, 101));
         let chain = baselines::LandmarkChaining::build_with_matrix(g.clone(), &d, k, 101);
         let ss = eval(cfg, &g, &d, &scheme, &workload);
         let cs = eval(cfg, &g, &d, &chain, &workload);
@@ -701,10 +699,7 @@ pub fn x2(cfg: &RunConfig) -> String {
             Box::new(baselines::LandmarkChaining::build_with_matrix(g.clone(), &d, k, 102)),
         ),
         ("labeled", Box::new(baselines::TzLabeled::build_with_matrix(g.clone(), &d, k, 102))),
-        (
-            "name-indep",
-            Box::new(Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(k, 102))),
-        ),
+        ("name-indep", Box::new(Scheme::build_on_demand(g.clone(), SchemeParams::new(k, 102)))),
     ];
     for (model, r) in routers {
         let stats = eval(cfg, &g, &d, r.as_ref(), &workload);
@@ -748,7 +743,7 @@ pub fn a1(cfg: &RunConfig) -> String {
         ] {
             let mut params = SchemeParams::new(k, 103);
             params.force_mode = mode;
-            let scheme = Scheme::build_with_matrix(g.clone(), &d, params);
+            let scheme = Scheme::build_on_demand(g.clone(), params);
             let stats = eval_lenient(cfg, &g, &d, &scheme, &workload);
             let audit = StorageAudit::collect(&scheme, g.n());
             let delivered = 100.0 * (stats.pairs - stats.failures) as f64 / stats.pairs as f64;
@@ -839,27 +834,19 @@ pub fn dx(cfg: &RunConfig) -> String {
 // ---------------------------------------------------------------------
 
 /// Theorem-1 numbers at sizes where the dense matrix is unaffordable:
-/// the AGM `Scheme` itself is preprocessed matrix-free
-/// (`--construction ondemand`, the default) on a scale-free
+/// the AGM `Scheme` itself is preprocessed matrix-free on a scale-free
 /// (heavy-tailed, Δ ≈ 2^30) workload, routed, and measured against
 /// on-demand ground truth, next to the landmark-chaining baseline.
 /// Honors `--pairs-sampled`, `--threads`, `--spill`, and
-/// `--per-node-budgets`; `--construction dense` swaps in the
-/// APSP-backed parity build (use with `--quick` — it *is* the n²
-/// wall). Each AGM build also emits a machine-readable datapoint; the
-/// collected records are merged into `BENCH_construction.json`, keeping
-/// rows at other `(n, k)` (path override: `BENCH_CONSTRUCTION_OUT`).
+/// `--per-node-budgets`. Each AGM build also emits a machine-readable
+/// datapoint; the collected records are merged into
+/// `BENCH_construction.json`, keeping rows at other `(n, k)` (path
+/// override: `BENCH_CONSTRUCTION_OUT`).
 pub fn sc(cfg: &RunConfig) -> String {
     let sizes: &[usize] = if cfg.quick { &[2_000, 5_000] } else { &[10_000, 50_000] };
     let k = 2;
     let mut t = Table::new(
-        format!(
-            "SC — Theorem-1 construction & evaluation beyond the n² wall (pref-attach, k={k}, {} construction)",
-            match cfg.construction {
-                ConstructionKind::OnDemand => "on-demand",
-                ConstructionKind::Dense => "dense",
-            }
-        ),
+        format!("SC — Theorem-1 construction & evaluation beyond the n² wall (pref-attach, k={k})"),
         &[
             "scheme",
             "n",
@@ -894,13 +881,7 @@ pub fn sc(cfg: &RunConfig) -> String {
         }
         let routers: Vec<(&str, Box<dyn Router + Sync>, f64)> = {
             let t0 = std::time::Instant::now();
-            let scheme = match cfg.construction {
-                ConstructionKind::OnDemand => Scheme::build_on_demand(g.clone(), params),
-                ConstructionKind::Dense => {
-                    let d = apsp(&g);
-                    Scheme::build_with_matrix(g.clone(), &d, params)
-                }
-            };
+            let scheme = Scheme::build_on_demand(g.clone(), params);
             let scheme_s = t0.elapsed().as_secs_f64();
             records.push(ConstructionRecord::collect(n, k, cfg.threads, scheme_s, scheme.stats()));
             let scheme: Box<dyn Router + Sync> = Box::new(scheme);

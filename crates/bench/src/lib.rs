@@ -25,24 +25,9 @@ pub enum TruthKind {
     OnDemand,
 }
 
-/// How the AGM `Scheme` is preprocessed in the scaling experiment
-/// (`--construction`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ConstructionKind {
-    /// `Scheme::build_on_demand`: bounded Dijkstras + landmark
-    /// columns, no n×n anywhere — the only affordable option at the
-    /// `sc` sizes, and the default there.
-    #[default]
-    OnDemand,
-    /// `Scheme::build_with_matrix` over a fresh APSP — the parity
-    /// oracle; use with `--quick` (it is exactly the n² wall the
-    /// on-demand path removes).
-    Dense,
-}
-
 /// Knobs shared by every experiment runner — the CLI surface of the
 /// `experiments` binary (`--quick`, `--pairs-sampled`, `--threads`,
-/// `--truth`, `--construction`).
+/// `--truth`, `--spill`, `--per-node-budgets`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RunConfig {
     /// Shrink instance sizes (the mode the integration tests run).
@@ -54,8 +39,6 @@ pub struct RunConfig {
     pub threads: usize,
     /// Ground-truth engine for stretch evaluation.
     pub truth: TruthKind,
-    /// Scheme preprocessing engine for the `sc` scaling experiment.
-    pub construction: ConstructionKind,
     /// Stream center trees to the spill file during the `sc` builds
     /// (`--spill`).
     pub spill: bool,

@@ -73,7 +73,7 @@ impl DirectedScheme {
                 max_distortion = max_distortion.max(ratio);
             }
         }
-        let inner = Scheme::build_with_matrix(h, &dh, params);
+        let inner = Scheme::build_on_demand(h, params);
         let next = (0..n as u32).map(|u| dg.next_hops(NodeId(u))).collect();
         DirectedScheme { dg, inner, next, rt, max_distortion }
     }

@@ -23,7 +23,7 @@
 //! use sim::Router;
 //!
 //! let g = Family::Geometric.generate(200, 7);
-//! let scheme = Scheme::build(g, SchemeParams::new(3, 42));
+//! let scheme = Scheme::build_on_demand(g, SchemeParams::new(3, 42));
 //! let trace = scheme.route(graphkit::NodeId(0), graphkit::NodeId(123));
 //! assert!(trace.delivered);
 //! ```
@@ -43,9 +43,7 @@ mod s_requirement_oracle;
 pub use bench_record::{ConstructionRecord, EvaluationRecord, ServingRecord};
 pub use directed::{validate_directed_trace, DirectedScheme};
 pub use repair::{DeferReason, RebuildReason, RepairOutcome, RepairReport};
-pub use scheme::{
-    BuildStats, ForceMode, HierarchySource, SBudgetMode, Scheme, SchemeParams, StorageBreakdown,
-};
+pub use scheme::{BuildStats, ForceMode, SBudgetMode, Scheme, SchemeParams, StorageBreakdown};
 pub use serve::{serve_batch, ServeReport};
 
 #[cfg(test)]
@@ -60,7 +58,7 @@ mod tests {
     fn full_check(fam: Family, n: usize, k: usize, seed: u64) -> sim::StretchStats {
         let g = fam.generate(n, seed);
         let d = apsp(&g);
-        let scheme = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(k, seed));
+        let scheme = Scheme::build_on_demand(g.clone(), SchemeParams::new(k, seed));
         assert_eq!(
             scheme.stats().lemma3_violations,
             0,
@@ -138,7 +136,7 @@ mod tests {
     #[test]
     fn self_route_is_trivial() {
         let g = Family::Grid.generate(49, 10);
-        let scheme = Scheme::build(g.clone(), SchemeParams::new(2, 10));
+        let scheme = Scheme::build_on_demand(g.clone(), SchemeParams::new(2, 10));
         let t = scheme.route(NodeId(5), NodeId(5));
         assert!(t.delivered);
         assert_eq!(t.cost, 0);
@@ -148,8 +146,7 @@ mod tests {
     #[test]
     fn traces_are_physical_walks() {
         let g = Family::PrefAttach.generate(90, 11);
-        let d = apsp(&g);
-        let scheme = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(3, 11));
+        let scheme = Scheme::build_on_demand(g.clone(), SchemeParams::new(3, 11));
         for &(s, t) in pairs::sample(g.n(), 200, 12).iter() {
             let trace = scheme.route(s, t);
             validate_trace(&g, s, t, &trace).expect("invalid trace");
@@ -159,8 +156,7 @@ mod tests {
     #[test]
     fn storage_accounted_and_bounded() {
         let g = Family::Geometric.generate(150, 13);
-        let d = apsp(&g);
-        let scheme = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(3, 13));
+        let scheme = Scheme::build_on_demand(g.clone(), SchemeParams::new(3, 13));
         let audit = StorageAudit::collect(&scheme, g.n());
         assert!(audit.max_bits() > 0);
         // Theorem 1 bound (Lemma 11 exponent form) with constant 64.
@@ -178,7 +174,7 @@ mod tests {
         // with sim::evaluate, with dense and on-demand truth alike.
         let g = Family::Geometric.generate(110, 21);
         let d = apsp(&g);
-        let scheme = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(2, 21));
+        let scheme = Scheme::build_on_demand(g.clone(), SchemeParams::new(2, 21));
         let workload = pairs::sample(g.n(), 400, 22);
         let seq = evaluate(&g, &d, &scheme, &workload);
         let mut truth = graphkit::OnDemandTruth::new(&g);
@@ -197,9 +193,8 @@ mod tests {
     #[test]
     fn deterministic_in_seed() {
         let g = Family::ErdosRenyi.generate(80, 14);
-        let d = apsp(&g);
-        let a = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(2, 99));
-        let b = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(2, 99));
+        let a = Scheme::build_on_demand(g.clone(), SchemeParams::new(2, 99));
+        let b = Scheme::build_on_demand(g.clone(), SchemeParams::new(2, 99));
         for &(s, t) in pairs::sample(g.n(), 100, 15).iter() {
             assert_eq!(a.route(s, t), b.route(s, t));
         }
@@ -208,8 +203,7 @@ mod tests {
     #[test]
     fn build_stats_populated() {
         let g = Family::Geometric.generate(100, 16);
-        let d = apsp(&g);
-        let scheme = Scheme::build_with_matrix(g, &d, SchemeParams::new(3, 16));
+        let scheme = Scheme::build_on_demand(g, SchemeParams::new(3, 16));
         let st = scheme.stats();
         assert!(st.num_center_trees > 0, "no landmark trees built");
         assert_eq!(st.s_budgets.len(), 3);
@@ -220,41 +214,7 @@ mod tests {
     #[should_panic(expected = "connected")]
     fn rejects_disconnected_graphs() {
         let g = graphkit::graph_from_edges(4, &[(0, 1, 1), (2, 3, 1)]);
-        Scheme::build(g, SchemeParams::new(2, 17));
-    }
-}
-
-#[cfg(test)]
-mod greedy_tests {
-    use super::*;
-    use graphkit::gen::Family;
-    use graphkit::metrics::apsp;
-    use sim::{evaluate, pairs, Router};
-
-    #[test]
-    fn greedy_landmarks_route_correctly() {
-        // The deterministic construction must be a drop-in replacement.
-        let g = Family::Geometric.generate(80, 0x61);
-        let d = apsp(&g);
-        let scheme = Scheme::build_with_matrix(
-            g.clone(),
-            &d,
-            SchemeParams::new(2, 0x61).with_greedy_landmarks(),
-        );
-        let stats = evaluate(&g, &d, &scheme, &pairs::all(g.n()));
-        assert_eq!(stats.failures, 0);
-        assert!(stats.max_stretch <= 24.0);
-        // Determinism: rebuilding with any seed gives identical routes
-        // (the hierarchy no longer depends on the seed; tree hashes do,
-        // so fix the seed and vary only the hierarchy source).
-        let again = Scheme::build_with_matrix(
-            g.clone(),
-            &d,
-            SchemeParams::new(2, 0x61).with_greedy_landmarks(),
-        );
-        for &(s, t) in pairs::sample(g.n(), 50, 1).iter() {
-            assert_eq!(scheme.route(s, t), again.route(s, t));
-        }
+        Scheme::build_on_demand(g, SchemeParams::new(2, 17));
     }
 }
 
@@ -262,7 +222,6 @@ mod greedy_tests {
 mod header_tests {
     use super::*;
     use graphkit::gen::Family;
-    use graphkit::metrics::apsp;
 
     #[test]
     fn headers_are_polylog() {
@@ -271,8 +230,7 @@ mod header_tests {
         for fam in [Family::Geometric, Family::ExpRing] {
             for (n, k) in [(100usize, 2usize), (200, 3)] {
                 let g = fam.generate(n, 0x4d);
-                let d = apsp(&g);
-                let scheme = Scheme::build_with_matrix(g, &d, SchemeParams::new(k, 0x4d));
+                let scheme = Scheme::build_on_demand(g, SchemeParams::new(k, 0x4d));
                 let logn = (n as f64).log2();
                 let bound = (8.0 * logn * logn) as u64;
                 let got = scheme.header_bits_bound();

@@ -43,10 +43,9 @@
 //!
 //! Repair declines in a few documented situations instead of risking
 //! a wrong patch: a scheme without retained
-//! [`crate::SchemeParams::repairable`] state, a greedy (matrix-bound)
-//! hierarchy, or a delta batch after which the seeded hierarchy
-//! re-verification picks a different landmark set — each falls back
-//! to a full rebuild and says so. A batch that leaves the graph
+//! [`crate::SchemeParams::repairable`] state, or a delta batch after
+//! which the seeded hierarchy re-verification picks a different
+//! landmark set — each falls back to a full rebuild and says so. A batch that leaves the graph
 //! disconnected is *deferred*: the scheme is left untouched (stale),
 //! and the caller accumulates deltas until connectivity returns —
 //! `core::churn` leans on this for node-leave/join epochs.
@@ -60,8 +59,8 @@ use landmarks::LandmarkHierarchy;
 
 use crate::center_store::{CenterStore, SpillWriter};
 use crate::scheme::{
-    build_center_trees, build_scale_cover, index_and_bits, set_plan_fills, BuildSource,
-    HierarchySource, PhaseClock, Prepared, RepairState, ScaleCover, Scheme, TreeBatch,
+    build_center_trees, build_scale_cover, index_and_bits, set_plan_fills, PhaseClock, Prepared,
+    RepairState, ScaleCover, Scheme, TreeBatch,
 };
 
 /// Why repair declined to patch and rebuilt the scheme from scratch.
@@ -72,9 +71,6 @@ pub enum RebuildReason {
     /// never serializes it). The rebuild turns `repairable` on, so
     /// subsequent repairs are incremental.
     NotPrepared,
-    /// Greedy hierarchies are matrix-bound; the matrix-free repair
-    /// machinery cannot reproduce them incrementally.
-    GreedyHierarchy,
     /// Re-verifying the seeded landmark hierarchy on the mutated graph
     /// selected a different landmark set (a different sampling attempt
     /// passed Claims 1–2), so every center assignment is suspect and
@@ -172,13 +168,6 @@ impl Scheme {
         // can be incremental.
         let mut params = self.params;
         params.repairable = true;
-        if self.params.hierarchy == HierarchySource::Greedy {
-            *self = Scheme::build(g2, params);
-            return RepairOutcome::RebuiltFull {
-                reason: RebuildReason::GreedyHierarchy,
-                seconds: t0.elapsed().as_secs_f64(),
-            };
-        }
         if self.repair_state.is_none() {
             *self = Scheme::build_on_demand(g2, params);
             return RepairOutcome::RebuiltFull {
@@ -207,11 +196,10 @@ impl Scheme {
             };
         }
         let impact = delta_impact(&self.g, &g2, deltas);
-        let scopes2 = Scheme::on_demand_scopes(&g2, &dec2, &params, n);
-        let src = BuildSource::OnDemand { ld: ld2 };
+        let scopes2 = Scheme::on_demand_scopes(&g2, &dec2, &params);
         let mut clock = PhaseClock::start();
         let Prepared { mut plans, centers, members, s_budgets } =
-            Scheme::prepare(&g2, &params, &dec2, &hier2, &src, &scopes2, &mut clock);
+            Scheme::prepare(&g2, &params, &dec2, &hier2, &ld2, &scopes2, &mut clock);
 
         // ---- center-tree reuse classification ------------------------
         // Checked at entry; kept as a non-panicking guard so a logic
@@ -255,16 +243,11 @@ impl Scheme {
         let trees_reused = centers.len() - trees_rebuilt;
 
         // ---- rebuild invalidated trees; splice the store -------------
-        // Repair always runs the bounded (matrix-free) tree pipeline;
-        // for dense-built schemes this is bit-identical output (the
-        // bounded run settles every member exactly as the full run's
-        // ≤-radius prefix does — the same dense ≡ on-demand invariant
-        // tests/proptest_on_demand.rs asserts for whole builds).
         // Spill-file creation failing (tmpdir full or unwritable)
         // degrades to the resident store: higher peak memory, same
         // routing.
         let spill = params.spill.then(SpillWriter::create).and_then(Result::ok);
-        let batch = build_center_trees(&g2, &params, &jobs, true, spill.as_ref());
+        let batch = build_center_trees(&g2, &params, &jobs, spill.as_ref());
         drop(jobs);
         let TreeBatch { records, bix: mut bix2, lm_bits: batch_bits, labels: batch_labels } = batch;
 

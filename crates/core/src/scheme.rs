@@ -14,8 +14,8 @@ use decomposition::Decomposition;
 use graphkit::bits::{bits_for_node, bits_for_universe};
 use graphkit::ids::octave_radius;
 use graphkit::{
-    apsp, dijkstra, induced_subgraph, Cost, DijkstraScratch, DistMatrix, Graph, NodeId, Tree,
-    TreeIx, TreeScratch, INFINITY,
+    dijkstra, induced_subgraph, Cost, DijkstraScratch, Graph, NodeId, Tree, TreeIx, TreeScratch,
+    INFINITY,
 };
 use landmarks::{LandmarkDistances, LandmarkHierarchy};
 use sim::{GroundTruth, RouteTrace, Router, StretchStats};
@@ -37,20 +37,6 @@ pub enum ForceMode {
     AllDense,
 }
 
-/// How the landmark hierarchy is constructed.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum HierarchySource {
-    /// Randomized sampling with per-instance Claims 1–2 verification
-    /// and re-seeding (§2.3's construction, the default).
-    #[default]
-    SampledVerified,
-    /// The deterministic greedy hitting-set construction
-    /// ([`landmarks::greedy_hierarchy`]) — the effective counterpart of
-    /// the paper's derandomization remark. Slower to build; use on
-    /// moderate n.
-    Greedy,
-}
-
 /// How the instance-tuned S-set budgets are resolved (see DESIGN.md).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SBudgetMode {
@@ -62,11 +48,6 @@ pub enum SBudgetMode {
     /// membership constraints require — strictly smaller S sets (and
     /// landmark trees) wherever requirements are skewed.
     PerNode,
-    /// Compute per-node requirements, then flatten each level to its
-    /// max over nodes — by construction identical to
-    /// [`SBudgetMode::Global`] (the parity special case that
-    /// `tests/budget_parity.rs` asserts end to end).
-    PerNodeUniform,
 }
 
 /// Construction parameters.
@@ -83,8 +64,6 @@ pub struct SchemeParams {
     pub s_margin: usize,
     /// Ablation override (None = the paper's decomposition).
     pub force_mode: Option<ForceMode>,
-    /// Landmark construction: randomized-verified or deterministic.
-    pub hierarchy: HierarchySource,
     /// Global or per-node S-set budgets.
     pub s_budget_mode: SBudgetMode,
     /// Stream completed center trees to an unlinked temp file instead
@@ -112,7 +91,6 @@ impl SchemeParams {
             landmark_attempts: 16,
             s_margin: 2,
             force_mode: None,
-            hierarchy: HierarchySource::default(),
             s_budget_mode: SBudgetMode::default(),
             spill: false,
             repairable: false,
@@ -122,12 +100,6 @@ impl SchemeParams {
     /// Builder-style ablation switch.
     pub fn with_force_mode(mut self, mode: ForceMode) -> Self {
         self.force_mode = Some(mode);
-        self
-    }
-
-    /// Builder-style deterministic-landmark switch.
-    pub fn with_greedy_landmarks(mut self) -> Self {
-        self.hierarchy = HierarchySource::Greedy;
         self
     }
 
@@ -306,92 +278,15 @@ pub(crate) struct RepairState {
 
 /// How a sparse level's region `E(u, i)` is enumerated during
 /// construction.
+#[derive(Debug, PartialEq)]
 pub(crate) enum EScope {
     /// `a(u,i+1)` hit the `⌈log₂Δ⌉+3` cap, so `E(u,i) = V` exactly
     /// (see [`Decomposition::e_is_global`]); loops over it collapse
     /// to per-center aggregates instead of Θ(n) enumerations.
     Global,
-    /// Explicit members as `(v, d(u,v))`, from a dense row or a
+    /// Explicit members as `(v, d(u,v))`, id-ascending, from a
     /// radius-bounded Dijkstra.
     Local(Vec<(u32, Cost)>),
-}
-
-/// Where preprocessing reads distances from: the dense matrix (small
-/// n, exact parity oracle) or the matrix-free sources — landmark
-/// columns plus per-node bounded Dijkstras.
-pub(crate) enum BuildSource<'a> {
-    Dense {
-        d: &'a DistMatrix,
-        /// `sorted[v][l]` = `C_l` as `(d(v,·), id)`, sorted — the
-        /// position oracle for S budgets and S membership.
-        sorted: Vec<Vec<Vec<(Cost, u32)>>>,
-    },
-    OnDemand {
-        ld: LandmarkDistances,
-    },
-}
-
-impl<'a> BuildSource<'a> {
-    /// The dense source: every node's `C_l` lists sorted by
-    /// `(d(v,·), id)`, straight from the matrix rows.
-    pub(crate) fn dense(d: &'a DistMatrix, hier: &LandmarkHierarchy, k: usize) -> Self {
-        // merge: per-node lists, flattened in chunk (= node id) order.
-        let sorted = graphkit::metrics::par_chunks(d.n(), |nodes| {
-            nodes
-                .map(|v| {
-                    let row = d.row(NodeId(v as u32));
-                    (0..k)
-                        .map(|l| {
-                            let mut m: Vec<(Cost, u32)> =
-                                hier.level(l).iter().map(|&c| (row[c as usize], c)).collect();
-                            m.sort_unstable();
-                            m
-                        })
-                        .collect()
-                })
-                .collect::<Vec<Vec<Vec<(Cost, u32)>>>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-        BuildSource::Dense { d, sorted }
-    }
-
-    /// The center `c(u, r)` (identical across sources).
-    fn center(&self, hier: &LandmarkHierarchy, u: NodeId, r: Cost) -> u32 {
-        match self {
-            BuildSource::Dense { d, .. } => hier.center(d, u, r).0,
-            BuildSource::OnDemand { ld } => ld.center(u, r).0,
-        }
-    }
-
-    /// `d(v, c)`; on the matrix-free source only for a landmark `c` of
-    /// rank ≥ 1 (those have columns).
-    fn dist(&self, v: u32, c: u32) -> Cost {
-        match self {
-            BuildSource::Dense { d, .. } => d.d(NodeId(v), NodeId(c)),
-            BuildSource::OnDemand { ld } => ld.d(c, NodeId(v)),
-        }
-    }
-
-    /// `d(v, c)` for every node `v`, for a center `c` of rank `l`. The
-    /// matrix-free source has no column for `C_0 = V`, so a rank-0
-    /// center costs one full Dijkstra.
-    fn column(&self, g: &Graph, c: u32, l: usize) -> Vec<Cost> {
-        match self {
-            BuildSource::OnDemand { .. } if l == 0 => dijkstra::dijkstra(g, NodeId(c)).dist,
-            _ => (0..g.n() as u32).map(|v| self.dist(v, c)).collect(),
-        }
-    }
-
-    /// `v`'s `C_l` as `(d(v,·), id)`, sorted; `None` for level 0 on the
-    /// matrix-free source, whose callers run a Dijkstra around `v`.
-    fn list(&self, v: u32, l: usize) -> Option<&[(Cost, u32)]> {
-        match self {
-            BuildSource::Dense { sorted, .. } => Some(&sorted[v as usize][l]),
-            BuildSource::OnDemand { ld } => (l >= 1).then(|| ld.list(NodeId(v), l)),
-        }
-    }
 }
 
 /// All cover trees of one scale `i` (over the subgraph `G_i`).
@@ -470,37 +365,13 @@ pub struct Scheme {
 }
 
 impl Scheme {
-    /// Build the scheme, computing APSP internally.
-    pub fn build(g: Graph, params: SchemeParams) -> Self {
-        let d = apsp(&g);
-        Self::build_with_matrix(g, &d, params)
-    }
-
-    /// Build the scheme reusing a precomputed distance matrix (the
-    /// matrix is used for *preprocessing only*; routing reads only the
-    /// constructed per-node structures).
-    pub fn build_with_matrix(g: Graph, d: &DistMatrix, params: SchemeParams) -> Self {
-        assert!(params.k >= 1);
-        assert!(d.connected(), "the scheme requires a connected graph");
-        let k = params.k;
-        let dec = Decomposition::build(d, k);
-        let hier = match params.hierarchy {
-            HierarchySource::SampledVerified => {
-                LandmarkHierarchy::sample_verified(d, k, params.seed, params.landmark_attempts)
-            }
-            HierarchySource::Greedy => landmarks::greedy_hierarchy(d, k),
-        };
-        let src = BuildSource::dense(d, &hier, k);
-        let scopes = Self::dense_scopes(&g, d, &dec, &params);
-        Self::assemble(g, params, dec, hier, src, scopes)
-    }
-
     /// Build the scheme without ever materializing an n×n matrix — the
     /// Theorem 1 construction at 10⁵+ nodes.
     ///
-    /// Substitutions relative to [`Scheme::build_with_matrix`]
-    /// (documented in DESIGN.md §"Matrix-free construction"; output is
-    /// parity-tested identical):
+    /// Each quantity the paper defines over all-pairs distances comes
+    /// from bounded searches instead (DESIGN.md §"Matrix-free
+    /// construction" names the test that checks each one against its
+    /// dense reference):
     ///
     /// * the decomposition's per-node ranges come from size-capped
     ///   Dijkstras ([`Decomposition::build_on_demand_with_diameter`]),
@@ -516,15 +387,10 @@ impl Scheme {
     /// * level-0 (`C_0 = V`) S-sets and positions come from per-node
     ///   size-capped Dijkstras instead of full sorted rows.
     ///
-    /// Requires the default [`HierarchySource::SampledVerified`] (the
-    /// greedy construction is inherently matrix-bound) and strictly
-    /// positive edge weights (every generator in this workspace).
+    /// Requires `k ≥ 1`, a connected graph, and strictly positive edge
+    /// weights (every generator in this workspace).
     pub fn build_on_demand(g: Graph, params: SchemeParams) -> Self {
         assert!(params.k >= 1);
-        assert!(
-            params.hierarchy == HierarchySource::SampledVerified,
-            "on-demand construction supports the sampled-verified hierarchy only"
-        );
         assert!(
             dijkstra::dijkstra(&g, NodeId(0)).dist.iter().all(|&x| x != INFINITY),
             "the scheme requires a connected graph"
@@ -546,6 +412,11 @@ impl Scheme {
     /// shared with the repair path, which computes those parts itself
     /// on the mutated graph and falls back here when the hierarchy
     /// shape changed.
+    ///
+    /// Runs classification and centers, instance-tuned S budgets,
+    /// center trees with Lemma 4 schemes, `b(u,i)` with Lemma 3
+    /// verification, and cover trees per dense scale; every phase fans
+    /// out over deterministic chunks and merges in chunk order.
     pub(crate) fn build_on_demand_parts(
         g: Graph,
         params: SchemeParams,
@@ -553,113 +424,16 @@ impl Scheme {
         hier: LandmarkHierarchy,
         ld: LandmarkDistances,
     ) -> Self {
-        let scopes = Self::on_demand_scopes(&g, &dec, &params, g.n());
-        Self::assemble(g, params, dec, hier, BuildSource::OnDemand { ld }, scopes)
-    }
-
-    /// Per-(u, i) `E(u,i)` scopes from dense rows (`None` = dense
-    /// level, no sparse region), parallel over node chunks.
-    pub(crate) fn dense_scopes(
-        g: &Graph,
-        d: &DistMatrix,
-        dec: &Decomposition,
-        params: &SchemeParams,
-    ) -> Vec<Vec<Option<EScope>>> {
-        let n = g.n();
-        // merge: per-node scope rows, flattened in chunk (= node id) order.
-        graphkit::metrics::par_chunks(n, |nodes| {
-            nodes
-                .map(|u| {
-                    let u_id = NodeId(u as u32);
-                    let row = d.row(u_id);
-                    (0..params.k)
-                        .map(|i| {
-                            if level_is_dense(dec, u_id, i, params) {
-                                None
-                            } else if dec.e_is_global(u_id, i) {
-                                Some(EScope::Global)
-                            } else {
-                                let radius = dec.e_radius(u_id, i);
-                                Some(EScope::Local(
-                                    row.iter()
-                                        .enumerate()
-                                        .filter(|&(_, &dist)| dist != INFINITY && dist <= radius)
-                                        .map(|(v, &dist)| (v as u32, dist))
-                                        .collect(),
-                                ))
-                            }
-                        })
-                        .collect()
-                })
-                .collect::<Vec<Vec<Option<EScope>>>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    }
-
-    /// Per-(u, i) `E(u,i)` scopes from radius-bounded Dijkstras,
-    /// parallel over node chunks with per-worker scratch.
-    pub(crate) fn on_demand_scopes(
-        g: &Graph,
-        dec: &Decomposition,
-        params: &SchemeParams,
-        n: usize,
-    ) -> Vec<Vec<Option<EScope>>> {
-        // merge: per-node scope rows, flattened in chunk (= node id) order.
-        graphkit::metrics::par_chunks(n, |nodes| {
-            let mut scratch = DijkstraScratch::new(n);
-            nodes
-                .map(|u| {
-                    let u = NodeId(u as u32);
-                    (0..params.k)
-                        .map(|lvl| {
-                            if level_is_dense(dec, u, lvl, params) {
-                                None
-                            } else if dec.e_is_global(u, lvl) {
-                                Some(EScope::Global)
-                            } else {
-                                scratch.run(g, u, dec.e_radius(u, lvl), usize::MAX);
-                                let mut members: Vec<(u32, Cost)> =
-                                    scratch.settled().iter().map(|&(dist, v)| (v, dist)).collect();
-                                members.sort_unstable(); // id order, as the dense rows yield
-                                Some(EScope::Local(members))
-                            }
-                        })
-                        .collect()
-                })
-                .collect::<Vec<Vec<Option<EScope>>>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    }
-
-    /// The shared construction skeleton: classification and centers,
-    /// instance-tuned S budgets, center trees with Lemma 4 schemes,
-    /// `b(u,i)` with Lemma 3 verification, and cover trees per dense
-    /// scale. Every distance it consumes flows through `src` and the
-    /// precomputed `scopes`, so the dense and matrix-free paths are
-    /// the same algorithm over different storage; every phase fans out
-    /// over deterministic chunks and merges in chunk order.
-    fn assemble(
-        g: Graph,
-        params: SchemeParams,
-        dec: Decomposition,
-        hier: LandmarkHierarchy,
-        src: BuildSource<'_>,
-        scopes: Vec<Vec<Option<EScope>>>,
-    ) -> Self {
+        let scopes = Self::on_demand_scopes(&g, &dec, &params);
         let n = g.n();
         let k = params.k;
         let mut stats = BuildStats::default();
         let mut clock = PhaseClock::start();
         let Prepared { mut plans, centers, members, s_budgets } =
-            Self::prepare(&g, &params, &dec, &hier, &src, &scopes, &mut clock);
+            Self::prepare(&g, &params, &dec, &hier, &ld, &scopes, &mut clock);
         stats.s_budgets = s_budgets;
 
         // ---- fused per-center pipeline -------------------------------
-        let bounded = matches!(src, BuildSource::OnDemand { .. });
         // Spill-file creation failing (tmpdir full or unwritable)
         // degrades to the resident store: higher peak memory, same
         // routing.
@@ -667,7 +441,7 @@ impl Scheme {
         let jobs: Vec<(u32, &[(u32, Cost)])> =
             centers.iter().enumerate().map(|(ci, &c)| (c, members.members(ci))).collect();
         let TreeBatch { records, bix, lm_bits: landmark_bits, labels } =
-            build_center_trees(&g, &params, &jobs, bounded, spill.as_ref());
+            build_center_trees(&g, &params, &jobs, spill.as_ref());
         drop(jobs);
         let max_center_label_bits = labels.iter().map(|&(_, l)| l).max().unwrap_or(0);
         let center_store = match spill {
@@ -743,9 +517,46 @@ impl Scheme {
         }
     }
 
+    /// Per-(u, i) `E(u,i)` scopes from radius-bounded Dijkstras,
+    /// parallel over node chunks with per-worker scratch.
+    pub(crate) fn on_demand_scopes(
+        g: &Graph,
+        dec: &Decomposition,
+        params: &SchemeParams,
+    ) -> Vec<Vec<Option<EScope>>> {
+        let n = g.n();
+        // merge: per-node scope rows, flattened in chunk (= node id) order.
+        graphkit::metrics::par_chunks(n, |nodes| {
+            let mut scratch = DijkstraScratch::new(n);
+            nodes
+                .map(|u| {
+                    let u = NodeId(u as u32);
+                    (0..params.k)
+                        .map(|lvl| {
+                            if level_is_dense(dec, u, lvl, params) {
+                                None
+                            } else if dec.e_is_global(u, lvl) {
+                                Some(EScope::Global)
+                            } else {
+                                scratch.run(g, u, dec.e_radius(u, lvl), usize::MAX);
+                                let mut members: Vec<(u32, Cost)> =
+                                    scratch.settled().iter().map(|&(dist, v)| (v, dist)).collect();
+                                members.sort_unstable(); // id order
+                                Some(EScope::Local(members))
+                            }
+                        })
+                        .collect()
+                })
+                .collect::<Vec<Vec<Option<EScope>>>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect()
+    }
+
     /// Construction phases 1–3 — per-(u, i) classification and centers,
     /// instance-tuned S budgets, and center-tree membership — shared
-    /// verbatim between [`Scheme::assemble`] and [`Scheme::repair`]
+    /// verbatim between [`Scheme::build_on_demand`] and [`Scheme::repair`]
     /// (which runs them against the mutated graph; their cost is a few
     /// percent of a full build, so repair recomputes rather than
     /// patches them — see DESIGN.md §"Churn & incremental repair").
@@ -754,7 +565,7 @@ impl Scheme {
         params: &SchemeParams,
         dec: &Decomposition,
         hier: &LandmarkHierarchy,
-        src: &BuildSource<'_>,
+        ld: &LandmarkDistances,
         scopes: &[Vec<Option<EScope>>],
         clock: &mut PhaseClock,
     ) -> Prepared {
@@ -773,7 +584,7 @@ impl Scheme {
                             let center = if dense {
                                 u32::MAX
                             } else {
-                                src.center(hier, u_id, dec.ball_radius(u_id, i))
+                                ld.center(u_id, dec.ball_radius(u_id, i)).0
                             };
                             LevelPlan { dense, a, center, b: 1, src_ix: u32::MAX }
                         })
@@ -787,7 +598,7 @@ impl Scheme {
 
         clock.lap("plans", String::new());
         // ---- instance-tuned S budgets (see DESIGN.md) ----------------
-        let raw = Self::s_requirements(g, params, hier, src, &plans, scopes);
+        let raw = Self::s_requirements(g, params, hier, ld, &plans, scopes);
         // Never exceed the paper's budget (it is the proven bound);
         // every budget is at least 1 (a node is its own closest C_0
         // member).
@@ -798,7 +609,7 @@ impl Scheme {
             })
             .collect();
         let budgets = match params.s_budget_mode {
-            SBudgetMode::Global | SBudgetMode::PerNodeUniform => Budgets::Global(level_max.clone()),
+            SBudgetMode::Global => Budgets::Global(level_max.clone()),
             SBudgetMode::PerNode => Budgets::PerNode {
                 per: raw.iter().map(|&x| (x as usize).max(1).min(paper_budget) as u32).collect(),
                 k,
@@ -815,7 +626,7 @@ impl Scheme {
             plans.iter().flatten().filter(|p| !p.dense).map(|p| p.center).collect();
         centers.sort_unstable();
         centers.dedup();
-        let members = Self::center_members(g, src, hier, &centers, &budgets, n, k);
+        let members = Self::center_members(g, ld, hier, &centers, &budgets, n, k);
         clock.lap(
             "members",
             format!("{} centers, {} total members", centers.len(), members.items.len()),
@@ -835,7 +646,7 @@ impl Scheme {
         g: &Graph,
         params: &SchemeParams,
         hier: &LandmarkHierarchy,
-        src: &BuildSource<'_>,
+        ld: &LandmarkDistances,
         plans: &[Vec<LevelPlan>],
         scopes: &[Vec<Option<EScope>>],
     ) -> Vec<u32> {
@@ -871,7 +682,7 @@ impl Scheme {
                     for &(v, d_uv) in list {
                         // A rank-0 center is u's closest C_0 member, at
                         // distance 0 from u, so d(v, c) = d(v, u).
-                        let d_vc = if l == 0 { d_uv } else { src.dist(v, c) };
+                        let d_vc = if l == 0 { d_uv } else { ld.d(c, NodeId(v)) };
                         fold(&mut far, v as usize, l, (d_vc, c));
                     }
                 }
@@ -882,7 +693,14 @@ impl Scheme {
         let whole = graphkit::metrics::par_chunks(global.len(), |range| {
             let mut far: Far = vec![None; n * k];
             for &(c, l) in &global[range] {
-                for (v, d_vc) in src.column(g, c, l).into_iter().enumerate() {
+                // C_0 = V has no landmark columns: a rank-0 center
+                // costs one full Dijkstra.
+                let column: Vec<Cost> = if l == 0 {
+                    dijkstra::dijkstra(g, NodeId(c)).dist
+                } else {
+                    (0..n as u32).map(|v| ld.d(c, NodeId(v))).collect()
+                };
+                for (v, d_vc) in column.into_iter().enumerate() {
                     fold(&mut far, v, l, (d_vc, c));
                 }
             }
@@ -894,9 +712,9 @@ impl Scheme {
                 *acc = (*acc).max(add);
             }
         }
-        // One position per (node, level). Matrix-free level 0 has no
-        // sorted list: a run out to the key's distance settles every
-        // node below the key, in key order.
+        // One position per (node, level). Level 0 has no sorted list:
+        // a run out to the key's distance settles every node below the
+        // key, in key order.
         let margin = params.s_margin as u32;
         // merge: per-node rows, flattened in chunk (= node id) order.
         graphkit::metrics::par_chunks(n, |nodes| {
@@ -908,13 +726,12 @@ impl Scheme {
                         out.push(0);
                         continue;
                     };
-                    let pos = match src.list(v as u32, l) {
-                        Some(list) => list.partition_point(|&e| e < key),
-                        None => {
-                            let s = scratch.get_or_insert_with(|| DijkstraScratch::new(n));
-                            s.run(g, NodeId(v as u32), key.0, usize::MAX);
-                            s.position_below(key)
-                        }
+                    let pos = if l >= 1 {
+                        ld.list(NodeId(v as u32), l).partition_point(|&e| e < key)
+                    } else {
+                        let s = scratch.get_or_insert_with(|| DijkstraScratch::new(n));
+                        s.run(g, NodeId(v as u32), key.0, usize::MAX);
+                        s.position_below(key)
                     };
                     out.push(pos as u32 + 1 + margin);
                 }
@@ -941,7 +758,7 @@ impl Scheme {
     /// center-major enumeration produced them.
     fn center_members(
         g: &Graph,
-        src: &BuildSource<'_>,
+        ld: &LandmarkDistances,
         hier: &LandmarkHierarchy,
         centers: &[u32],
         budgets: &Budgets,
@@ -966,17 +783,18 @@ impl Scheme {
             for v in nodes {
                 for l in 0..k {
                     let b = budgets.of(v as u32, l);
-                    let prefix = match src.list(v as u32, l) {
-                        Some(list) => &list[..b.min(list.len())],
-                        // Matrix-free rank 0: c ∈ S(v) ⟺ c is among v's
-                        // b closest nodes — one size-capped Dijkstra
-                        // yields every rank-0 membership.
-                        None if has_rank0 => {
-                            let s = scratch.get_or_insert_with(|| DijkstraScratch::new(n));
-                            s.run(g, NodeId(v as u32), INFINITY - 1, b);
-                            s.settled()
-                        }
-                        None => continue,
+                    let prefix = if l >= 1 {
+                        let list = ld.list(NodeId(v as u32), l);
+                        &list[..b.min(list.len())]
+                    } else if has_rank0 {
+                        // Rank 0: c ∈ S(v) ⟺ c is among v's b closest
+                        // nodes — one size-capped Dijkstra yields every
+                        // rank-0 membership.
+                        let s = scratch.get_or_insert_with(|| DijkstraScratch::new(n));
+                        s.run(g, NodeId(v as u32), INFINITY - 1, b);
+                        s.settled()
+                    } else {
+                        continue;
                     };
                     for &(dist, c) in prefix {
                         if center_rank[c as usize] == l as u8 {
@@ -1110,7 +928,7 @@ impl Scheme {
 
     /// Evaluate this scheme over `pairs` with the parallel engine
     /// (`threads` = 0 → available parallelism), against any
-    /// [`GroundTruth`] — the dense matrix used at build time or an
+    /// [`GroundTruth`] — a dense matrix on small instances or an
     /// on-demand truth for larger workloads. Results are bit-identical
     /// to sequential [`sim::evaluate`].
     pub fn evaluate(
@@ -1188,7 +1006,7 @@ impl Scheme {
 }
 
 /// Effective dense/sparse classification of level `i` (force-mode
-/// aware; used identically by both construction sources).
+/// aware).
 pub(crate) fn level_is_dense(
     dec: &Decomposition,
     u: NodeId,
@@ -1336,7 +1154,6 @@ pub(crate) fn build_center_trees(
     g: &Graph,
     params: &SchemeParams,
     jobs: &[(u32, &[(u32, Cost)])],
-    bounded: bool,
     spill: Option<&SpillWriter>,
 ) -> TreeBatch {
     let n = g.n();
@@ -1360,11 +1177,7 @@ pub(crate) fn build_center_trees(
         let mut labels = Vec::with_capacity(range.len());
         for ji in range {
             let (c, mem) = jobs[ji];
-            let radius = if bounded {
-                mem.iter().map(|&(_, dist)| dist).max().unwrap_or(0)
-            } else {
-                INFINITY - 1
-            };
+            let radius = mem.iter().map(|&(_, dist)| dist).max().unwrap_or(0);
             scratch.run(g, NodeId(c), radius, usize::MAX);
             let tree = Tree::from_dist_parents_with(
                 &mut tscratch,

@@ -108,14 +108,12 @@ mod tests {
     use super::*;
     use crate::{Scheme, SchemeParams};
     use graphkit::gen::Family;
-    use graphkit::metrics::apsp;
     use sim::pairs;
 
     #[test]
     fn serve_batch_delivers_and_reports() {
         let g = Family::Geometric.generate(100, 0x5E1);
-        let d = apsp(&g);
-        let scheme = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(2, 0x5E1));
+        let scheme = Scheme::build_on_demand(g.clone(), SchemeParams::new(2, 0x5E1));
         let queries = pairs::sample(g.n(), 500, 0x5E2);
         for threads in [1usize, 3] {
             let report = serve_batch(&scheme, &queries, threads);
@@ -132,8 +130,7 @@ mod tests {
         // Delivered count equals the query count at any thread count —
         // no query is dropped or double-served by the sharding.
         let g = Family::Ring.generate(60, 0x5E3);
-        let d = apsp(&g);
-        let scheme = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(2, 0x5E3));
+        let scheme = Scheme::build_on_demand(g.clone(), SchemeParams::new(2, 0x5E3));
         let queries = pairs::all(g.n());
         let total = queries.len();
         for threads in [1usize, 2, 5, 16] {

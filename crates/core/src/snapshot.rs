@@ -42,8 +42,7 @@ use treeroute::cover_router::{CoverStore, CoverTreeRouter};
 
 use crate::center_store::CenterStore;
 use crate::scheme::{
-    BuildStats, CoverEntry, ForceMode, HierarchySource, LevelPlan, SBudgetMode, ScaleCover, Scheme,
-    SchemeParams,
+    BuildStats, CoverEntry, ForceMode, LevelPlan, SBudgetMode, ScaleCover, Scheme, SchemeParams,
 };
 
 /// Section ids (stable across snapshot versions; never reuse).
@@ -237,14 +236,14 @@ impl Scheme {
             Some(ForceMode::AllSparse) => 1,
             Some(ForceMode::AllDense) => 2,
         });
-        w.u8(match p.hierarchy {
-            HierarchySource::SampledVerified => 0,
-            HierarchySource::Greedy => 1,
-        });
+        // Hierarchy source: always the sampled-verified one (tag 1, the
+        // retired greedy construction, is never reused).
+        w.u8(0);
+        // Budget mode (tag 2, the retired uniform per-node mode, is
+        // never reused).
         w.u8(match p.s_budget_mode {
             SBudgetMode::Global => 0,
             SBudgetMode::PerNode => 1,
-            SBudgetMode::PerNodeUniform => 2,
         });
         w.u8(p.spill as u8);
         w.u64(self.max_center_label_bits);
@@ -305,15 +304,12 @@ fn decode_meta(r: &mut Reader<'_>) -> io::Result<(SchemeParams, BuildStats, u64)
         2 => Some(ForceMode::AllDense),
         _ => return Err(wire::invalid("bad force-mode tag")),
     };
-    let hierarchy = match r.u8()? {
-        0 => HierarchySource::SampledVerified,
-        1 => HierarchySource::Greedy,
-        _ => return Err(wire::invalid("bad hierarchy tag")),
-    };
+    if r.u8()? != 0 {
+        return Err(wire::invalid("bad hierarchy tag"));
+    }
     let s_budget_mode = match r.u8()? {
         0 => SBudgetMode::Global,
         1 => SBudgetMode::PerNode,
-        2 => SBudgetMode::PerNodeUniform,
         _ => return Err(wire::invalid("bad budget-mode tag")),
     };
     let spill = match r.u8()? {
@@ -345,7 +341,6 @@ fn decode_meta(r: &mut Reader<'_>) -> io::Result<(SchemeParams, BuildStats, u64)
         landmark_attempts,
         s_margin,
         force_mode,
-        hierarchy,
         s_budget_mode,
         spill,
         // Repair state is build-time-only and never serialized; a
@@ -442,4 +437,30 @@ fn decode_scale_covers(r: &mut Reader<'_>, n: usize) -> io::Result<HashMap<u32, 
         out.insert(s, ScaleCover { routers, home });
     }
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use graphkit::gen::Family;
+
+    /// META offsets: k (8), seed (8), landmark attempts (4), margin (8)
+    /// and the force-mode byte precede the hierarchy byte.
+    const HIERARCHY_BYTE: usize = 29;
+    const BUDGET_MODE_BYTE: usize = 30;
+
+    #[test]
+    fn retired_meta_tags_are_rejected() {
+        let scheme = Scheme::build_on_demand(Family::Ring.generate(40, 3), SchemeParams::new(2, 3));
+        let meta = scheme.encode_meta();
+        assert!(decode_meta(&mut Reader::new(&meta)).is_ok());
+        assert_eq!((meta[HIERARCHY_BYTE], meta[BUDGET_MODE_BYTE]), (0, 0));
+        // 1 = the greedy hierarchy, 2 = the uniform per-node budgets.
+        for (at, tag) in [(HIERARCHY_BYTE, 1), (BUDGET_MODE_BYTE, 2)] {
+            let mut bad = meta.clone();
+            bad[at] = tag;
+            let err = decode_meta(&mut Reader::new(&bad)).expect_err("retired tag must not load");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "byte {at} = {tag}");
+        }
+    }
 }

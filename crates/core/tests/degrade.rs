@@ -6,15 +6,13 @@
 //! surfaced by `agm-lint`'s call-graph pass.
 
 use graphkit::gen::Family;
-use graphkit::metrics::apsp;
 use graphkit::NodeId;
 use routing_core::{serve_batch, Scheme, SchemeParams};
 use sim::{pairs, Router};
 
 fn small_scheme() -> (graphkit::Graph, Scheme) {
     let g = Family::Geometric.generate(80, 0xDE6);
-    let d = apsp(&g);
-    let s = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(2, 0xDE6));
+    let s = Scheme::build_on_demand(g.clone(), SchemeParams::new(2, 0xDE6));
     (g, s)
 }
 

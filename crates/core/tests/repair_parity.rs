@@ -85,7 +85,7 @@ fn assert_same_scheme(label: &str, got: &Scheme, want: &Scheme, n: usize, pair_s
     }
 }
 
-/// Family × k × store/build shape, two repair rounds each (fail+reweigh,
+/// Family × k × store shape, two repair rounds each (fail+reweigh,
 /// then restore+reweigh) — every round compared against a from-scratch
 /// build of the mutated graph.
 #[test]
@@ -100,12 +100,8 @@ fn repair_matches_fresh_build_bit_for_bit() {
         let g0 = fam.generate(110, 0x9E9A);
         for k in [1usize, 2, 3] {
             for (shape, build) in [
-                (
-                    "dense-resident",
-                    (|g, p| Scheme::build(g, p)) as fn(Graph, SchemeParams) -> Scheme,
-                ),
-                ("od-resident", |g, p| Scheme::build_on_demand(g, p)),
-                ("od-spilled", |g, p| Scheme::build_on_demand(g, p.with_spill())),
+                ("resident", Scheme::build_on_demand as fn(Graph, SchemeParams) -> Scheme),
+                ("spilled", |g, p| Scheme::build_on_demand(g, p.with_spill())),
             ] {
                 let label = format!("{} k={k} {shape}", fam.label());
                 let params = SchemeParams::new(k, 0x9E9A).with_repair();

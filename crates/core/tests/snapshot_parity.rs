@@ -9,7 +9,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 
 use graphkit::gen::Family;
-use graphkit::metrics::apsp;
 use graphkit::wire::{Reader, SnapshotReader};
 use proptest::prelude::*;
 use routing_core::{Scheme, SchemeParams};
@@ -68,8 +67,7 @@ fn saved_scheme_loads_and_routes_identically() {
         (Family::Grid, 1),
     ] {
         let g = fam.generate(110, 0x54AD);
-        let d = apsp(&g);
-        let scheme = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(k, 0x54AD));
+        let scheme = Scheme::build_on_demand(g.clone(), SchemeParams::new(k, 0x54AD));
         let path = TempPath::new();
         scheme.save(&path.0).expect("save");
         let resident = Scheme::load(&path.0).expect("load");
@@ -88,10 +86,9 @@ fn spilled_build_saves_by_raw_copy_and_loads_identically() {
     // the snapshot; the loaded scheme must still match the resident
     // build bit for bit.
     let g = Family::Geometric.generate(120, 0x54AE);
-    let d = apsp(&g);
     let params = SchemeParams::new(2, 0x54AE);
-    let resident = Scheme::build_with_matrix(g.clone(), &d, params);
-    let spilled = Scheme::build_with_matrix(g.clone(), &d, params.with_spill());
+    let resident = Scheme::build_on_demand(g.clone(), params);
+    let spilled = Scheme::build_on_demand(g.clone(), params.with_spill());
     let path = TempPath::new();
     spilled.save(&path.0).expect("save");
     let loaded = Scheme::load(&path.0).expect("load");
@@ -111,8 +108,7 @@ fn snapshot_of_on_demand_build_round_trips() {
 #[test]
 fn truncated_snapshots_error_instead_of_panicking() {
     let g = Family::Geometric.generate(70, 0x54B0);
-    let d = apsp(&g);
-    let scheme = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(2, 0x54B0));
+    let scheme = Scheme::build_on_demand(g.clone(), SchemeParams::new(2, 0x54B0));
     let path = TempPath::new();
     scheme.save(&path.0).expect("save");
     let bytes = std::fs::read(&path.0).expect("read back");
@@ -132,8 +128,7 @@ fn truncated_snapshots_error_instead_of_panicking() {
 #[test]
 fn corrupted_snapshots_error_instead_of_panicking() {
     let g = Family::Geometric.generate(70, 0x54B1);
-    let d = apsp(&g);
-    let scheme = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(2, 0x54B1));
+    let scheme = Scheme::build_on_demand(g.clone(), SchemeParams::new(2, 0x54B1));
     let path = TempPath::new();
     scheme.save(&path.0).expect("save");
     let bytes = std::fs::read(&path.0).expect("read back");
@@ -177,8 +172,7 @@ fn read_u64(bytes: &[u8], at: usize) -> usize {
 #[test]
 fn corrupt_center_trees_degrade_lazy_routes_instead_of_panicking() {
     let g = Family::Geometric.generate(80, 0x54B3);
-    let d = apsp(&g);
-    let scheme = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(2, 0x54B3));
+    let scheme = Scheme::build_on_demand(g.clone(), SchemeParams::new(2, 0x54B3));
     let path = TempPath::new();
     scheme.save(&path.0).expect("save");
     let bytes = std::fs::read(&path.0).expect("read back");
@@ -225,10 +219,9 @@ fn corrupt_center_trees_degrade_lazy_routes_instead_of_panicking() {
 #[test]
 fn lazy_and_spilled_schemes_route_identically_from_two_threads() {
     let g = Family::PrefAttach.generate(120, 0x54B5);
-    let d = apsp(&g);
     let params = SchemeParams::new(2, 0x54B5);
-    let resident = Scheme::build_with_matrix(g.clone(), &d, params);
-    let spilled = Scheme::build_with_matrix(g.clone(), &d, params.with_spill());
+    let resident = Scheme::build_on_demand(g.clone(), params);
+    let spilled = Scheme::build_on_demand(g.clone(), params.with_spill());
     let path = TempPath::new();
     resident.save(&path.0).expect("save");
     let lazy = Scheme::load_lazy(&path.0).expect("load_lazy");
@@ -258,8 +251,7 @@ fn lazy_and_spilled_schemes_route_identically_from_two_threads() {
 #[test]
 fn save_is_byte_deterministic() {
     let g = Family::PrefAttach.generate(90, 0x54B2);
-    let d = apsp(&g);
-    let scheme = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(2, 0x54B2));
+    let scheme = Scheme::build_on_demand(g.clone(), SchemeParams::new(2, 0x54B2));
     let a = TempPath::new();
     let b = TempPath::new();
     scheme.save(&a.0).expect("save a");
@@ -293,8 +285,7 @@ proptest! {
             Family::PrefAttach,
         ][fam_ix];
         let g = fam.generate(n, seed);
-        let d = apsp(&g);
-        let scheme = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(k, seed));
+        let scheme = Scheme::build_on_demand(g.clone(), SchemeParams::new(k, seed));
         let path = TempPath::new();
         scheme.save(&path.0).expect("save");
         let loaded = Scheme::load(&path.0).expect("load");

@@ -12,11 +12,10 @@ use sim::{evaluate, pairs, Router};
 fn spilled_scheme_routes_identically() {
     for fam in [Family::Geometric, Family::ExpRing, Family::PrefAttach] {
         let g = fam.generate(130, 0x5111);
-        let d = apsp(&g);
         for k in [1usize, 2, 3] {
             let params = SchemeParams::new(k, 0x5111);
-            let resident = Scheme::build_with_matrix(g.clone(), &d, params);
-            let spilled = Scheme::build_with_matrix(g.clone(), &d, params.with_spill());
+            let resident = Scheme::build_on_demand(g.clone(), params);
+            let spilled = Scheme::build_on_demand(g.clone(), params.with_spill());
             assert_eq!(
                 resident.stats().total_members,
                 spilled.stats().total_members,
@@ -52,8 +51,7 @@ fn spilled_scheme_survives_parallel_evaluation() {
     // check the aggregate stats match the sequential engine bit for bit.
     let g = Family::Geometric.generate(120, 0x5113);
     let d = apsp(&g);
-    let scheme =
-        Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(3, 0x5113).with_spill());
+    let scheme = Scheme::build_on_demand(g.clone(), SchemeParams::new(3, 0x5113).with_spill());
     let workload = pairs::sample(g.n(), 400, 0x5114);
     let seq = evaluate(&g, &d, &scheme, &workload);
     let par = scheme.evaluate(&d, &workload, 4);
@@ -66,12 +64,11 @@ fn spilled_scheme_survives_parallel_evaluation() {
 
 #[test]
 fn spill_composes_with_on_demand_and_per_node_budgets() {
-    // The full matrix-free stack: on-demand build, per-node budgets,
-    // spilled trees — against the plain resident dense build.
+    // The full stack: per-node budgets and spilled trees — against the
+    // plain resident build.
     let g = Family::ExpRing.generate(100, 0x5115);
-    let d = apsp(&g);
     let base = SchemeParams::new(2, 0x5115).with_s_budget_mode(SBudgetMode::PerNode);
-    let resident = Scheme::build_with_matrix(g.clone(), &d, base);
+    let resident = Scheme::build_on_demand(g.clone(), base);
     let spilled_od = Scheme::build_on_demand(g.clone(), base.with_spill());
     for v in g.nodes() {
         assert_eq!(resident.storage_bits(v), spilled_od.storage_bits(v), "at {v}");

@@ -8,7 +8,7 @@
 //! integration-test binary and runs as a single test function.
 
 use graphkit::gen::Family;
-use graphkit::metrics::{apsp, set_max_threads};
+use graphkit::metrics::set_max_threads;
 use routing_core::{Scheme, SchemeParams};
 use sim::{pairs, Router};
 
@@ -43,26 +43,14 @@ fn builds_are_bit_identical_at_any_thread_count() {
     // ragged final chunk (the merge-order edge case).
     for fam in [Family::Geometric, Family::ExpRing, Family::PrefAttach] {
         let g = fam.generate(140, 0x5eed);
-        let d = apsp(&g);
         for k in [2usize, 3] {
             let params = SchemeParams::new(k, 0x5eed);
             set_max_threads(1);
-            let seq_dense = Scheme::build_with_matrix(g.clone(), &d, params);
-            let seq_od = Scheme::build_on_demand(g.clone(), params);
+            let seq = Scheme::build_on_demand(g.clone(), params);
             for threads in [4usize, 7] {
                 set_max_threads(threads);
-                let par_dense = Scheme::build_with_matrix(g.clone(), &d, params);
-                assert_identical(
-                    &seq_dense,
-                    &par_dense,
-                    &format!("{} k={k} dense x{threads}", fam.label()),
-                );
-                let par_od = Scheme::build_on_demand(g.clone(), params);
-                assert_identical(
-                    &seq_od,
-                    &par_od,
-                    &format!("{} k={k} on-demand x{threads}", fam.label()),
-                );
+                let par = Scheme::build_on_demand(g.clone(), params);
+                assert_identical(&seq, &par, &format!("{} k={k} x{threads}", fam.label()));
             }
             set_max_threads(0);
         }

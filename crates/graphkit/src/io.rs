@@ -96,11 +96,12 @@ pub fn parse_graph(text: &str) -> Result<Graph, ParseError> {
         let mut fields = trimmed.split_whitespace();
         match fields.next() {
             Some("p") => {
-                let n = parse_field::<usize>(fields.next())
+                // Node ids are u32, so a count past u32::MAX is no header.
+                let n = parse_field::<u32>(fields.next())
                     .ok_or_else(|| ParseError::BadHeader(trimmed.to_string()))?;
                 declared_edges = parse_field::<usize>(fields.next())
                     .ok_or_else(|| ParseError::BadHeader(trimmed.to_string()))?;
-                builder = Some(GraphBuilder::with_nodes(n));
+                builder = Some(GraphBuilder::with_nodes(n as usize));
             }
             Some("e") => {
                 let b = builder
@@ -112,7 +113,9 @@ pub fn parse_graph(text: &str) -> Result<Graph, ParseError> {
                     parse_field::<u64>(fields.next()),
                 );
                 match (u, v, w) {
-                    (Some(u), Some(v), Some(w)) => {
+                    // Self-loops and zero weights break the builder's
+                    // preconditions: malformed edges, not panics.
+                    (Some(u), Some(v), Some(w)) if u != v && w >= 1 => {
                         if u as usize >= b.num_nodes() || v as usize >= b.num_nodes() {
                             return Err(ParseError::NodeOutOfRange { line });
                         }
@@ -180,6 +183,27 @@ mod tests {
             Err(ParseError::BadEdge { line: 2, .. })
         ));
         assert!(matches!(parse_graph("p 2 1\ne 0 1\n"), Err(ParseError::BadEdge { .. })));
+    }
+
+    #[test]
+    fn rejects_zero_weight_edge() {
+        assert!(matches!(
+            parse_graph("p 2 1\ne 0 1 0\n"),
+            Err(ParseError::BadEdge { line: 2, .. })
+        ));
+    }
+
+    #[test]
+    fn rejects_self_loop() {
+        assert!(matches!(
+            parse_graph("p 2 1\ne 1 1 4\n"),
+            Err(ParseError::BadEdge { line: 2, .. })
+        ));
+    }
+
+    #[test]
+    fn rejects_node_count_past_u32() {
+        assert!(matches!(parse_graph("p 5000000000 0\n"), Err(ParseError::BadHeader(_))));
     }
 
     #[test]

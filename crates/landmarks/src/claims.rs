@@ -270,11 +270,12 @@ mod tests {
         // a graph whose balls get large.
         let g = Family::Grid.generate(400, 15);
         let d = apsp(&g);
-        let h = crate::LandmarkHierarchy::from_levels(
+        let h = crate::LandmarkHierarchy::try_from_levels(
             g.n(),
             2,
             vec![(0..g.n() as u32).collect(), vec![]],
-        );
+        )
+        .unwrap();
         let rep = verify_claims(&d, &h);
         assert!(rep.claim1_violations > 0, "empty C_1 should fail claim 1");
     }
@@ -287,7 +288,8 @@ mod tests {
         let g = Family::Ring.generate(300, 16);
         let d = apsp(&g);
         let all: Vec<u32> = (0..g.n() as u32).collect();
-        let h = crate::LandmarkHierarchy::from_levels(g.n(), 2, vec![all.clone(), all]);
+        let h =
+            crate::LandmarkHierarchy::try_from_levels(g.n(), 2, vec![all.clone(), all]).unwrap();
         let rep = verify_claims(&d, &h);
         assert!(rep.max_c2_load > 0);
         // With n = 300, k = 2: bound = 16 * sqrt(300) * ln(300) ≈ 1580 >
@@ -317,11 +319,12 @@ mod tests {
         // Empty C_1 exercises the all-octaves-violate path.
         let g = Family::Grid.generate(196, 18);
         let d = apsp(&g);
-        let h = crate::LandmarkHierarchy::from_levels(
+        let h = crate::LandmarkHierarchy::try_from_levels(
             g.n(),
             2,
             vec![(0..g.n() as u32).collect(), vec![]],
-        );
+        )
+        .unwrap();
         let ld = crate::LandmarkDistances::build(&g, &h);
         let dense = verify_claims(&d, &h);
         let od = verify_claims_on_demand(&g, &h, &ld, d.diameter());
@@ -329,7 +332,8 @@ mod tests {
         assert_eq!(dense, od);
         // Overfull C_1 exercises the load accounting.
         let all: Vec<u32> = (0..g.n() as u32).collect();
-        let h = crate::LandmarkHierarchy::from_levels(g.n(), 2, vec![all.clone(), all]);
+        let h =
+            crate::LandmarkHierarchy::try_from_levels(g.n(), 2, vec![all.clone(), all]).unwrap();
         let ld = crate::LandmarkDistances::build(&g, &h);
         let dense = verify_claims(&d, &h);
         let od = verify_claims_on_demand(&g, &h, &ld, d.diameter());

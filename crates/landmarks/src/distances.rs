@@ -1,6 +1,6 @@
 //! Landmark-distance columns: the matrix-free substitute for the
-//! dense rows the hierarchy queries (`S(u,i)`, `m(u,r)`, `c(u,r)`,
-//! rank positions) read in `build_with_matrix`.
+//! dense rows the hierarchy's reference queries (`S(u,i)`, `m(u,r)`,
+//! `c(u,r)`, rank positions) read from a `DistMatrix`.
 //!
 //! One full Dijkstra per landmark of rank ≥ 1 (there are
 //! `Õ(n^{(k−1)/k})` of them) yields, for every node `u` and level
@@ -226,7 +226,8 @@ mod tests {
             ],
         );
         let d = apsp(&g);
-        let h = LandmarkHierarchy::from_levels(10, 2, vec![(0..10).collect(), vec![2, 7]]);
+        let h =
+            LandmarkHierarchy::try_from_levels(10, 2, vec![(0..10).collect(), vec![2, 7]]).unwrap();
         let ld = LandmarkDistances::build(&g, &h);
         for u in g.nodes() {
             for &r in &[0u64, 4, 100, u64::MAX - 1] {

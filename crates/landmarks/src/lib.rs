@@ -20,8 +20,7 @@
 //! The crate also provides the derived per-node queries the scheme
 //! needs: `S(u,i)` (the `16 n^{2/k} log n` closest members of `C_i`),
 //! `m(u, r)` (highest rank inside a ball), and `c(u, r)` (the center:
-//! closest node of that highest rank), plus a deterministic greedy
-//! hitting-set fallback.
+//! closest node of that highest rank).
 
 use graphkit::{DistMatrix, Graph, NodeId};
 use rand::rngs::SmallRng;
@@ -29,11 +28,9 @@ use rand::{Rng, SeedableRng};
 
 pub mod claims;
 pub mod distances;
-pub mod greedy;
 
 pub use claims::{verify_claims, verify_claims_on_demand, ClaimReport};
 pub use distances::LandmarkDistances;
-pub use greedy::greedy_hierarchy;
 
 /// Nested landmark sets with per-node ranks.
 #[derive(Clone, Debug)]
@@ -130,19 +127,10 @@ impl LandmarkHierarchy {
         }
     }
 
-    /// Build from explicit levels (used by the greedy construction).
-    /// `levels\[0\]` must be all of `V`; each level must be a subset of
-    /// the previous.
-    pub fn from_levels(n: usize, k: usize, levels: Vec<Vec<u32>>) -> Self {
-        match Self::try_from_levels(n, k, levels) {
-            Ok(h) => h,
-            Err(msg) => panic!("{msg}"),
-        }
-    }
-
-    /// Fallible [`LandmarkHierarchy::from_levels`] — the entry point
-    /// for deserialized levels, where malformed input must surface as
-    /// an error rather than a panic.
+    /// Build from explicit levels: `levels\[0\]` must be all of `V`,
+    /// and each level must be a subset of the previous. The entry point
+    /// for deserialized levels, so malformed input surfaces as an error
+    /// rather than a panic.
     pub fn try_from_levels(n: usize, k: usize, levels: Vec<Vec<u32>>) -> Result<Self, String> {
         if levels.len() != k {
             return Err(format!("expected {k} levels, got {}", levels.len()));
@@ -407,7 +395,8 @@ mod tests {
             &[(0, 1, 1), (1, 2, 1), (2, 3, 1), (4, 5, 1), (5, 6, 1), (6, 7, 1)],
         );
         let d = apsp(&g);
-        let h = LandmarkHierarchy::from_levels(8, 2, vec![(0..8).collect(), vec![5, 6]]);
+        let h =
+            LandmarkHierarchy::try_from_levels(8, 2, vec![(0..8).collect(), vec![5, 6]]).unwrap();
         let u = NodeId(0);
         // Huge radius (as a saturated octave produces): unreachable
         // landmarks must not be ranked into the ball…
@@ -429,7 +418,7 @@ mod tests {
     #[test]
     fn from_levels_roundtrip() {
         let levels = vec![vec![0, 1, 2, 3, 4], vec![1, 3], vec![3]];
-        let h = LandmarkHierarchy::from_levels(5, 3, levels);
+        let h = LandmarkHierarchy::try_from_levels(5, 3, levels).unwrap();
         assert_eq!(h.rank(NodeId(3)), 2);
         assert_eq!(h.rank(NodeId(1)), 1);
         assert_eq!(h.rank(NodeId(0)), 0);
@@ -440,7 +429,7 @@ mod tests {
     #[should_panic(expected = "nested")]
     fn from_levels_rejects_non_nested() {
         let levels = vec![vec![0, 1, 2], vec![1], vec![2]];
-        LandmarkHierarchy::from_levels(3, 3, levels);
+        LandmarkHierarchy::try_from_levels(3, 3, levels).unwrap();
     }
 
     #[test]

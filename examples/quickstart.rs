@@ -20,7 +20,7 @@ fn main() {
 
     // Preprocess the routing scheme: k trades table size for stretch.
     let k = 3;
-    let scheme = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(k, 42));
+    let scheme = Scheme::build_on_demand(g.clone(), SchemeParams::new(k, 42));
     println!(
         "scheme built: k={k}, {} landmark trees, {} cover scales\n",
         scheme.stats().num_center_trees,

@@ -21,7 +21,7 @@ fn main() {
         let g =
             if e <= 6 { graphkit::gen::ring(n, 1) } else { graphkit::gen::exponential_ring(n, e) };
         let d = graphkit::apsp(&g);
-        let agm = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(k, 11));
+        let agm = Scheme::build_on_demand(g.clone(), SchemeParams::new(k, 11));
         let hier = HierarchicalScheme::build(g.clone(), k, 11);
         let agm_bits = StorageAudit::collect(&agm, n).mean_bits();
         let hier_bits = StorageAudit::collect(&hier, n).mean_bits();

@@ -52,7 +52,7 @@ fn main() {
         if k == 1 && g.n() > 300 {
             continue; // k=1 tables are quadratic overall; skip at scale
         }
-        let scheme = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(k, 5));
+        let scheme = Scheme::build_on_demand(g.clone(), SchemeParams::new(k, 5));
         let stats = evaluate(&g, &d, &scheme, &pairs::sample(g.n(), 2000, 5));
         let bits = StorageAudit::collect(&scheme, g.n()).mean_bits();
         println!(

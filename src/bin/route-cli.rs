@@ -11,6 +11,7 @@
 
 use compact_routing::prelude::*;
 use graphkit::metrics::apsp;
+use graphkit::{dijkstra, INFINITY};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -63,6 +64,20 @@ fn arg_or<T: std::str::FromStr>(
     }
 }
 
+/// Reject, as CLI errors, the inputs the scheme's constructor asserts
+/// on; connectivity is checked by each caller from its own distances.
+fn check_buildable(g: &Graph, k: usize) -> CliResult {
+    if k == 0 {
+        return Err("k must be at least 1".into());
+    }
+    if g.n() < 2 {
+        return Err(format!("the scheme needs at least 2 nodes, the graph has {}", g.n()));
+    }
+    Ok(())
+}
+
+const DISCONNECTED: &str = "the graph is disconnected; the scheme needs a connected graph";
+
 fn cmd_gen(args: &[String]) -> CliResult {
     let name: String = arg(args, 0, "family")?;
     let n: usize = arg(args, 1, "n")?;
@@ -100,15 +115,21 @@ fn cmd_route(args: &[String]) -> CliResult {
     if src as usize >= g.n() || dst as usize >= g.n() {
         return Err("src/dst out of range".into());
     }
-    let d = apsp(&g);
-    let scheme = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(k, seed));
+    check_buildable(&g, k)?;
+    // One Dijkstra from the source: the connectivity check and the
+    // optimal cost.
+    let dist = dijkstra(&g, NodeId(src)).dist;
+    if dist.contains(&INFINITY) {
+        return Err(DISCONNECTED.into());
+    }
+    let scheme = Scheme::build_on_demand(g.clone(), SchemeParams::new(k, seed));
     let trace = scheme.route(NodeId(src), NodeId(dst));
     if !trace.delivered {
-        return Err("not delivered (disconnected?)".into());
+        return Err("not delivered".into());
     }
     sim::validate_trace(&g, NodeId(src), NodeId(dst), &trace)
         .map_err(|e| format!("trace audit failed: {e:?}"))?;
-    let opt = d.d(NodeId(src), NodeId(dst));
+    let opt = dist[dst as usize];
     println!("delivered in {} hops, cost {}", trace.hops(), trace.cost);
     println!("optimal cost {}, stretch {:.3}", opt, trace.cost as f64 / opt.max(1) as f64);
     let walk: Vec<String> = trace.path.iter().map(|v| v.to_string()).collect();
@@ -121,8 +142,12 @@ fn cmd_eval(args: &[String]) -> CliResult {
     let k: usize = arg(args, 1, "k")?;
     let num_pairs: usize = arg_or(args, 2, "pairs", 2000)?;
     let seed: u64 = arg_or(args, 3, "seed", 42)?;
+    check_buildable(&g, k)?;
     let d = apsp(&g);
-    let scheme = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(k, seed));
+    if !d.connected() {
+        return Err(DISCONNECTED.into());
+    }
+    let scheme = Scheme::build_on_demand(g.clone(), SchemeParams::new(k, seed));
     let workload = if g.n() * (g.n() - 1) <= num_pairs {
         pairs::all(g.n())
     } else {
@@ -131,6 +156,7 @@ fn cmd_eval(args: &[String]) -> CliResult {
     let stats = evaluate(&g, &d, &scheme, &workload);
     let audit = StorageAudit::collect(&scheme, g.n());
     println!("pairs        {}", stats.pairs);
+    println!("delivered    {}/{}", stats.pairs - stats.failures, stats.pairs);
     println!("max stretch  {:.3}", stats.max_stretch);
     println!("mean stretch {:.3}", stats.mean_stretch);
     println!("p99 stretch  {:.3}", stats.p99_stretch);

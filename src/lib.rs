@@ -37,7 +37,7 @@
 //! let d = graphkit::apsp(&g);
 //!
 //! // Build the scheme at k = 2 and route a message.
-//! let scheme = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(2, 42));
+//! let scheme = Scheme::build_on_demand(g.clone(), SchemeParams::new(2, 42));
 //! let trace = scheme.route(NodeId(0), NodeId(99));
 //! assert!(trace.delivered);
 //! let stretch = trace.cost as f64 / d.d(NodeId(0), NodeId(99)) as f64;

@@ -9,7 +9,7 @@ use rand::SeedableRng;
 
 fn check_all_pairs(g: Graph, k: usize, seed: u64) {
     let d = apsp(&g);
-    let scheme = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(k, seed));
+    let scheme = Scheme::build_on_demand(g.clone(), SchemeParams::new(k, seed));
     let stats = evaluate(&g, &d, &scheme, &pairs::all(g.n()));
     assert_eq!(stats.failures, 0, "n={} k={k}", g.n());
 }
@@ -108,9 +108,8 @@ fn io_roundtrip_preserves_routing() {
     let g = Family::Geometric.generate(50, 9);
     let text = graphkit::io::write_graph(&g);
     let g2 = graphkit::io::parse_graph(&text).unwrap();
-    let d = apsp(&g);
-    let s1 = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(2, 10));
-    let s2 = Scheme::build_with_matrix(g2, &d, SchemeParams::new(2, 10));
+    let s1 = Scheme::build_on_demand(g.clone(), SchemeParams::new(2, 10));
+    let s2 = Scheme::build_on_demand(g2, SchemeParams::new(2, 10));
     for &(a, b) in pairs::sample(50, 100, 11).iter() {
         assert_eq!(s1.route(a, b), s2.route(a, b));
     }

@@ -9,7 +9,7 @@ use graphkit::metrics::apsp;
 fn exercise(fam: Family, n: usize, k: usize, seed: u64) -> (sim::StretchStats, f64) {
     let g = fam.generate(n, seed);
     let d = apsp(&g);
-    let scheme = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(k, seed));
+    let scheme = Scheme::build_on_demand(g.clone(), SchemeParams::new(k, seed));
     assert_eq!(scheme.stats().lemma3_violations, 0, "{} k={k}", fam.label());
     let stats = evaluate(&g, &d, &scheme, &pairs::all(g.n()));
     let audit = StorageAudit::collect(&scheme, g.n());
@@ -52,7 +52,7 @@ fn beats_exponential_baseline_on_worst_stretch() {
     let g = Family::Geometric.generate(150, 0xCD);
     let d = apsp(&g);
     let k = 3;
-    let ours = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(k, 1));
+    let ours = Scheme::build_on_demand(g.clone(), SchemeParams::new(k, 1));
     let chain = baselines::LandmarkChaining::build_with_matrix(g.clone(), &d, k, 1);
     let workload = pairs::all(g.n());
     let so = evaluate(&g, &d, &ours, &workload);
@@ -75,8 +75,7 @@ fn storage_grows_sublinearly_in_n() {
     let mut means = Vec::new();
     for n in [128usize, 512] {
         let g = Family::Geometric.generate(n, 0xEF);
-        let d = apsp(&g);
-        let ours = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(4, 2));
+        let ours = Scheme::build_on_demand(g.clone(), SchemeParams::new(4, 2));
         means.push(StorageAudit::collect(&ours, g.n()).mean_bits());
     }
     let ours_growth = means[1] / means[0];
@@ -93,7 +92,7 @@ fn labeled_baseline_is_better_but_cheats() {
     // between the models; sanity-check both deliver everywhere.
     let g = Family::ErdosRenyi.generate(120, 0x11);
     let d = apsp(&g);
-    let ours = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(3, 3));
+    let ours = Scheme::build_on_demand(g.clone(), SchemeParams::new(3, 3));
     let tz = baselines::TzLabeled::build_with_matrix(g.clone(), &d, 3, 3);
     let w = pairs::all(g.n());
     assert_eq!(evaluate(&g, &d, &ours, &w).failures, 0);
@@ -104,7 +103,7 @@ fn labeled_baseline_is_better_but_cheats() {
 fn hierarchical_baseline_matches_on_stretch_but_pays_log_delta() {
     let g = Family::ExpRing.generate(48, 0x12);
     let d = apsp(&g);
-    let ours = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(2, 4));
+    let ours = Scheme::build_on_demand(g.clone(), SchemeParams::new(2, 4));
     let hier = baselines::HierarchicalScheme::build(g.clone(), 2, 4);
     let w = pairs::all(g.n());
     assert_eq!(evaluate(&g, &d, &ours, &w).failures, 0);
@@ -118,11 +117,10 @@ fn ablations_expose_both_failure_modes() {
     let g = Family::ExpRing.generate(80, 0x13);
     let d = apsp(&g);
     let w = pairs::all(g.n());
-    let combined = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(3, 5));
+    let combined = Scheme::build_on_demand(g.clone(), SchemeParams::new(3, 5));
     assert_eq!(sim::evaluate_lenient(&g, &d, &combined, &w).failures, 0);
-    let dense_only = Scheme::build_with_matrix(
+    let dense_only = Scheme::build_on_demand(
         g.clone(),
-        &d,
         SchemeParams::new(3, 5).with_force_mode(ForceMode::AllDense),
     );
     let df = sim::evaluate_lenient(&g, &d, &dense_only, &w).failures;

@@ -21,7 +21,7 @@ fn scheme_parallel_eval_bit_identical_across_families() {
     for (fam, n) in [(Family::Geometric, 100), (Family::ExpRing, 64)] {
         let g = fam.generate(n, 0xE0);
         let d = apsp(&g);
-        let scheme = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(2, 0xE0));
+        let scheme = Scheme::build_on_demand(g.clone(), SchemeParams::new(2, 0xE0));
         let workload = pairs::all(g.n());
         let seq = evaluate(&g, &d, &scheme, &workload);
         for threads in [1, 2, 5, 16] {
@@ -61,7 +61,7 @@ fn lenient_parallel_eval_bit_identical_on_ablation() {
     let g = Family::ExpRing.generate(64, 0xE2);
     let d = apsp(&g);
     let params = SchemeParams::new(3, 0xE2).with_force_mode(ForceMode::AllDense);
-    let scheme = Scheme::build_with_matrix(g.clone(), &d, params);
+    let scheme = Scheme::build_on_demand(g.clone(), params);
     let workload = pairs::all(g.n());
     let seq = evaluate_lenient(&g, &d, &scheme, &workload);
     let par = evaluate_parallel_lenient(&g, &d, &scheme, &workload, 3);

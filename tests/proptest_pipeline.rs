@@ -27,7 +27,7 @@ proptest! {
     #[test]
     fn scheme_always_delivers(g in arb_graph(), k in 1usize..4, seed in any::<u64>()) {
         let d = apsp(&g);
-        let scheme = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(k, seed));
+        let scheme = Scheme::build_on_demand(g.clone(), SchemeParams::new(k, seed));
         let stats = evaluate(&g, &d, &scheme, &pairs::all(g.n()));
         prop_assert_eq!(stats.failures, 0);
         prop_assert!(stats.max_stretch <= (12 * k.max(2)) as f64,

@@ -17,7 +17,7 @@ fn storage_at_exponent(e: u32, k: usize) -> (f64, f64, usize) {
         let g =
             if e == 0 { graphkit::gen::ring(n, 1) } else { graphkit::gen::exponential_ring(n, e) };
         let d = apsp(&g);
-        let ours = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(k, s));
+        let ours = Scheme::build_on_demand(g.clone(), SchemeParams::new(k, s));
         let hier = HierarchicalScheme::build(g.clone(), k, s);
         ours_total += StorageAudit::collect(&ours, n).mean_bits();
         hier_total += StorageAudit::collect(&hier, n).mean_bits();
@@ -66,7 +66,7 @@ fn star_chain_workload_also_scale_free() {
     // A different extreme-Δ shape: star clusters at every scale.
     let g = graphkit::gen::exponential_star_chain(8, 5, 5);
     let d = apsp(&g);
-    let scheme = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(3, 7));
+    let scheme = Scheme::build_on_demand(g.clone(), SchemeParams::new(3, 7));
     let stats = evaluate(&g, &d, &scheme, &pairs::all(g.n()));
     assert_eq!(stats.failures, 0);
     assert!(stats.max_stretch <= 36.0, "stretch {}", stats.max_stretch);

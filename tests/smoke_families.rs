@@ -18,7 +18,7 @@ fn every_family_delivers_at_k_1_to_3() {
         assert!(d.connected(), "{}: generator must return a connected graph", fam.label());
         let workload = pairs::sample(g.n(), 200, 7);
         for k in 1..=3usize {
-            let scheme = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(k, 1706));
+            let scheme = Scheme::build_on_demand(g.clone(), SchemeParams::new(k, 1706));
             let stats = evaluate(&g, &d, &scheme, &workload);
             assert_eq!(
                 stats.failures,
@@ -48,8 +48,7 @@ fn storage_audit_is_finite_and_positive() {
     // must account > 0 bits and the audit must agree with the scheme's
     // own breakdown on totals.
     let g = Family::Geometric.generate(72, 1706);
-    let d = apsp(&g);
-    let scheme = Scheme::build_with_matrix(g.clone(), &d, SchemeParams::new(2, 1706));
+    let scheme = Scheme::build_on_demand(g.clone(), SchemeParams::new(2, 1706));
     let audit = StorageAudit::collect(&scheme, g.n());
     assert_eq!(audit.per_node_bits.len(), g.n());
     assert!(audit.per_node_bits.iter().all(|&b| b > 0), "zero-bit node in storage audit");
