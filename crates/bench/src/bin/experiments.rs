@@ -2,26 +2,25 @@
 //!
 //! ```text
 //! experiments [--quick] [--pairs-sampled N] [--threads T]
-//!             [--truth dense|ondemand] [--spill] [--per-node-budgets]
-//!             [ids…|all]
+//!             [--truth dense|ondemand] [--per-node-budgets] [ids…|all]
 //! ```
 //!
-//! Without ids, prints the registry. `--quick` shrinks instance sizes
-//! (the mode the integration tests run). `--pairs-sampled` overrides
-//! the evaluation workload budget, `--threads` the evaluation/prefetch
-//! worker count (0 = auto), `--truth` selects the ground-truth engine
-//! (the dense Θ(n²) matrix or on-demand Dijkstra). `--spill` streams
-//! the `sc` builds' center trees to disk and `--per-node-budgets`
-//! switches them to instance-tuned per-node S budgets. Tables are
-//! bit-identical across `--threads`, `--truth`, and `--spill`
-//! settings.
+//! Without ids, prints the registry. An unknown flag or experiment id
+//! prints it too and exits 2 before any experiment runs. `--quick`
+//! shrinks instance sizes (the mode the integration tests run).
+//! `--pairs-sampled` overrides the evaluation workload budget,
+//! `--threads` the evaluation/prefetch worker count (0 = auto),
+//! `--truth` selects the ground-truth engine (the dense Θ(n²) matrix or
+//! on-demand Dijkstra), and `--per-node-budgets` switches the `sc` and
+//! `churn` builds to instance-tuned per-node S budgets. Tables are
+//! bit-identical across `--threads` and `--truth` settings.
 
 use routing_bench::{RunConfig, TruthKind};
 
 fn usage(registry: &[(&str, &str, routing_bench::Runner)]) -> ! {
     eprintln!(
         "usage: experiments [--quick] [--pairs-sampled N] [--threads T] \
-         [--truth dense|ondemand] [--spill] [--per-node-budgets] [ids…|all]\n\n\
+         [--truth dense|ondemand] [--per-node-budgets] [ids…|all]\n\n\
          available experiments:"
     );
     for (id, desc, _) in registry {
@@ -63,7 +62,6 @@ fn main() {
                     usage(&registry);
                 }
             },
-            "--spill" => cfg.spill = true,
             "--per-node-budgets" => cfg.per_node_budgets = true,
             other if other.starts_with("--") => {
                 eprintln!("unknown flag {other}");
@@ -75,19 +73,19 @@ fn main() {
     if ids.is_empty() {
         usage(&registry);
     }
+    if let Some(bad) =
+        ids.iter().find(|i| *i != "all" && !registry.iter().any(|(id, _, _)| id == i))
+    {
+        eprintln!("unknown experiment {bad}");
+        usage(&registry);
+    }
     let run_all = ids.iter().any(|i| i == "all");
-    let mut ran = 0;
     for (id, desc, runner) in &registry {
         if run_all || ids.iter().any(|i| i == id) {
             eprintln!("[experiments] running {id} — {desc}");
             let started = std::time::Instant::now();
             print!("{}", runner(&cfg));
             eprintln!("[experiments] {id} done in {:.1}s", started.elapsed().as_secs_f64());
-            ran += 1;
         }
-    }
-    if ran == 0 {
-        eprintln!("no experiment matched {ids:?}");
-        std::process::exit(2);
     }
 }

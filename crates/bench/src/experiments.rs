@@ -12,11 +12,9 @@ use landmarks::claims;
 use landmarks::LandmarkHierarchy;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use routing_core::bench_record::{self, TopicRecord};
 use routing_core::churn::{run_churn, ChurnConfig, ChurnPlan};
-use routing_core::{
-    bench_record, ConstructionRecord, EvaluationRecord, ForceMode, RepairOutcome, SBudgetMode,
-    Scheme, SchemeParams,
-};
+use routing_core::{ForceMode, RepairOutcome, SBudgetMode, Scheme, SchemeParams};
 use sim::{
     evaluate_parallel, evaluate_parallel_lenient, pairs, Router, StorageAudit, StretchStats,
 };
@@ -829,6 +827,34 @@ pub fn dx(cfg: &RunConfig) -> String {
     t.render()
 }
 
+/// Merge `records` into the `(benchmark, env, file)` topic document:
+/// at the path in the environment variable `env`, else at `file` —
+/// except in a quick run without `env`, which never overwrites the
+/// checked-in full-size baseline. Notes the outcome on `t`: the two
+/// `quick` lines when nothing was written, else "`<what>` records
+/// written to `<path>`" (or "NOT written … : `<error>`") and `tail`.
+fn write_records(
+    t: &mut Table,
+    cfg: &RunConfig,
+    (benchmark, env, file): (&str, &str, &str),
+    records: &[TopicRecord],
+    quick: [&str; 2],
+    (what, tail): (&str, &str),
+) {
+    let out = std::env::var(env).ok();
+    if cfg.quick && out.is_none() {
+        for line in quick {
+            t.note(line);
+        }
+        return;
+    }
+    let out = out.unwrap_or_else(|| file.to_string());
+    match bench_record::write_merged(&out, &bench_record::render_topic_json(benchmark, records)) {
+        Ok(()) => t.note(format!("{what} records written to {out}{tail}")),
+        Err(e) => t.note(format!("{what} records NOT written to {out}: {e}{tail}")),
+    };
+}
+
 // ---------------------------------------------------------------------
 // SC — scaling beyond the n² wall
 // ---------------------------------------------------------------------
@@ -837,11 +863,11 @@ pub fn dx(cfg: &RunConfig) -> String {
 /// the AGM `Scheme` itself is preprocessed matrix-free on a scale-free
 /// (heavy-tailed, Δ ≈ 2^30) workload, routed, and measured against
 /// on-demand ground truth, next to the landmark-chaining baseline.
-/// Honors `--pairs-sampled`, `--threads`, `--spill`, and
-/// `--per-node-budgets`. Each AGM build also emits a machine-readable
-/// datapoint; the collected records are merged into
-/// `BENCH_construction.json`, keeping rows at other `(n, k)` (path
-/// override: `BENCH_CONSTRUCTION_OUT`).
+/// Honors `--pairs-sampled`, `--threads`, and `--per-node-budgets`.
+/// Each AGM build also emits a machine-readable datapoint; the
+/// collected records are merged into `BENCH_construction.json`, keeping
+/// rows at other `(n, k)` (path override: `BENCH_CONSTRUCTION_OUT`;
+/// suppressed in `--quick` runs unless redirected).
 pub fn sc(cfg: &RunConfig) -> String {
     let sizes: &[usize] = if cfg.quick { &[2_000, 5_000] } else { &[10_000, 50_000] };
     let k = 2;
@@ -861,7 +887,7 @@ pub fn sc(cfg: &RunConfig) -> String {
             "n² matrix MiB (skipped)",
         ],
     );
-    let mut records: Vec<ConstructionRecord> = Vec::new();
+    let mut records: Vec<TopicRecord> = Vec::new();
     for &n in sizes {
         let pairs_budget = cfg.pairs_sampled.unwrap_or(if cfg.quick { 2_000 } else { 10_000 });
         let mut rng = SmallRng::seed_from_u64(0x5CA1E + n as u64);
@@ -873,9 +899,6 @@ pub fn sc(cfg: &RunConfig) -> String {
         let workload = pairs::sample_grouped(n, sources, pairs_budget.div_ceil(sources), 0x5CA1E);
 
         let mut params = SchemeParams::new(k, 0x5CA1E);
-        if cfg.spill {
-            params = params.with_spill();
-        }
         if cfg.per_node_budgets {
             params = params.with_s_budget_mode(SBudgetMode::PerNode);
         }
@@ -883,7 +906,15 @@ pub fn sc(cfg: &RunConfig) -> String {
             let t0 = std::time::Instant::now();
             let scheme = Scheme::build_on_demand(g.clone(), params);
             let scheme_s = t0.elapsed().as_secs_f64();
-            records.push(ConstructionRecord::collect(n, k, cfg.threads, scheme_s, scheme.stats()));
+            let peak_rss_kib = graphkit::metrics::peak_rss_kib().unwrap_or(0);
+            records.push(bench_record::construction_record(
+                n,
+                k,
+                cfg.threads,
+                scheme_s,
+                peak_rss_kib,
+                scheme.stats(),
+            ));
             let scheme: Box<dyn Router + Sync> = Box::new(scheme);
             let t1 = std::time::Instant::now();
             let chain: Box<dyn Router + Sync> =
@@ -929,26 +960,17 @@ pub fn sc(cfg: &RunConfig) -> String {
             ]);
         }
     }
-    // Quick runs never overwrite the checked-in full-size baseline
-    // unless explicitly redirected.
-    let out = std::env::var("BENCH_CONSTRUCTION_OUT").ok();
-    match (out, cfg.quick) {
-        (None, true) => {
-            t.note("Construction records not persisted in --quick mode (set");
-            t.note("BENCH_CONSTRUCTION_OUT to capture them; per-phase laps, peak RSS,");
-        }
-        (out, _) => {
-            let out = out.unwrap_or_else(|| "BENCH_construction.json".to_string());
-            match bench_record::write_merged(&out, &bench_record::render_json(&records)) {
-                Ok(()) => t.note(format!(
-                    "Construction records written to {out} (per-phase laps, peak RSS,"
-                )),
-                Err(e) => t.note(format!(
-                    "Construction records NOT written to {out}: {e} (laps, peak RSS,"
-                )),
-            };
-        }
-    }
+    write_records(
+        &mut t,
+        cfg,
+        (bench_record::CONSTRUCTION, "BENCH_CONSTRUCTION_OUT", "BENCH_construction.json"),
+        &records,
+        [
+            "Construction records not persisted in --quick mode (set",
+            "BENCH_CONSTRUCTION_OUT to capture them; per-phase laps, peak RSS,",
+        ],
+        ("Construction", " (per-phase laps, peak RSS,"),
+    );
     t.note("membership counts — the CI smoke's regression baseline).");
     t.note("The AGM scheme's own preprocessing now runs matrix-free: bounded-Dijkstra");
     t.note("ranges and E(u,i) balls, one Dijkstra per landmark for claims/centers/S-");
@@ -984,7 +1006,6 @@ pub fn serve(cfg: &RunConfig) -> String {
     let snapshot_bytes = std::fs::metadata(&snap).map(|m| m.len()).unwrap_or(0);
     drop(built); // serve strictly from the snapshot — no rebuild path
 
-    let mut records: Vec<routing_core::ServingRecord> = Vec::new();
     let mut scheme_record: Option<(f64, routing_core::ServeReport)> = None;
     type SchemeLoader = fn(&std::path::Path) -> std::io::Result<Scheme>;
     let loaders: [(&str, SchemeLoader); 2] = [
@@ -1027,28 +1048,18 @@ pub fn serve(cfg: &RunConfig) -> String {
     ]);
 
     let (load_seconds, scheme_rep) = scheme_record.expect("scheme served");
-    records.push(routing_core::ServingRecord {
-        n,
-        k,
-        snapshot_bytes,
-        load_seconds,
-        scheme: scheme_rep,
-        baseline: Some(("sp_tables".to_string(), rep)),
-    });
-    let out = std::env::var("BENCH_SERVING_OUT").ok();
-    match (out, cfg.quick) {
-        (None, true) => {
-            t.note("Serving records not persisted in --quick mode (set BENCH_SERVING_OUT");
-            t.note("to capture them).");
-        }
-        (out, _) => {
-            let out = out.unwrap_or_else(|| "BENCH_serving.json".to_string());
-            match bench_record::write_merged(&out, &bench_record::render_serving_json(&records)) {
-                Ok(()) => t.note(format!("Serving records written to {out}.")),
-                Err(e) => t.note(format!("Serving records NOT written to {out}: {e}.")),
-            };
-        }
-    }
+    let baseline = Some(("sp_tables", &rep));
+    write_records(
+        &mut t,
+        cfg,
+        (bench_record::SERVING, "BENCH_SERVING_OUT", "BENCH_serving.json"),
+        &[bench_record::serving_record(n, k, snapshot_bytes, load_seconds, &scheme_rep, baseline)],
+        [
+            "Serving records not persisted in --quick mode (set BENCH_SERVING_OUT",
+            "to capture them).",
+        ],
+        ("Serving", "."),
+    );
     t.note("The serve path never rebuilds: the scheme is dropped after save and");
     t.note("reconstructed purely from the snapshot's flat arenas. The sp-tables");
     t.note("baseline routes optimally but must be rebuilt from scratch (no snapshot)");
@@ -1062,10 +1073,10 @@ pub fn serve(cfg: &RunConfig) -> String {
 /// truncate to undelivered; surviving paths re-cost at current
 /// weights), then [`Scheme::repair`] patches the scheme and the same
 /// workload is measured again — degradation and recovery side by side.
-/// Honors `--pairs-sampled`, `--threads`, `--spill`, and
-/// `--per-node-budgets`. Each epoch also emits a machine-readable
-/// [`EvaluationRecord`]; the collected records are merged into
-/// `BENCH_evaluation.json`, keeping rows at other `(n, k)` (path
+/// Honors `--pairs-sampled`, `--threads`, and `--per-node-budgets`.
+/// Each epoch also emits a machine-readable
+/// [`bench_record::evaluation_record`]; the collected records are merged
+/// into `BENCH_evaluation.json`, keeping rows at other `(n, k)` (path
 /// override: `BENCH_EVALUATION_OUT`; suppressed in `--quick` runs unless
 /// redirected, mirroring `sc`).
 pub fn churn(cfg: &RunConfig) -> String {
@@ -1096,18 +1107,15 @@ pub fn churn(cfg: &RunConfig) -> String {
     let plan = ChurnPlan::generate(&g, &churn_cfg);
 
     let mut params = SchemeParams::new(k, 0xC4A0);
-    if cfg.spill {
-        params = params.with_spill();
-    }
     if cfg.per_node_budgets {
         params = params.with_s_budget_mode(SBudgetMode::PerNode);
     }
     let pairs_per_epoch = cfg.pairs_sampled.unwrap_or(pairs_default);
     let rows = run_churn(&g, params, &plan, pairs_per_epoch, 0xC4A2, cfg.threads);
 
-    let mut records: Vec<EvaluationRecord> = Vec::new();
+    let mut records: Vec<TopicRecord> = Vec::new();
     for row in &rows {
-        records.push(EvaluationRecord::collect(n, k, row));
+        records.push(bench_record::evaluation_record(n, k, row));
         let (outcome, reused, repair_s) = match &row.outcome {
             RepairOutcome::Repaired(r) => (
                 "repaired".to_string(),
@@ -1145,23 +1153,17 @@ pub fn churn(cfg: &RunConfig) -> String {
             f(post.p99_stretch),
         ]);
     }
-    // Quick runs never overwrite the checked-in full-size baseline
-    // unless explicitly redirected.
-    let out = std::env::var("BENCH_EVALUATION_OUT").ok();
-    match (out, cfg.quick) {
-        (None, true) => {
-            t.note("Evaluation records not persisted in --quick mode (set");
-            t.note("BENCH_EVALUATION_OUT to capture them).");
-        }
-        (out, _) => {
-            let out = out.unwrap_or_else(|| "BENCH_evaluation.json".to_string());
-            match bench_record::write_merged(&out, &bench_record::render_evaluation_json(&records))
-            {
-                Ok(()) => t.note(format!("Evaluation records written to {out}.")),
-                Err(e) => t.note(format!("Evaluation records NOT written to {out}: {e}.")),
-            };
-        }
-    }
+    write_records(
+        &mut t,
+        cfg,
+        (bench_record::EVALUATION, "BENCH_EVALUATION_OUT", "BENCH_evaluation.json"),
+        &records,
+        [
+            "Evaluation records not persisted in --quick mode (set",
+            "BENCH_EVALUATION_OUT to capture them).",
+        ],
+        ("Evaluation", "."),
+    );
     t.note("Stale rows replay the pre-mutation scheme's paths on the mutated graph:");
     t.note("a path crossing a failed edge counts as undelivered, surviving paths");
     t.note("re-cost at the current weights. 'trees reused' counts center trees");

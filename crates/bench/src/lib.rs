@@ -27,7 +27,7 @@ pub enum TruthKind {
 
 /// Knobs shared by every experiment runner — the CLI surface of the
 /// `experiments` binary (`--quick`, `--pairs-sampled`, `--threads`,
-/// `--truth`, `--spill`, `--per-node-budgets`).
+/// `--truth`, `--per-node-budgets`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RunConfig {
     /// Shrink instance sizes (the mode the integration tests run).
@@ -39,11 +39,8 @@ pub struct RunConfig {
     pub threads: usize,
     /// Ground-truth engine for stretch evaluation.
     pub truth: TruthKind,
-    /// Stream center trees to the spill file during the `sc` builds
-    /// (`--spill`).
-    pub spill: bool,
-    /// Build the `sc` schemes with instance-tuned per-node S budgets
-    /// instead of the global level maxima (`--per-node-budgets`).
+    /// Build the `sc` and `churn` schemes with instance-tuned per-node S
+    /// budgets instead of the global level maxima (`--per-node-budgets`).
     pub per_node_budgets: bool,
 }
 

@@ -5,18 +5,20 @@
 //! records are rendered and scanned by hand through a small generic
 //! layer: a [`TopicRecord`] is an ordered list of typed fields, and
 //! [`render_topic_json`] renders any list of them as a
-//! `BENCH_<topic>.json` document. Three concrete schemas ride on it:
+//! `BENCH_<topic>.json` document. Three schemas ride on it, each a
+//! function that lays out one record's fields:
 //!
-//! * [`ConstructionRecord`] → `BENCH_construction.json` (the `sc`
-//!   experiment; the CI construction smoke compares its peak RSS
-//!   against the checked-in baseline and fails on a >2× regression);
-//! * [`ServingRecord`] → `BENCH_serving.json` (the `serve`
-//!   experiment and the CI serving smoke: routes/sec and p50/p99
-//!   latency against a loaded snapshot);
-//! * [`EvaluationRecord`] → `BENCH_evaluation.json` (the `churn`
-//!   experiment: one record per mutate→repair epoch — stale vs
-//!   repaired delivery rate and stretch percentiles, plus what the
-//!   repair reused).
+//! * [`construction_record`] → `BENCH_construction.json`
+//!   ([`CONSTRUCTION`]; the `sc` experiment; the CI construction smoke
+//!   compares its peak RSS against the checked-in baseline and fails
+//!   on a >2× regression);
+//! * [`serving_record`] → `BENCH_serving.json` ([`SERVING`]; the
+//!   `serve` experiment and the CI serving smoke: routes/sec and
+//!   p50/p99 latency against a loaded snapshot);
+//! * [`evaluation_record`] → `BENCH_evaluation.json` ([`EVALUATION`];
+//!   the `churn` experiment: one record per mutate→repair epoch —
+//!   stale vs repaired delivery rate and stretch percentiles, plus what
+//!   the repair reused).
 //!
 //! Baseline scanning works on any topic document via
 //! [`baseline_value`], anchored on the record's leading `"n"` field.
@@ -151,250 +153,115 @@ pub fn write_merged(path: impl AsRef<std::path::Path>, fresh: &str) -> std::io::
     std::fs::write(path, merge_topic_json(&existing, fresh))
 }
 
-/// One Theorem-1 construction datapoint.
-#[derive(Clone, Debug)]
-pub struct ConstructionRecord {
-    /// Graph size (nodes).
-    pub n: usize,
-    /// Trade-off parameter.
-    pub k: usize,
-    /// Worker-thread cap the build ran under (0 = auto).
-    pub threads: usize,
-    /// End-to-end scheme build wall clock.
-    pub build_seconds: f64,
-    /// `VmHWM` after the build, in KiB (0 where procfs is unavailable).
-    pub peak_rss_kib: u64,
-    /// Distinct centers (= landmark trees built).
-    pub num_center_trees: usize,
-    /// Total landmark-tree memberships.
-    pub total_members: usize,
-    /// Effective S-set budget per landmark level.
-    pub s_budgets: Vec<usize>,
-    /// Per-phase wall clock, in pipeline order (`BuildStats::phase_seconds`).
-    pub phase_seconds: Vec<(String, f64)>,
+/// Benchmark name of `BENCH_construction.json`.
+pub const CONSTRUCTION: &str = "agm-theorem1-construction";
+/// Benchmark name of `BENCH_serving.json`.
+pub const SERVING: &str = "agm-theorem1-serving";
+/// Benchmark name of `BENCH_evaluation.json`.
+pub const EVALUATION: &str = "agm-theorem1-evaluation";
+
+/// One Theorem-1 construction datapoint: graph size, `k`, the worker
+/// cap the build ran under (0 = auto), its wall clock, `VmHWM` in KiB
+/// (0 where procfs is unavailable), and the build's stats (field order
+/// is the document format; never reorder).
+pub fn construction_record(
+    n: usize,
+    k: usize,
+    threads: usize,
+    build_seconds: f64,
+    peak_rss_kib: u64,
+    stats: &BuildStats,
+) -> TopicRecord {
+    TopicRecord::new()
+        .field("n", FieldValue::Int(n as u64))
+        .field("k", FieldValue::Int(k as u64))
+        .field("threads", FieldValue::Int(threads as u64))
+        .field("build_seconds", FieldValue::Float(build_seconds))
+        .field("peak_rss_kib", FieldValue::Int(peak_rss_kib))
+        .field("num_center_trees", FieldValue::Int(stats.num_center_trees as u64))
+        .field("total_members", FieldValue::Int(stats.total_members as u64))
+        .field(
+            "s_budgets",
+            FieldValue::IntList(stats.s_budgets.iter().map(|&b| b as u64).collect()),
+        )
+        .field("phase_seconds", FieldValue::FloatMap(stats.phase_seconds.clone()))
 }
 
-impl ConstructionRecord {
-    /// Snapshot a record from a finished build (peak RSS read from
-    /// procfs at call time, so collect right after the build).
-    pub fn collect(
-        n: usize,
-        k: usize,
-        threads: usize,
-        build_seconds: f64,
-        stats: &BuildStats,
-    ) -> Self {
-        ConstructionRecord {
-            n,
-            k,
-            threads,
-            build_seconds,
-            peak_rss_kib: graphkit::metrics::peak_rss_kib().unwrap_or(0),
-            num_center_trees: stats.num_center_trees,
-            total_members: stats.total_members,
-            s_budgets: stats.s_budgets.clone(),
-            phase_seconds: stats.phase_seconds.clone(),
-        }
+/// One serving datapoint: a snapshot-loaded scheme (`snapshot_bytes` on
+/// disk, loaded in `load_seconds`) answering a query batch, optionally
+/// next to a named comparison router served the same batch (e.g.
+/// shortest-path tables, where one is feasible to build).
+pub fn serving_record(
+    n: usize,
+    k: usize,
+    snapshot_bytes: u64,
+    load_seconds: f64,
+    scheme: &ServeReport,
+    baseline: Option<(&str, &ServeReport)>,
+) -> TopicRecord {
+    let serve = |r: TopicRecord, prefix: &str, rep: &ServeReport| {
+        r.field(&format!("{prefix}routes_per_sec"), FieldValue::Float(rep.routes_per_sec))
+            .field(&format!("{prefix}p50_us"), FieldValue::Float(rep.p50_us))
+            .field(&format!("{prefix}p99_us"), FieldValue::Float(rep.p99_us))
+    };
+    let mut r = TopicRecord::new()
+        .field("n", FieldValue::Int(n as u64))
+        .field("k", FieldValue::Int(k as u64))
+        .field("queries", FieldValue::Int(scheme.queries as u64))
+        .field("delivered", FieldValue::Int(scheme.delivered as u64))
+        .field("threads", FieldValue::Int(scheme.threads as u64))
+        .field("snapshot_bytes", FieldValue::Int(snapshot_bytes))
+        .field("load_seconds", FieldValue::Float(load_seconds));
+    r = serve(r, "", scheme);
+    if let Some((name, rep)) = baseline {
+        r = r.field(&format!("baseline_{name}_queries"), FieldValue::Int(rep.queries as u64));
+        r = serve(r, &format!("baseline_{name}_"), rep);
     }
-
-    /// Lower into the generic topic schema (field order is the
-    /// document format; never reorder).
-    pub fn to_topic(&self) -> TopicRecord {
-        TopicRecord::new()
-            .field("n", FieldValue::Int(self.n as u64))
-            .field("k", FieldValue::Int(self.k as u64))
-            .field("threads", FieldValue::Int(self.threads as u64))
-            .field("build_seconds", FieldValue::Float(self.build_seconds))
-            .field("peak_rss_kib", FieldValue::Int(self.peak_rss_kib))
-            .field("num_center_trees", FieldValue::Int(self.num_center_trees as u64))
-            .field("total_members", FieldValue::Int(self.total_members as u64))
-            .field(
-                "s_budgets",
-                FieldValue::IntList(self.s_budgets.iter().map(|&b| b as u64).collect()),
-            )
-            .field("phase_seconds", FieldValue::FloatMap(self.phase_seconds.clone()))
-    }
-}
-
-/// Render the full `BENCH_construction.json` document.
-pub fn render_json(records: &[ConstructionRecord]) -> String {
-    let topics: Vec<TopicRecord> = records.iter().map(|r| r.to_topic()).collect();
-    render_topic_json("agm-theorem1-construction", &topics)
-}
-
-/// One serving datapoint: a snapshot-loaded scheme answering a query
-/// batch, optionally next to a baseline router served the same batch.
-#[derive(Clone, Debug)]
-pub struct ServingRecord {
-    /// Graph size (nodes).
-    pub n: usize,
-    /// Trade-off parameter.
-    pub k: usize,
-    /// Snapshot file size, bytes.
-    pub snapshot_bytes: u64,
-    /// Wall clock of `Scheme::load`, seconds.
-    pub load_seconds: f64,
-    /// The scheme's serve report.
-    pub scheme: ServeReport,
-    /// The comparison router's report over the same batch (e.g.
-    /// shortest-path tables), where one is feasible to build.
-    pub baseline: Option<(String, ServeReport)>,
-}
-
-impl ServingRecord {
-    /// Lower into the generic topic schema.
-    pub fn to_topic(&self) -> TopicRecord {
-        let serve = |r: TopicRecord, prefix: &str, rep: &ServeReport| {
-            r.field(&format!("{prefix}routes_per_sec"), FieldValue::Float(rep.routes_per_sec))
-                .field(&format!("{prefix}p50_us"), FieldValue::Float(rep.p50_us))
-                .field(&format!("{prefix}p99_us"), FieldValue::Float(rep.p99_us))
-        };
-        let mut r = TopicRecord::new()
-            .field("n", FieldValue::Int(self.n as u64))
-            .field("k", FieldValue::Int(self.k as u64))
-            .field("queries", FieldValue::Int(self.scheme.queries as u64))
-            .field("delivered", FieldValue::Int(self.scheme.delivered as u64))
-            .field("threads", FieldValue::Int(self.scheme.threads as u64))
-            .field("snapshot_bytes", FieldValue::Int(self.snapshot_bytes))
-            .field("load_seconds", FieldValue::Float(self.load_seconds));
-        r = serve(r, "", &self.scheme);
-        if let Some((name, rep)) = &self.baseline {
-            r = r.field(&format!("baseline_{name}_queries"), FieldValue::Int(rep.queries as u64));
-            r = serve(r, &format!("baseline_{name}_"), rep);
-        }
-        r
-    }
-}
-
-/// Render the full `BENCH_serving.json` document.
-pub fn render_serving_json(records: &[ServingRecord]) -> String {
-    let topics: Vec<TopicRecord> = records.iter().map(|r| r.to_topic()).collect();
-    render_topic_json("agm-theorem1-serving", &topics)
+    r
 }
 
 /// One churn-epoch datapoint: the stale scheme's degradation on the
-/// mutated graph next to the repaired scheme on the same workload,
-/// plus how much of the structure the repair reused.
-#[derive(Clone, Debug)]
-pub struct EvaluationRecord {
-    /// Graph size (nodes).
-    pub n: usize,
-    /// Trade-off parameter.
-    pub k: usize,
-    /// Epoch index within the schedule (0-based).
-    pub epoch: usize,
-    /// Deltas applied this epoch.
-    pub batch_deltas: usize,
-    /// Deltas still outstanding after the repair attempt (nonzero only
-    /// while repair defers on a disconnected graph).
-    pub pending_deltas: usize,
-    /// Delivered fraction of the stale (pre-repair) measurement.
-    pub pre_delivery_rate: f64,
-    /// Stale stretch percentiles over delivered pairs.
-    pub pre_p50_stretch: f64,
-    /// Stale 99th-percentile stretch.
-    pub pre_p99_stretch: f64,
-    /// Stale maximum stretch.
-    pub pre_max_stretch: f64,
-    /// What repair did: `repaired`, `rebuilt-<reason>`, or
-    /// `deferred-<reason>`.
-    pub outcome: String,
-    /// Nodes whose distance vector changed (zero unless `repaired`).
-    pub dirty_nodes: usize,
-    /// Center trees rebuilt by the repair (zero unless `repaired`).
-    pub trees_rebuilt: usize,
-    /// Center trees reused bit-identically (zero unless `repaired`).
-    pub trees_reused: usize,
-    /// Wall clock of the repair or fallback rebuild (zero while
-    /// deferred).
-    pub repair_seconds: f64,
-    /// Post-repair measurements on the same workload (`None` while
-    /// deferred — those fields are omitted from the record).
-    pub post_delivery_rate: Option<f64>,
-    /// Repaired median stretch.
-    pub post_p50_stretch: Option<f64>,
-    /// Repaired 99th-percentile stretch.
-    pub post_p99_stretch: Option<f64>,
-    /// Repaired maximum stretch.
-    pub post_max_stretch: Option<f64>,
-}
-
-impl EvaluationRecord {
-    /// Lower one epoch of a churn run into the record schema.
-    pub fn collect(n: usize, k: usize, row: &EpochRow) -> Self {
-        let (outcome, dirty_nodes, trees_rebuilt, trees_reused, repair_seconds) = match &row.outcome
-        {
-            RepairOutcome::Repaired(r) => {
-                ("repaired".to_string(), r.dirty_nodes, r.trees_rebuilt, r.trees_reused, r.seconds)
-            }
-            RepairOutcome::RebuiltFull { reason, seconds } => {
-                (format!("rebuilt-{reason:?}").to_lowercase(), 0, 0, 0, *seconds)
-            }
-            RepairOutcome::Deferred { reason } => {
-                (format!("deferred-{reason:?}").to_lowercase(), 0, 0, 0, 0.0)
-            }
-        };
-        EvaluationRecord {
-            n,
-            k,
-            epoch: row.epoch,
-            batch_deltas: row.batch_deltas,
-            pending_deltas: row.pending_deltas,
-            pre_delivery_rate: row.pre_delivery_rate(),
-            pre_p50_stretch: row.pre.p50_stretch,
-            pre_p99_stretch: row.pre.p99_stretch,
-            pre_max_stretch: row.pre.max_stretch,
-            outcome,
-            dirty_nodes,
-            trees_rebuilt,
-            trees_reused,
-            repair_seconds,
-            post_delivery_rate: row.post_delivery_rate(),
-            post_p50_stretch: row.post.as_ref().map(|s| s.p50_stretch),
-            post_p99_stretch: row.post.as_ref().map(|s| s.p99_stretch),
-            post_max_stretch: row.post.as_ref().map(|s| s.max_stretch),
+/// mutated graph next to the repaired scheme on the same workload, plus
+/// how much of the structure the repair reused. `outcome` is
+/// `repaired`, `rebuilt-<reason>` or `deferred-<reason>`; the reuse
+/// counters are zero unless repaired, and the post-repair fields are
+/// present only when repair ran this epoch (field order is the document
+/// format; never reorder).
+pub fn evaluation_record(n: usize, k: usize, row: &EpochRow) -> TopicRecord {
+    let (outcome, dirty_nodes, trees_rebuilt, trees_reused, repair_seconds) = match &row.outcome {
+        RepairOutcome::Repaired(r) => {
+            ("repaired".to_string(), r.dirty_nodes, r.trees_rebuilt, r.trees_reused, r.seconds)
         }
-    }
-
-    /// Lower into the generic topic schema (field order is the
-    /// document format; never reorder). Post-repair fields are present
-    /// only when repair ran this epoch.
-    pub fn to_topic(&self) -> TopicRecord {
-        let mut r = TopicRecord::new()
-            .field("n", FieldValue::Int(self.n as u64))
-            .field("k", FieldValue::Int(self.k as u64))
-            .field("epoch", FieldValue::Int(self.epoch as u64))
-            .field("batch_deltas", FieldValue::Int(self.batch_deltas as u64))
-            .field("pending_deltas", FieldValue::Int(self.pending_deltas as u64))
-            .field("pre_delivery_rate", FieldValue::Float(self.pre_delivery_rate))
-            .field("pre_p50_stretch", FieldValue::Float(self.pre_p50_stretch))
-            .field("pre_p99_stretch", FieldValue::Float(self.pre_p99_stretch))
-            .field("pre_max_stretch", FieldValue::Float(self.pre_max_stretch))
-            .field("outcome", FieldValue::Str(self.outcome.clone()))
-            .field("dirty_nodes", FieldValue::Int(self.dirty_nodes as u64))
-            .field("trees_rebuilt", FieldValue::Int(self.trees_rebuilt as u64))
-            .field("trees_reused", FieldValue::Int(self.trees_reused as u64))
-            .field("repair_seconds", FieldValue::Float(self.repair_seconds));
-        if let (Some(rate), Some(p50), Some(p99), Some(max)) = (
-            self.post_delivery_rate,
-            self.post_p50_stretch,
-            self.post_p99_stretch,
-            self.post_max_stretch,
-        ) {
-            r = r
-                .field("post_delivery_rate", FieldValue::Float(rate))
-                .field("post_p50_stretch", FieldValue::Float(p50))
-                .field("post_p99_stretch", FieldValue::Float(p99))
-                .field("post_max_stretch", FieldValue::Float(max));
+        RepairOutcome::RebuiltFull { reason, seconds } => {
+            (format!("rebuilt-{reason:?}").to_lowercase(), 0, 0, 0, *seconds)
         }
-        r
+        RepairOutcome::Deferred { reason } => {
+            (format!("deferred-{reason:?}").to_lowercase(), 0, 0, 0, 0.0)
+        }
+    };
+    let r = TopicRecord::new()
+        .field("n", FieldValue::Int(n as u64))
+        .field("k", FieldValue::Int(k as u64))
+        .field("epoch", FieldValue::Int(row.epoch as u64))
+        .field("batch_deltas", FieldValue::Int(row.batch_deltas as u64))
+        .field("pending_deltas", FieldValue::Int(row.pending_deltas as u64))
+        .field("pre_delivery_rate", FieldValue::Float(row.pre_delivery_rate()))
+        .field("pre_p50_stretch", FieldValue::Float(row.pre.p50_stretch))
+        .field("pre_p99_stretch", FieldValue::Float(row.pre.p99_stretch))
+        .field("pre_max_stretch", FieldValue::Float(row.pre.max_stretch))
+        .field("outcome", FieldValue::Str(outcome))
+        .field("dirty_nodes", FieldValue::Int(dirty_nodes as u64))
+        .field("trees_rebuilt", FieldValue::Int(trees_rebuilt as u64))
+        .field("trees_reused", FieldValue::Int(trees_reused as u64))
+        .field("repair_seconds", FieldValue::Float(repair_seconds));
+    match (row.post_delivery_rate(), &row.post) {
+        (Some(rate), Some(post)) => r
+            .field("post_delivery_rate", FieldValue::Float(rate))
+            .field("post_p50_stretch", FieldValue::Float(post.p50_stretch))
+            .field("post_p99_stretch", FieldValue::Float(post.p99_stretch))
+            .field("post_max_stretch", FieldValue::Float(post.max_stretch)),
+        _ => r,
     }
-}
-
-/// Render the full `BENCH_evaluation.json` document.
-pub fn render_evaluation_json(records: &[EvaluationRecord]) -> String {
-    let topics: Vec<TopicRecord> = records.iter().map(|r| r.to_topic()).collect();
-    render_topic_json("agm-theorem1-evaluation", &topics)
 }
 
 /// Scan a rendered topic document for the record whose `anchor` field
@@ -457,31 +324,25 @@ mod tests {
     use super::*;
 
     fn sample() -> String {
-        let records = vec![
-            ConstructionRecord {
-                n: 10_000,
-                k: 2,
-                threads: 1,
-                build_seconds: 12.345,
-                peak_rss_kib: 400_000,
-                num_center_trees: 9_000,
-                total_members: 1_000_000,
-                s_budgets: vec![60, 40],
-                phase_seconds: vec![("plans".into(), 1.0), ("budgets".into(), 2.5)],
-            },
-            ConstructionRecord {
-                n: 50_000,
-                k: 2,
-                threads: 0,
-                build_seconds: 222.5,
-                peak_rss_kib: 2_000_000,
-                num_center_trees: 45_000,
-                total_members: 9_000_000,
-                s_budgets: vec![80, 50],
-                phase_seconds: vec![("plans".into(), 5.0)],
-            },
+        let small = BuildStats {
+            num_center_trees: 9_000,
+            total_members: 1_000_000,
+            s_budgets: vec![60, 40],
+            phase_seconds: vec![("plans".into(), 1.0), ("budgets".into(), 2.5)],
+            ..BuildStats::default()
+        };
+        let large = BuildStats {
+            num_center_trees: 45_000,
+            total_members: 9_000_000,
+            s_budgets: vec![80, 50],
+            phase_seconds: vec![("plans".into(), 5.0)],
+            ..BuildStats::default()
+        };
+        let records = [
+            construction_record(10_000, 2, 1, 12.345, 400_000, &small),
+            construction_record(50_000, 2, 0, 222.5, 2_000_000, &large),
         ];
-        render_json(&records)
+        render_topic_json(CONSTRUCTION, &records)
     }
 
     #[test]
@@ -539,15 +400,9 @@ mod tests {
             p50_us: 150.25,
             p99_us: 900.5,
         };
-        let rec = ServingRecord {
-            n: 50_000,
-            k: 2,
-            snapshot_bytes: 123_456_789,
-            load_seconds: 1.5,
-            scheme: report.clone(),
-            baseline: Some(("sp_tables".into(), report)),
-        };
-        let json = render_serving_json(&[rec]);
+        let rec =
+            serving_record(50_000, 2, 123_456_789, 1.5, &report, Some(("sp_tables", &report)));
+        let json = render_topic_json(SERVING, &[rec]);
         assert!(json.contains("\"benchmark\": \"agm-theorem1-serving\""));
         assert_eq!(baseline_value(&json, "n", 50_000, "queries"), Some("10000"));
         assert_eq!(baseline_value(&json, "n", 50_000, "routes_per_sec"), Some("5000.000"));
@@ -572,16 +427,9 @@ mod tests {
             p50_us: 5.0,
             p99_us: 12.0,
         };
-        let small = ServingRecord {
-            n: 3_000,
-            k: 2,
-            snapshot_bytes: 500_000_000,
-            load_seconds: 1.5,
-            scheme: report.clone(),
-            baseline: None,
-        };
-        let merged =
-            merge_topic_json(checked_in, &render_serving_json(std::slice::from_ref(&small)));
+        let small =
+            |load_seconds| serving_record(3_000, 2, 500_000_000, load_seconds, &report, None);
+        let merged = merge_topic_json(checked_in, &render_topic_json(SERVING, &[small(1.5)]));
         // The 50k CI anchor survives byte for byte, and the new row is
         // appended after it.
         assert_eq!(record_blocks(&merged)[0], anchor[0]);
@@ -589,8 +437,7 @@ mod tests {
         assert_eq!(baseline_value(&merged, "n", 3_000, "queries"), Some("20000"));
         assert_eq!(baseline_value(&merged, "n", 50_000, "queries"), Some("10000"));
         // Re-measuring a size replaces its row instead of adding one.
-        let again = ServingRecord { load_seconds: 2.0, ..small };
-        let merged = merge_topic_json(&merged, &render_serving_json(&[again]));
+        let merged = merge_topic_json(&merged, &render_topic_json(SERVING, &[small(2.0)]));
         assert_eq!(record_blocks(&merged).len(), 2);
         assert_eq!(record_blocks(&merged)[0], anchor[0]);
         assert_eq!(baseline_value(&merged, "n", 3_000, "load_seconds"), Some("2.000"));
@@ -633,9 +480,8 @@ mod tests {
             outcome: RepairOutcome::Deferred { reason: crate::DeferReason::Disconnected },
             post: None,
         };
-        let records: Vec<EvaluationRecord> =
-            [&repaired, &deferred].iter().map(|r| EvaluationRecord::collect(500, 2, r)).collect();
-        let json = render_evaluation_json(&records);
+        let records = [evaluation_record(500, 2, &repaired), evaluation_record(500, 2, &deferred)];
+        let json = render_topic_json(EVALUATION, &records);
         assert!(json.contains("\"benchmark\": \"agm-theorem1-evaluation\""));
         assert_eq!(baseline_value(&json, "epoch", 0, "trees_reused"), Some("95"));
         assert_eq!(baseline_value(&json, "epoch", 0, "post_delivery_rate"), Some("1.000"));

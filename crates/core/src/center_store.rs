@@ -10,9 +10,9 @@
 //!   for a built or repaired scheme (so repair moves a reused record
 //!   instead of copying it), or the whole loaded `CENTER_TREES` section
 //!   as one buffer;
-//! * **file** — records inside a file: a build's spill file, or the
-//!   snapshot itself when opened by `Scheme::load_lazy`. Each fetch is
-//!   one positional read into a per-thread buffer.
+//! * **file** — records inside the snapshot itself, opened by
+//!   `Scheme::load_lazy`. Each fetch is one positional read into a
+//!   per-thread buffer.
 //!
 //! **Validation rule.** A resident record is validated once: the build
 //! encodes it itself, and `Scheme::load` checksums the section and runs
@@ -22,15 +22,13 @@
 //! fetch, and nothing remembers that a record was good: lazy loading
 //! never checksums the section, so these checks are its only guard.
 //! The validation is allocation-free and linear in the record; the
-//! spill/snapshot parity suites assert both backings route exactly like
-//! a fresh build.
+//! snapshot parity suite asserts both backings route exactly like a
+//! fresh build.
 
 use std::cell::RefCell;
-use std::fs::{File, OpenOptions};
+use std::fs::File;
 use std::io;
 use std::os::unix::fs::FileExt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use graphkit::wire::{self, invalid};
 use treeroute::laing::{ErrorReportingTree, ErtLayout, ErtView};
@@ -50,7 +48,7 @@ enum Backing {
     /// One buffer per record, or one whole loaded section, plus each
     /// record's array layout (aligned with the directory).
     Memory { bufs: Vec<Box<[u8]>>, layouts: Vec<ErtLayout> },
-    /// A spill file or a lazily opened snapshot.
+    /// A lazily opened snapshot.
     File(File),
 }
 
@@ -215,68 +213,6 @@ impl CenterStore {
             }
         }
         self.read_slot(slot, |bytes| Box::from(bytes))
-    }
-}
-
-/// Concurrent writer for the spill file. Workers of the fused
-/// per-center pipeline call [`SpillWriter::write`] as trees complete;
-/// the mutex serializes appends, and the directory records where each
-/// center's record landed.
-pub(crate) struct SpillWriter {
-    inner: Mutex<WriterState>,
-}
-
-struct WriterState {
-    file: File,
-    offset: u64,
-    /// `(center, offset, len)` in write order.
-    dir: Vec<(u32, u64, u32)>,
-}
-
-/// Process-wide sequence for unique spill-file names.
-static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
-
-impl SpillWriter {
-    /// Create the backing file in the system temp directory and unlink
-    /// it immediately — the kernel reclaims the space when the last
-    /// handle drops, so no cleanup path is needed.
-    pub fn create() -> io::Result<SpillWriter> {
-        let mut last_err = None;
-        for _ in 0..16 {
-            let seq = SPILL_SEQ.fetch_add(1, Ordering::SeqCst);
-            let path = std::env::temp_dir().join(format!(
-                "agm-center-spill-{}-{}.bin",
-                std::process::id(),
-                seq
-            ));
-            match OpenOptions::new().read(true).write(true).create_new(true).open(&path) {
-                Ok(file) => {
-                    let _ = std::fs::remove_file(&path);
-                    return Ok(SpillWriter {
-                        inner: Mutex::new(WriterState { file, offset: 0, dir: Vec::new() }),
-                    });
-                }
-                Err(e) => last_err = Some(e),
-            }
-        }
-        Err(last_err.unwrap_or_else(|| io::Error::other("spill file creation failed")))
-    }
-
-    /// Append one record. Called from build workers; a failed write is
-    /// fatal (the scheme under construction would be unroutable).
-    pub fn write(&self, center: u32, record: &[u8]) {
-        let mut st = self.inner.lock().unwrap();
-        let at = st.offset;
-        st.file.write_all_at(record, at).expect("spill write failed");
-        st.dir.push((center, at, record.len() as u32));
-        st.offset += record.len() as u64;
-    }
-
-    /// Finish writing and flip to the read side.
-    pub fn finish(self) -> CenterStore {
-        let mut st = self.inner.into_inner().unwrap();
-        st.dir.sort_unstable_by_key(|&(c, _, _)| c);
-        CenterStore::file(st.file, &st.dir)
     }
 }
 

@@ -40,7 +40,6 @@ mod snapshot;
 #[cfg(test)]
 mod s_requirement_oracle;
 
-pub use bench_record::{ConstructionRecord, EvaluationRecord, ServingRecord};
 pub use directed::{validate_directed_trace, DirectedScheme};
 pub use repair::{DeferReason, RebuildReason, RepairOutcome, RepairReport};
 pub use scheme::{BuildStats, ForceMode, SBudgetMode, Scheme, SchemeParams, StorageBreakdown};

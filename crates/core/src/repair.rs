@@ -3,15 +3,17 @@
 //!
 //! ## Strategy (see DESIGN.md §"Churn & incremental repair")
 //!
-//! The build's cost is wildly skewed: at 50k nodes the per-center tree
-//! pipeline is ~96% of assembly, while classification, S budgets,
+//! A repair runs the assembler a fresh build runs
+//! ([`Scheme::assemble`]) on the mutated graph, with the old scheme as
+//! its [`Prior`]. A build is the same call with no prior: it reuses
+//! nothing. The reuse rules below are the only difference between the
+//! two. The build's cost is wildly skewed: at 50k nodes the per-center
+//! tree pipeline is ~96% of assembly, while classification, S budgets,
 //! membership, `b(u,i)`, and cover trees are a few percent combined.
-//! Repair therefore does not patch the cheap phases — it *recomputes*
-//! them on the mutated graph with exactly the code the fresh build
-//! runs ([`Scheme::prepare`] and friends), which makes their output
-//! bit-identical to a rebuild by construction, with no invalidation
-//! logic to get wrong. Only the expensive artifacts carry reuse
-//! logic:
+//! So the cheap phases carry no reuse logic: the assembler recomputes
+//! them in full, which makes their output bit-identical to a rebuild by
+//! construction. Only the expensive artifacts have reuse rules, one
+//! [`Prior`] method each:
 //!
 //! * **center trees** — a tree `T(c)` is reused iff `c` was a center
 //!   before, its member list `(v, d(v, c))` is unchanged, and every
@@ -36,8 +38,8 @@
 //! and a node outside its dirty set provably has its *entire*
 //! distance vector unchanged — hence the same decomposition row,
 //! landmark lists, centers, and sorted positions. This is what makes
-//! `repair ≡ rebuild` hold bit-for-bit (asserted across families,
-//! `k`, and store types by `tests/repair_parity.rs`).
+//! `repair ≡ rebuild` hold byte for byte (every snapshot section but
+//! `META`, asserted across families and `k` by `tests/repair_parity.rs`).
 //!
 //! ## Residue cases
 //!
@@ -45,23 +47,21 @@
 //! a wrong patch: a scheme without retained
 //! [`crate::SchemeParams::repairable`] state, or a delta batch after
 //! which the seeded hierarchy re-verification picks a different
-//! landmark set — each falls back to a full rebuild and says so. A batch that leaves the graph
+//! landmark set — each runs the assembler with no prior (a full
+//! rebuild) and says so. A batch that leaves the graph
 //! disconnected is *deferred*: the scheme is left untouched (stale),
 //! and the caller accumulates deltas until connectivity returns —
 //! `core::churn` leans on this for node-leave/join epochs.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use decomposition::Decomposition;
 use graphkit::bits::bits_for_node;
-use graphkit::{apply_deltas, delta_impact, dijkstra, Cost, GraphDelta, NodeId, INFINITY};
-use landmarks::LandmarkHierarchy;
-
-use crate::center_store::{CenterStore, SpillWriter};
-use crate::scheme::{
-    build_center_trees, build_scale_cover, index_and_bits, set_plan_fills, PhaseClock, Prepared,
-    RepairState, ScaleCover, Scheme, TreeBatch,
+use graphkit::{
+    apply_deltas, delta_impact, dijkstra, Cost, DeltaImpact, GraphDelta, NodeId, INFINITY,
 };
+
+use crate::scheme::{index_and_bits, LevelPlan, Parts, RepairState, ScaleCover, Scheme};
 
 /// Why repair declined to patch and rebuilt the scheme from scratch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -168,301 +168,152 @@ impl Scheme {
         // can be incremental.
         let mut params = self.params;
         params.repairable = true;
-        if self.repair_state.is_none() {
-            *self = Scheme::build_on_demand(g2, params);
-            return RepairOutcome::RebuiltFull {
-                reason: RebuildReason::NotPrepared,
-                seconds: t0.elapsed().as_secs_f64(),
-            };
-        }
-
-        // ---- fresh cheap phases on the mutated graph -----------------
-        let n = g2.n();
-        let k = params.k;
-        let diameter2 = graphkit::diameter_matrix_free(&g2);
-        let dec2 = Decomposition::build_on_demand_with_diameter(&g2, k, diameter2);
-        let (hier2, ld2) = LandmarkHierarchy::sample_verified_on_demand(
-            &g2,
-            k,
-            params.seed,
-            params.landmark_attempts,
-            diameter2,
-        );
-        if hier2.levels() != self.hier.levels() {
-            *self = Scheme::build_on_demand_parts(g2, params, dec2, hier2, ld2);
-            return RepairOutcome::RebuiltFull {
-                reason: RebuildReason::HierarchyChanged,
-                seconds: t0.elapsed().as_secs_f64(),
-            };
-        }
-        let impact = delta_impact(&self.g, &g2, deltas);
-        let scopes2 = Scheme::on_demand_scopes(&g2, &dec2, &params);
-        let mut clock = PhaseClock::start();
-        let Prepared { mut plans, centers, members, s_budgets } =
-            Scheme::prepare(&g2, &params, &dec2, &hier2, &ld2, &scopes2, &mut clock);
-
-        // ---- center-tree reuse classification ------------------------
-        // Checked at entry; kept as a non-panicking guard so a logic
-        // regression degrades to the same full rebuild, not a crash.
-        let Some(state) = self.repair_state.as_ref() else {
-            *self = Scheme::build_on_demand(g2, params);
-            return RepairOutcome::RebuiltFull {
-                reason: RebuildReason::NotPrepared,
-                seconds: t0.elapsed().as_secs_f64(),
-            };
-        };
-        let mut reused = vec![false; centers.len()];
-        let mut jobs: Vec<(u32, &[(u32, Cost)])> = Vec::new();
-        let mut centers_added = 0usize;
-        for (ci, &c) in centers.iter().enumerate() {
-            let mem = members.members(ci);
-            match state.centers.binary_search(&c) {
-                Ok(oci) if state.members.members(oci) == mem => {
-                    let r = mem.iter().map(|&(_, d)| d).max().unwrap_or(0);
-                    if impact.old_prox[c as usize] > r && impact.new_prox[c as usize] > r {
-                        reused[ci] = true;
-                    } else {
-                        jobs.push((c, mem));
-                    }
-                }
-                Ok(_) => jobs.push((c, mem)),
-                Err(_) => {
-                    centers_added += 1;
-                    jobs.push((c, mem));
-                }
+        let parts = Parts::compute(&g2, &params);
+        let state = match self.repair_state.take() {
+            Some(state) if parts.hier.levels() == self.hier.levels() => state,
+            state => {
+                let reason = match state {
+                    None => RebuildReason::NotPrepared,
+                    Some(_) => RebuildReason::HierarchyChanged,
+                };
+                *self = Scheme::assemble(g2, params, parts, None).0;
+                return RepairOutcome::RebuiltFull { reason, seconds: t0.elapsed().as_secs_f64() };
             }
-        }
-        let removed: Vec<u32> =
-            state.centers.iter().copied().filter(|c| centers.binary_search(c).is_err()).collect();
-        let rebuilt_old: Vec<u32> = jobs
+        };
+        let impact = delta_impact(&self.g, &g2, deltas);
+        let mut changed: Vec<(NodeId, NodeId)> = deltas
             .iter()
-            .map(|&(c, _)| c)
-            .filter(|c| state.centers.binary_search(c).is_ok())
+            .map(|d| {
+                let (u, v) = d.endpoints();
+                (u.min(v), u.max(v))
+            })
             .collect();
-        let trees_rebuilt = jobs.len();
-        let trees_reused = centers.len() - trees_rebuilt;
+        changed.sort_unstable();
+        changed.dedup();
+        let (changed_edges, dirty_nodes) = (changed.len(), impact.dirty_nodes.len());
+        let prior = Prior { old: self, state, impact, changed };
+        let (scheme, report) = Scheme::assemble(g2, params, parts, Some(prior));
+        *self = scheme;
+        let seconds = t0.elapsed().as_secs_f64();
+        RepairOutcome::Repaired(RepairReport { changed_edges, dirty_nodes, seconds, ..report })
+    }
+}
 
-        // ---- rebuild invalidated trees; splice the store -------------
-        // Spill-file creation failing (tmpdir full or unwritable)
-        // degrades to the resident store: higher peak memory, same
-        // routing.
-        let spill = params.spill.then(SpillWriter::create).and_then(Result::ok);
-        let batch = build_center_trees(&g2, &params, &jobs, spill.as_ref());
-        drop(jobs);
-        let TreeBatch { records, bix: mut bix2, lm_bits: batch_bits, labels: batch_labels } = batch;
+/// The scheme under repair and what the delta batch changed: the input
+/// that turns the assembler's fresh build into a repair. Each method is
+/// one reuse rule from the module docs.
+pub(crate) struct Prior<'a> {
+    old: &'a mut Scheme,
+    state: RepairState,
+    impact: DeltaImpact,
+    /// Distinct changed edges as ordered endpoint pairs, ascending.
+    changed: Vec<(NodeId, NodeId)>,
+}
 
-        // Exact storage re-accounting: subtract the old contributions of
-        // rebuilt/removed trees (read off their records), add the new
-        // batch's.
-        // Reused trees keep their (identical) contributions untouched.
-        let id_bits = bits_for_node(n);
-        let mut landmark_bits = self.landmark_bits.clone();
-        let mut center_labels = state.center_labels.clone();
-        for &c in removed.iter().chain(&rebuilt_old) {
-            // An unreadable old record leaves that center's old bits
-            // in place: the storage stats over-count (conservative),
+/// What the kept center trees bring to the new scheme.
+#[derive(Default)]
+pub(crate) struct Carried {
+    /// The kept trees' records, moved out of the old store.
+    pub(crate) records: Vec<(u32, Box<[u8]>)>,
+    /// Per-node landmark bits of the kept trees (empty: none).
+    pub(crate) landmark_bits: Vec<u64>,
+    /// Largest routing label per kept tree.
+    pub(crate) labels: HashMap<u32, u64>,
+}
+
+impl Prior<'_> {
+    /// Center-tree rule: `T(c)` is kept iff `c` was a center with the
+    /// same member list, and every changed edge lies strictly outside
+    /// the tree's radius on both graphs.
+    pub(crate) fn keeps_tree(&self, c: u32, mem: &[(u32, Cost)]) -> bool {
+        let same_members = self
+            .state
+            .centers
+            .binary_search(&c)
+            .is_ok_and(|oci| self.state.members.members(oci) == mem);
+        same_members && {
+            let r = mem.iter().map(|&(_, d)| d).max().unwrap_or(0);
+            self.impact.old_prox[c as usize] > r && self.impact.new_prox[c as usize] > r
+        }
+    }
+
+    /// Carry the kept trees over: the stored record of an identical tree
+    /// is the fresh encoding, so each kept record moves out of the old
+    /// store as bytes (that store is about to be replaced, so repair
+    /// holds no tree twice). The old storage accounting carries over
+    /// minus every tree the repair retires — a center gone, or rebuilt
+    /// — read off its old record. `kept` is aligned with the new
+    /// `centers`. Counts the centers added and removed.
+    pub(crate) fn carry_trees(
+        &mut self,
+        centers: &[u32],
+        kept: &[bool],
+        report: &mut RepairReport,
+    ) -> Carried {
+        let id_bits = bits_for_node(self.old.g.n());
+        let mut landmark_bits = std::mem::take(&mut self.old.landmark_bits);
+        let mut labels = std::mem::take(&mut self.state.center_labels);
+        let mut records = Vec::new();
+        for &c in &self.state.centers {
+            let now = centers.binary_search(&c);
+            if now.is_ok_and(|ci| kept[ci]) {
+                // A kept record that can no longer be read is dropped:
+                // routes through that center fall through to their next
+                // level (degraded delivery, no panic).
+                if let Ok(bytes) = self.old.center_store.take_record(c) {
+                    records.push((c, bytes));
+                }
+                continue;
+            }
+            report.centers_removed += usize::from(now.is_err());
+            // An unreadable old record leaves that center's old bits in
+            // place: the storage stats over-count (conservative),
             // routing is unaffected.
-            if let Ok((_, bits, _)) = self.center_store.with_tree(c, |t| index_and_bits(t, id_bits))
+            if let Ok((_, bits, _)) =
+                self.old.center_store.with_tree(c, |t| index_and_bits(t, id_bits))
             {
                 for (gid, b) in bits {
                     landmark_bits[gid as usize] -= b;
                 }
             }
-            center_labels.remove(&c);
+            labels.remove(&c);
         }
-        for (acc, add) in landmark_bits.iter_mut().zip(&batch_bits) {
-            *acc += add;
-        }
-        for &(c, l) in &batch_labels {
-            center_labels.insert(c, l);
-        }
-        let max_center_label_bits = center_labels.values().copied().max().unwrap_or(0);
+        report.centers_added =
+            centers.iter().filter(|c| self.state.centers.binary_search(c).is_err()).count();
+        Carried { records, landmark_bits, labels }
+    }
 
-        // Reused records carry over as bytes — the stored record of an
-        // identical tree IS the fresh encoding. A reused record that can
-        // no longer be read is dropped: routes through that center fall
-        // through to their next level (degraded delivery, no panic).
-        let reused_centers =
-            centers.iter().enumerate().filter_map(|(ci, &c)| reused[ci].then_some(c));
-        let center_store = match spill {
-            Some(w) => {
-                // Rebuilt records are already in the file; reused ones
-                // are copied over.
-                for c in reused_centers {
-                    let _ = self.center_store.with_record(c, |bytes| w.write(c, bytes));
-                }
-                w.finish()
-            }
-            None => {
-                // Resident reused records move (the old store is about
-                // to be replaced), so repair holds no tree twice.
-                let mut records = records;
-                for c in reused_centers {
-                    if let Ok(bytes) = self.center_store.take_record(c) {
-                        records.push((c, bytes));
-                    }
-                }
-                CenterStore::resident(records)
-            }
-        };
+    /// `b(u,i)` rule: the old plan's `b` and source index carry over iff
+    /// `u`'s distance vector is unchanged (same scope, same center) and
+    /// that center's tree was kept (same search levels).
+    pub(crate) fn kept_plan(
+        &self,
+        (u, i): (usize, usize),
+        fresh: LevelPlan,
+        tree_kept: bool,
+    ) -> Option<LevelPlan> {
+        (tree_kept && !self.impact.dirty[u]).then(|| {
+            let old = self.old.plans[u][i];
+            debug_assert_eq!((old.center, old.a), (fresh.center, fresh.a));
+            old
+        })
+    }
 
-        // ---- selective b(u, i) ---------------------------------------
-        // Copy-safe iff u's distance vector is unchanged (same scope,
-        // same center) AND that center's tree was reused (same search
-        // levels). Everything else is re-derived, which needs a tree
-        // index — rebuilt centers have one in the batch; reused ones
-        // referenced by an affected pair are decoded once here.
-        let reused_set: HashSet<u32> =
-            centers.iter().enumerate().filter_map(|(ci, &c)| reused[ci].then_some(c)).collect();
-        for (u, row) in scopes2.iter().enumerate() {
-            for (i, scope) in row.iter().enumerate() {
-                if scope.is_none() {
-                    continue;
-                }
-                let c = plans[u][i].center;
-                if (impact.dirty[u] || !reused_set.contains(&c)) && !bix2.contains_key(&c) {
-                    if let Ok((entry, _, _)) =
-                        center_store.with_tree(c, |t| index_and_bits(t, id_bits))
-                    {
-                        bix2.insert(c, entry);
-                    }
-                }
-            }
-        }
-        let old_plans = &self.plans;
-        // merge: rows concatenated in chunk (= node id) order; the
-        // counters are sums, which commute.
-        let b_shards = graphkit::metrics::par_chunks(n, |nodes| {
-            let base = nodes.start;
-            let mut out = vec![(0u8, u32::MAX); nodes.len() * k];
-            let mut checked = 0usize;
-            let mut violations = 0usize;
-            let mut recomputed = 0usize;
-            for u in nodes {
-                for i in 0..k {
-                    let Some(scope) = &scopes2[u][i] else { continue };
-                    let c = plans[u][i].center;
-                    let old = old_plans[u][i];
-                    if !impact.dirty[u] && reused_set.contains(&c) {
-                        // Same scope, same tree bytes: same b and the
-                        // same source index.
-                        debug_assert_eq!(old.center, c);
-                        debug_assert_eq!(old.a, plans[u][i].a);
-                        out[(u - base) * k + i] = (old.b, old.src_ix);
-                    } else if let Some(ix) = bix2.get(&c) {
-                        let fill = ix.plan(u as u32, scope, n, k);
-                        out[(u - base) * k + i] = (fill.b, fill.src_ix);
-                        checked += fill.checked;
-                        violations += fill.violations;
-                        recomputed += 1;
-                    } else {
-                        // Index underivable (unreadable tree record):
-                        // keep the previous budget; the unknown source
-                        // index makes the level a miss, so routing
-                        // falls through to the next level.
-                        out[(u - base) * k + i] = (old.b, u32::MAX);
-                    }
-                }
-            }
-            (out, checked, violations, recomputed)
-        });
-        let mut lemma3_checked = 0usize;
-        let mut lemma3_violations = 0usize;
-        let mut b_recomputed = 0usize;
-        let mut b_flat = Vec::with_capacity(n * k);
-        for (out, checked, violations, recomputed) in b_shards {
-            b_flat.extend(out);
-            lemma3_checked += checked;
-            lemma3_violations += violations;
-            b_recomputed += recomputed;
-        }
-        set_plan_fills(&mut plans, &b_flat, k);
-        drop(bix2);
-
-        // ---- cover collections per dense scale -----------------------
-        let mut scales: Vec<u32> =
-            plans.iter().flatten().filter(|p| p.dense).map(|p| p.a).collect();
-        scales.sort_unstable();
-        scales.dedup();
-        let changed_pairs: Vec<(NodeId, NodeId)> = {
-            let mut ps: Vec<(u32, u32)> = deltas
-                .iter()
-                .map(|d| {
-                    let (u, v) = d.endpoints();
-                    (u.0.min(v.0), u.0.max(v.0))
-                })
-                .collect();
-            ps.sort_unstable();
-            ps.dedup();
-            ps.into_iter().map(|(u, v)| (NodeId(u), NodeId(v))).collect()
-        };
-        let mut scale_covers: HashMap<u32, ScaleCover> = HashMap::new();
-        let mut scales_reused = 0usize;
-        let mut scales_rebuilt = 0usize;
-        let mut num_cover_trees = 0usize;
-        for &s in &scales {
-            // Reusable iff the extended-range member set is unchanged
-            // (clean nodes keep their decomposition row; dirty ones are
-            // checked explicitly) and no changed edge lies inside it —
-            // then the induced subgraph, and the deterministic cover
-            // construction seeded by (s, tree index), are identical.
-            let reusable = self.scale_covers.contains_key(&s)
-                && impact.dirty_nodes.iter().all(|&v| {
-                    self.dec.in_extended_range(NodeId(v), s) == dec2.in_extended_range(NodeId(v), s)
-                })
-                && changed_pairs
-                    .iter()
-                    .all(|&(p, q)| !(dec2.in_extended_range(p, s) && dec2.in_extended_range(q, s)));
-            // `remove` returning `None` despite `reusable` would mean
-            // the contains_key check above regressed — fold that case
-            // into the rebuild arm instead of asserting it away.
-            let sc = match reusable.then(|| self.scale_covers.remove(&s)).flatten() {
-                Some(sc) => {
-                    scales_reused += 1;
-                    sc
-                }
-                None => {
-                    scales_rebuilt += 1;
-                    build_scale_cover(&g2, &dec2, &params, s)
-                }
-            };
-            num_cover_trees += sc.routers.len();
-            scale_covers.insert(s, sc);
-        }
-
-        // ---- commit --------------------------------------------------
-        let report = RepairReport {
-            changed_edges: changed_pairs.len(),
-            dirty_nodes: impact.dirty_nodes.len(),
-            centers_total: centers.len(),
-            trees_rebuilt,
-            trees_reused,
-            centers_added,
-            centers_removed: removed.len(),
-            scales_rebuilt,
-            scales_reused,
-            b_recomputed,
-            seconds: 0.0,
-        };
-        self.stats.s_budgets = s_budgets;
-        self.stats.num_center_trees = centers.len();
-        self.stats.total_members = members.items.len();
-        self.stats.lemma3_checked = lemma3_checked;
-        self.stats.lemma3_violations = lemma3_violations;
-        self.stats.num_scales = scale_covers.len();
-        self.stats.num_cover_trees = num_cover_trees;
-        // stats.phase_seconds still describes the original build; the
-        // repair's own timings live in the report.
-        self.g = g2;
-        self.params = params;
-        self.dec = dec2;
-        self.hier = hier2;
-        self.plans = plans;
-        self.center_store = center_store;
-        self.landmark_bits = landmark_bits;
-        self.max_center_label_bits = max_center_label_bits;
-        self.scale_covers = scale_covers;
-        self.repair_state = Some(RepairState { centers, members, center_labels });
-        RepairOutcome::Repaired(RepairReport { seconds: t0.elapsed().as_secs_f64(), ..report })
+    /// Cover rule: scale `s`'s old collection carries over iff its
+    /// extended-range member set is unchanged (clean nodes keep their
+    /// decomposition row; dirty ones are checked) and no changed edge
+    /// lies inside it — then the induced subgraph, and the deterministic
+    /// cover construction seeded by (s, tree index), are identical.
+    pub(crate) fn take_cover(&mut self, s: u32, dec: &Decomposition) -> Option<ScaleCover> {
+        let old = &self.old.dec;
+        let same_members =
+            self.impact.dirty_nodes.iter().all(|&v| {
+                old.in_extended_range(NodeId(v), s) == dec.in_extended_range(NodeId(v), s)
+            });
+        let untouched = self
+            .changed
+            .iter()
+            .all(|&(p, q)| !(dec.in_extended_range(p, s) && dec.in_extended_range(q, s)));
+        (same_members && untouched).then(|| self.old.scale_covers.remove(&s)).flatten()
     }
 }

@@ -23,7 +23,8 @@ use treeroute::cover_router::{CoverOutcome, CoverTreeRouter};
 use treeroute::laing::{ErrorReportingTree, ErtRead};
 use treeroute::{LabeledRead, Naming};
 
-use crate::center_store::{self, CenterStore, SpillWriter};
+use crate::center_store::{self, CenterStore};
+use crate::repair::{Carried, Prior, RepairReport};
 
 /// Ablation switch (experiment A1): disable one side of the
 /// sparse/dense decomposition to show why the paper needs both.
@@ -66,10 +67,6 @@ pub struct SchemeParams {
     pub force_mode: Option<ForceMode>,
     /// Global or per-node S-set budgets.
     pub s_budget_mode: SBudgetMode,
-    /// Stream completed center trees to an unlinked temp file instead
-    /// of holding them all resident — trades route-time reloads for a
-    /// build whose peak memory excludes the Õ(n^{1+1/k}) tree state.
-    pub spill: bool,
     /// Retain the build-time state (`RepairState`) that
     /// [`Scheme::repair`] needs to patch the scheme in place after
     /// graph deltas — old membership lists and per-center label sizes,
@@ -83,7 +80,7 @@ pub struct SchemeParams {
 
 impl SchemeParams {
     /// Defaults: verified sampling with 16 attempts, margin 2, global
-    /// budgets, all trees resident.
+    /// budgets, no repair state.
     pub fn new(k: usize, seed: u64) -> Self {
         SchemeParams {
             k,
@@ -92,7 +89,6 @@ impl SchemeParams {
             s_margin: 2,
             force_mode: None,
             s_budget_mode: SBudgetMode::default(),
-            spill: false,
             repairable: false,
         }
     }
@@ -106,12 +102,6 @@ impl SchemeParams {
     /// Builder-style S-budget mode switch.
     pub fn with_s_budget_mode(mut self, mode: SBudgetMode) -> Self {
         self.s_budget_mode = mode;
-        self
-    }
-
-    /// Builder-style spill switch.
-    pub fn with_spill(mut self) -> Self {
-        self.spill = true;
         self
     }
 
@@ -197,7 +187,7 @@ impl BuildIndex {
 
     /// `b(u, i)` and `u`'s own tree index for one sparse scope of node
     /// `u`, plus that region's Lemma 3 `(checked, violations)` counts.
-    pub(crate) fn plan(&self, u: u32, scope: &EScope, n: usize, k: usize) -> PlanFill {
+    fn plan(&self, u: u32, scope: &EScope, n: usize, k: usize) -> PlanFill {
         let mut checked = 0usize;
         let mut violations = 0usize;
         let mut b = 1usize;
@@ -238,11 +228,11 @@ impl BuildIndex {
 }
 
 /// One sparse plan's share of the b-levels pass.
-pub(crate) struct PlanFill {
-    pub(crate) b: u8,
-    pub(crate) src_ix: u32,
-    pub(crate) checked: usize,
-    pub(crate) violations: usize,
+struct PlanFill {
+    b: u8,
+    src_ix: u32,
+    checked: usize,
+    violations: usize,
 }
 
 /// Per-center membership lists in CSR form: center `ci` (an index into
@@ -325,7 +315,8 @@ pub struct BuildStats {
     /// (u, i, v) triples where Lemma 3 failed: `v ∈ E(u,i)` but the
     /// center's tree does not contain `v`.
     pub lemma3_violations: usize,
-    /// Sparse (u, i, v) membership triples checked.
+    /// Sparse (u, i, v) membership triples checked. After a repair,
+    /// both Lemma 3 counters cover only the pairs it re-verified.
     pub lemma3_checked: usize,
     /// Effective S-set budget per landmark level (per-node modes
     /// report each level's max over nodes).
@@ -340,6 +331,8 @@ pub struct BuildStats {
     pub total_members: usize,
     /// Wall-clock seconds per construction phase, in pipeline order —
     /// the machine-readable breakdown behind BENCH_construction.json.
+    /// After a repair these are the repair's own laps (the same phases,
+    /// run on the mutated graph), not the original build's.
     pub phase_seconds: Vec<(String, f64)>,
 }
 
@@ -353,7 +346,7 @@ pub struct Scheme {
     pub(crate) center_store: CenterStore,
     /// Per-node landmark-component storage bits (center id + τ over
     /// containing trees), accumulated during the fused build so that
-    /// accounting never reloads spilled trees.
+    /// accounting never reads the center store.
     pub(crate) landmark_bits: Vec<u64>,
     /// Largest routing label over all center trees (header accounting).
     pub(crate) max_center_label_bits: u64,
@@ -395,91 +388,133 @@ impl Scheme {
             dijkstra::dijkstra(&g, NodeId(0)).dist.iter().all(|&x| x != INFINITY),
             "the scheme requires a connected graph"
         );
-        let diameter = graphkit::diameter_matrix_free(&g);
-        let dec = Decomposition::build_on_demand_with_diameter(&g, params.k, diameter);
-        let (hier, ld) = LandmarkHierarchy::sample_verified_on_demand(
-            &g,
-            params.k,
-            params.seed,
-            params.landmark_attempts,
-            diameter,
-        );
-        Self::build_on_demand_parts(g, params, dec, hier, ld)
+        let parts = Parts::compute(&g, &params);
+        Self::assemble(g, params, parts, None).0
     }
 
-    /// The tail of [`Scheme::build_on_demand`] once the decomposition
-    /// and the verified hierarchy (with its landmark columns) exist —
-    /// shared with the repair path, which computes those parts itself
-    /// on the mutated graph and falls back here when the hierarchy
-    /// shape changed.
+    /// The one Theorem-1 assembler, behind both [`Scheme::build_on_demand`]
+    /// and [`Scheme::repair`]. Runs classification and centers,
+    /// instance-tuned S budgets, center trees with Lemma 4 schemes,
+    /// `b(u,i)` with Lemma 3 verification, and cover trees per dense
+    /// scale; every phase fans out over deterministic chunks and merges
+    /// in chunk order.
     ///
-    /// Runs classification and centers, instance-tuned S budgets,
-    /// center trees with Lemma 4 schemes, `b(u,i)` with Lemma 3
-    /// verification, and cover trees per dense scale; every phase fans
-    /// out over deterministic chunks and merges in chunk order.
-    pub(crate) fn build_on_demand_parts(
+    /// With no `prior` it reuses nothing: every center is a job, every
+    /// `b(u,i)` is derived and every scale cover is built — a fresh
+    /// build. With the scheme under repair as `prior`, the reuse rules
+    /// of [`Prior`] decide which center trees, `b(u,i)` values and cover
+    /// collections carry over; everything else is computed exactly as a
+    /// build computes it. The report counts what was reused and rebuilt.
+    pub(crate) fn assemble(
         g: Graph,
         params: SchemeParams,
-        dec: Decomposition,
-        hier: LandmarkHierarchy,
-        ld: LandmarkDistances,
-    ) -> Self {
+        parts: Parts,
+        mut prior: Option<Prior<'_>>,
+    ) -> (Self, RepairReport) {
+        let Parts { dec, hier, ld } = parts;
         let scopes = Self::on_demand_scopes(&g, &dec, &params);
         let n = g.n();
         let k = params.k;
-        let mut stats = BuildStats::default();
         let mut clock = PhaseClock::start();
         let Prepared { mut plans, centers, members, s_budgets } =
             Self::prepare(&g, &params, &dec, &hier, &ld, &scopes, &mut clock);
-        stats.s_budgets = s_budgets;
+        let mut stats = BuildStats {
+            s_budgets,
+            num_center_trees: centers.len(),
+            total_members: members.items.len(),
+            ..BuildStats::default()
+        };
+        let mut report = RepairReport { centers_total: centers.len(), ..RepairReport::default() };
 
         // ---- fused per-center pipeline -------------------------------
-        // Spill-file creation failing (tmpdir full or unwritable)
-        // degrades to the resident store: higher peak memory, same
-        // routing.
-        let spill = params.spill.then(SpillWriter::create).and_then(Result::ok);
-        let jobs: Vec<(u32, &[(u32, Cost)])> =
-            centers.iter().enumerate().map(|(ci, &c)| (c, members.members(ci))).collect();
-        let TreeBatch { records, bix, lm_bits: landmark_bits, labels } =
-            build_center_trees(&g, &params, &jobs, spill.as_ref());
+        // Every center whose tree the prior does not keep is a job.
+        let kept: Vec<bool> = centers
+            .iter()
+            .enumerate()
+            .map(|(ci, &c)| prior.as_ref().is_some_and(|p| p.keeps_tree(c, members.members(ci))))
+            .collect();
+        let jobs: Vec<(u32, &[(u32, Cost)])> = centers
+            .iter()
+            .enumerate()
+            .filter(|&(ci, _)| !kept[ci])
+            .map(|(ci, &c)| (c, members.members(ci)))
+            .collect();
+        report.trees_rebuilt = jobs.len();
+        report.trees_reused = centers.len() - jobs.len();
+        let TreeBatch { mut records, mut bix, lm_bits: mut landmark_bits, labels } =
+            build_center_trees(&g, &params, &jobs);
         drop(jobs);
-        let max_center_label_bits = labels.iter().map(|&(_, l)| l).max().unwrap_or(0);
-        let center_store = match spill {
-            Some(w) => w.finish(),
-            None => CenterStore::resident(records),
-        };
-        stats.num_center_trees = centers.len();
-        stats.total_members = members.items.len();
-        clock.lap("center_trees", String::new());
+        let carried = prior.as_mut().map(|p| p.carry_trees(&centers, &kept, &mut report));
+        let Carried { records: kept_records, landmark_bits: kept_bits, labels: mut center_labels } =
+            carried.unwrap_or_default();
+        records.extend(kept_records);
+        for (acc, add) in landmark_bits.iter_mut().zip(&kept_bits) {
+            *acc += add;
+        }
+        center_labels.extend(labels);
+        let max_center_label_bits = center_labels.values().copied().max().unwrap_or(0);
+        let center_store = CenterStore::resident(records);
+        clock.lap("center_trees");
 
         // ---- b(u, i) + Lemma 3 verification --------------------------
+        // A plan the prior keeps copies its b and source index; every
+        // other sparse plan is derived from its center's index, which a
+        // kept tree gets read off the store.
+        let kept_plan = |u: usize, i: usize| {
+            let p = prior.as_ref()?;
+            let plan = plans[u][i];
+            let tree_kept = centers.binary_search(&plan.center).is_ok_and(|ci| kept[ci]);
+            p.kept_plan((u, i), plan, tree_kept)
+        };
+        let id_bits = bits_for_node(n);
+        for (u, row) in scopes.iter().enumerate() {
+            for (i, scope) in row.iter().enumerate() {
+                let c = plans[u][i].center;
+                if scope.is_some() && !bix.contains_key(&c) && kept_plan(u, i).is_none() {
+                    if let Ok((entry, _, _)) =
+                        center_store.with_tree(c, |t| index_and_bits(t, id_bits))
+                    {
+                        bix.insert(c, entry);
+                    }
+                }
+            }
+        }
         // merge: rows concatenated in chunk (= node id) order; the
-        // check counters are sums, which commute.
+        // counters are sums, which commute.
         let b_shards = graphkit::metrics::par_chunks(n, |nodes| {
             let base = nodes.start;
             let mut out = vec![(0u8, u32::MAX); nodes.len() * k];
-            let mut checked = 0usize;
-            let mut violations = 0usize;
+            let (mut checked, mut violations, mut recomputed) = (0usize, 0usize, 0usize);
             for u in nodes {
                 for i in 0..k {
                     let Some(scope) = &scopes[u][i] else { continue };
-                    let fill = bix[&plans[u][i].center].plan(u as u32, scope, n, k);
-                    out[(u - base) * k + i] = (fill.b, fill.src_ix);
-                    checked += fill.checked;
-                    violations += fill.violations;
+                    let fill = &mut out[(u - base) * k + i];
+                    if let Some(old) = kept_plan(u, i) {
+                        *fill = (old.b, old.src_ix);
+                    } else if let Some(ix) = bix.get(&plans[u][i].center) {
+                        let pf = ix.plan(u as u32, scope, n, k);
+                        *fill = (pf.b, pf.src_ix);
+                        checked += pf.checked;
+                        violations += pf.violations;
+                        recomputed += 1;
+                    }
+                    // Otherwise the center's record is unreadable: the
+                    // plan keeps no source index, so routing misses this
+                    // level and falls through to the next.
                 }
             }
-            (out, checked, violations)
+            (out, checked, violations, recomputed)
         });
         let mut b_flat = Vec::with_capacity(n * k);
-        for (out, checked, violations) in b_shards {
+        for (out, checked, violations, recomputed) in b_shards {
             b_flat.extend(out);
             stats.lemma3_checked += checked;
             stats.lemma3_violations += violations;
+            report.b_recomputed += recomputed;
         }
         set_plan_fills(&mut plans, &b_flat, k);
         drop(bix);
-        clock.lap("b_levels", String::new());
+        clock.lap("b_levels");
 
         // ---- cover trees per dense scale -----------------------------
         let mut scales: Vec<u32> =
@@ -488,21 +523,26 @@ impl Scheme {
         scales.dedup();
         let mut scale_covers: HashMap<u32, ScaleCover> = HashMap::new();
         for &s in &scales {
-            let sc = build_scale_cover(&g, &dec, &params, s);
+            let sc = match prior.as_mut().and_then(|p| p.take_cover(s, &dec)) {
+                Some(sc) => {
+                    report.scales_reused += 1;
+                    sc
+                }
+                None => {
+                    report.scales_rebuilt += 1;
+                    build_scale_cover(&g, &dec, &params, s)
+                }
+            };
             stats.num_cover_trees += sc.routers.len();
             scale_covers.insert(s, sc);
         }
         stats.num_scales = scale_covers.len();
-        clock.lap("covers", String::new());
+        clock.lap("covers");
         stats.phase_seconds = clock.finish();
 
-        let repair_state = params.repairable.then(|| RepairState {
-            centers,
-            center_labels: labels.into_iter().collect(),
-            members,
-        });
-
-        Scheme {
+        let repair_state =
+            params.repairable.then_some(RepairState { centers, members, center_labels });
+        let scheme = Scheme {
             g,
             params,
             dec,
@@ -514,7 +554,8 @@ impl Scheme {
             scale_covers,
             stats,
             repair_state,
-        }
+        };
+        (scheme, report)
     }
 
     /// Per-(u, i) `E(u,i)` scopes from radius-bounded Dijkstras,
@@ -555,11 +596,10 @@ impl Scheme {
     }
 
     /// Construction phases 1–3 — per-(u, i) classification and centers,
-    /// instance-tuned S budgets, and center-tree membership — shared
-    /// verbatim between [`Scheme::build_on_demand`] and [`Scheme::repair`]
-    /// (which runs them against the mutated graph; their cost is a few
-    /// percent of a full build, so repair recomputes rather than
-    /// patches them — see DESIGN.md §"Churn & incremental repair").
+    /// instance-tuned S budgets, and center-tree membership. A repair
+    /// runs them in full on the mutated graph: their cost is a few
+    /// percent of a full build, so repair recomputes rather than patches
+    /// them (DESIGN.md §"Churn & incremental repair").
     pub(crate) fn prepare(
         g: &Graph,
         params: &SchemeParams,
@@ -596,7 +636,7 @@ impl Scheme {
         .flatten()
         .collect();
 
-        clock.lap("plans", String::new());
+        clock.lap("plans");
         // ---- instance-tuned S budgets (see DESIGN.md) ----------------
         let raw = Self::s_requirements(g, params, hier, ld, &plans, scopes);
         // Never exceed the paper's budget (it is the proven bound);
@@ -616,7 +656,7 @@ impl Scheme {
             },
         };
         drop(raw);
-        clock.lap("budgets", format!("{level_max:?}"));
+        clock.lap("budgets");
 
         // ---- landmark-tree membership --------------------------------
         // v stores τ(T(c), v) iff c ∈ S(v) under the tuned budgets,
@@ -627,10 +667,7 @@ impl Scheme {
         centers.sort_unstable();
         centers.dedup();
         let members = Self::center_members(g, ld, hier, &centers, &budgets, n, k);
-        clock.lap(
-            "members",
-            format!("{} centers, {} total members", centers.len(), members.items.len()),
-        );
+        clock.lap("members");
         Prepared { plans, centers, members, s_budgets: level_max }
     }
 
@@ -917,8 +954,8 @@ impl Scheme {
         path: &mut Vec<NodeId>,
         cost: &mut Cost,
     ) -> bool {
-        // A missing or unreadable center tree (torn spill file, corrupt
-        // lazily loaded record) degrades to "not found at this level":
+        // A missing or unreadable center tree (a corrupt lazily loaded
+        // record) degrades to "not found at this level":
         // the caller falls through to the next level and ultimately
         // reports an undelivered route — never a panicked serving thread.
         self.center_store
@@ -949,8 +986,8 @@ impl Scheme {
 
     /// Storage bits at `v`, split by component (experiment T2). The
     /// landmark component was accumulated during the fused build, so
-    /// this never touches the center store — a spilled scheme accounts
-    /// its storage without a single disk read.
+    /// this never touches the center store — a lazily loaded scheme
+    /// accounts its storage without a single disk read.
     pub fn storage_breakdown(&self, v: NodeId) -> StorageBreakdown {
         let n = self.g.n();
         let id = bits_for_node(n);
@@ -1074,8 +1111,8 @@ fn sparse_walk(
 }
 
 /// Write the b-levels pass's `(b, source index)` per (node, level) into
-/// the plans; a 0 `b` marks a dense level and leaves the plan alone.
-pub(crate) fn set_plan_fills(plans: &mut [Vec<LevelPlan>], fills: &[(u8, u32)], k: usize) {
+/// the plans; a 0 `b` leaves the plan as prepared.
+fn set_plan_fills(plans: &mut [Vec<LevelPlan>], fills: &[(u8, u32)], k: usize) {
     for (u, row) in plans.iter_mut().enumerate() {
         for (i, plan) in row.iter_mut().enumerate() {
             let (b, src_ix) = fills[u * k + i];
@@ -1087,36 +1124,50 @@ pub(crate) fn set_plan_fills(plans: &mut [Vec<LevelPlan>], fills: &[(u8, u32)], 
     }
 }
 
-/// Phase wall-clock bookkeeping behind [`BuildStats::phase_seconds`],
-/// echoed to stderr when `SCHEME_TIMING` is set.
+/// Phase wall-clock bookkeeping behind [`BuildStats::phase_seconds`].
 pub(crate) struct PhaseClock {
     started: std::time::Instant,
     prev: f64,
-    timing: bool,
     laps: Vec<(String, f64)>,
 }
 
 impl PhaseClock {
     pub(crate) fn start() -> Self {
-        PhaseClock {
-            started: std::time::Instant::now(),
-            prev: 0.0,
-            timing: std::env::var_os("SCHEME_TIMING").is_some(),
-            laps: Vec::new(),
-        }
+        PhaseClock { started: std::time::Instant::now(), prev: 0.0, laps: Vec::new() }
     }
 
-    pub(crate) fn lap(&mut self, name: &str, detail: String) {
+    fn lap(&mut self, name: &str) {
         let t = self.started.elapsed().as_secs_f64();
         self.laps.push((name.to_string(), t - self.prev));
         self.prev = t;
-        if self.timing {
-            eprintln!("[scheme {t:>8.2}s] {name} {detail}");
-        }
     }
 
-    pub(crate) fn finish(self) -> Vec<(String, f64)> {
+    fn finish(self) -> Vec<(String, f64)> {
         self.laps
+    }
+}
+
+/// The prefix every assembly starts from, computed on the graph being
+/// assembled: the exact diameter seeds the decomposition and the
+/// Claims-1/2-verified landmark hierarchy with its landmark columns.
+pub(crate) struct Parts {
+    dec: Decomposition,
+    pub(crate) hier: LandmarkHierarchy,
+    ld: LandmarkDistances,
+}
+
+impl Parts {
+    pub(crate) fn compute(g: &Graph, params: &SchemeParams) -> Self {
+        let diameter = graphkit::diameter_matrix_free(g);
+        let dec = Decomposition::build_on_demand_with_diameter(g, params.k, diameter);
+        let (hier, ld) = LandmarkHierarchy::sample_verified_on_demand(
+            g,
+            params.k,
+            params.seed,
+            params.landmark_attempts,
+            diameter,
+        );
+        Parts { dec, hier, ld }
     }
 }
 
@@ -1133,28 +1184,26 @@ pub(crate) struct Prepared {
 }
 
 /// One finished batch from the fused per-center pipeline: the encoded
-/// tree records (empty when spilled — the writer received them
-/// instead), the b-pass indexes keyed by center, per-node storage-bit
-/// contributions, and each tree's largest routing label.
-pub(crate) struct TreeBatch {
-    pub(crate) records: Vec<(u32, Box<[u8]>)>,
-    pub(crate) bix: HashMap<u32, BuildIndex>,
-    pub(crate) lm_bits: Vec<u64>,
-    pub(crate) labels: Vec<(u32, u64)>,
+/// tree records, the b-pass indexes keyed by center, per-node
+/// storage-bit contributions, and each tree's largest routing label.
+struct TreeBatch {
+    records: Vec<(u32, Box<[u8]>)>,
+    bix: HashMap<u32, BuildIndex>,
+    lm_bits: Vec<u64>,
+    labels: Vec<(u32, u64)>,
 }
 
 /// The fused per-center pipeline over an explicit job list: bounded
 /// Dijkstra → tree extraction against reusable scratch → Lemma 4
-/// scheme → storage accounting → wire record (kept, or appended to the
-/// spill file). Each tree is encoded the moment it is finished and the
-/// owned scheme dropped, so nothing tree-sized survives the pass beyond
-/// the record bytes routing reads and the b-pass index. A full build
-/// passes every center; repair passes only the invalidated ones.
-pub(crate) fn build_center_trees(
+/// scheme → storage accounting → wire record. Each tree is encoded the
+/// moment it is finished and the owned scheme dropped, so nothing
+/// tree-sized survives the pass beyond the record bytes routing reads
+/// and the b-pass index. A build passes every center; a repair passes
+/// only the ones whose trees it does not keep.
+fn build_center_trees(
     g: &Graph,
     params: &SchemeParams,
     jobs: &[(u32, &[(u32, Cost)])],
-    spill: Option<&SpillWriter>,
 ) -> TreeBatch {
     let n = g.n();
     let k = params.k;
@@ -1199,11 +1248,7 @@ pub(crate) fn build_center_trees(
             }
             labels.push((c, max_label));
             index.push((c, entry));
-            let record = center_store::encode(&ert);
-            match spill {
-                Some(w) => w.write(c, &record),
-                None => records.push((c, record)),
-            }
+            records.push((c, center_store::encode(&ert)));
         }
         CenterShard { records, index, lm_bits, labels }
     });
@@ -1255,12 +1300,7 @@ pub(crate) fn index_and_bits(
 /// per tree lifted back to host ids. Deterministic in
 /// `(g, dec, params, s)` — repair reuses a scale's covers only when
 /// each of those provably matches what a fresh build would pass here.
-pub(crate) fn build_scale_cover(
-    g: &Graph,
-    dec: &Decomposition,
-    params: &SchemeParams,
-    s: u32,
-) -> ScaleCover {
+fn build_scale_cover(g: &Graph, dec: &Decomposition, params: &SchemeParams, s: u32) -> ScaleCover {
     let n = g.n();
     let k = params.k;
     let sigma = graphkit::ids::nth_root_ceil(n as u64, k as u32).max(2);

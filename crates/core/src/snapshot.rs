@@ -27,8 +27,8 @@
 //! place and keeps the bytes; [`Scheme::save`] writes them back
 //! unchanged. [`Scheme::load_lazy`] does not read the section at all:
 //! the snapshot file becomes the store's backing file, and every fetch
-//! is one positional read validated on the spot. The spill file shares
-//! the record layout, so a spilled build saves by copying records.
+//! is one positional read validated on the spot; saving such a scheme
+//! copies the records back out of that file.
 
 use std::collections::HashMap;
 use std::io;
@@ -139,9 +139,9 @@ impl Scheme {
     /// snapshot file itself becomes the store's backing file, and each
     /// route reads the records it needs with one positional read apiece,
     /// validating every record on every fetch. Peak memory excludes the
-    /// Õ(n^{1+1/k}) tree state, exactly as a spilled build does. The
-    /// center-trees section's checksum is *not* verified (that would
-    /// require reading it whole); every other section is.
+    /// Õ(n^{1+1/k}) tree state. The center-trees section's checksum is
+    /// *not* verified (that would require reading it whole); every other
+    /// section is.
     pub fn load_lazy(path: impl AsRef<Path>) -> io::Result<Scheme> {
         Self::load_impl(path, true)
     }
@@ -245,7 +245,9 @@ impl Scheme {
             SBudgetMode::Global => 0,
             SBudgetMode::PerNode => 1,
         });
-        w.u8(p.spill as u8);
+        // Spill flag: always 0 (1 marked a build whose center trees went
+        // to the retired spill file).
+        w.u8(0);
         w.u64(self.max_center_label_bits);
         let st = &self.stats;
         w.u64(st.lemma3_violations as u64);
@@ -312,11 +314,11 @@ fn decode_meta(r: &mut Reader<'_>) -> io::Result<(SchemeParams, BuildStats, u64)
         1 => SBudgetMode::PerNode,
         _ => return Err(wire::invalid("bad budget-mode tag")),
     };
-    let spill = match r.u8()? {
-        0 => false,
-        1 => true,
-        _ => return Err(wire::invalid("bad spill tag")),
-    };
+    // A spilled build's snapshot differs from a resident one only in
+    // this byte, so 1 still loads; the value is ignored.
+    if r.u8()? > 1 {
+        return Err(wire::invalid("bad spill tag"));
+    }
     if k < 1 {
         return Err(wire::invalid("k must be at least 1"));
     }
@@ -342,7 +344,6 @@ fn decode_meta(r: &mut Reader<'_>) -> io::Result<(SchemeParams, BuildStats, u64)
         s_margin,
         force_mode,
         s_budget_mode,
-        spill,
         // Repair state is build-time-only and never serialized; a
         // loaded scheme's first repair() falls back to a full rebuild.
         repairable: false,
@@ -448,15 +449,21 @@ mod tests {
     /// and the force-mode byte precede the hierarchy byte.
     const HIERARCHY_BYTE: usize = 29;
     const BUDGET_MODE_BYTE: usize = 30;
+    const SPILL_BYTE: usize = 31;
 
     #[test]
     fn retired_meta_tags_are_rejected() {
         let scheme = Scheme::build_on_demand(Family::Ring.generate(40, 3), SchemeParams::new(2, 3));
         let meta = scheme.encode_meta();
         assert!(decode_meta(&mut Reader::new(&meta)).is_ok());
-        assert_eq!((meta[HIERARCHY_BYTE], meta[BUDGET_MODE_BYTE]), (0, 0));
-        // 1 = the greedy hierarchy, 2 = the uniform per-node budgets.
-        for (at, tag) in [(HIERARCHY_BYTE, 1), (BUDGET_MODE_BYTE, 2)] {
+        assert_eq!((meta[HIERARCHY_BYTE], meta[BUDGET_MODE_BYTE], meta[SPILL_BYTE]), (0, 0, 0));
+        // A spilled build's snapshot still loads, as a resident one.
+        let mut spilled = meta.clone();
+        spilled[SPILL_BYTE] = 1;
+        assert!(decode_meta(&mut Reader::new(&spilled)).is_ok(), "spill byte 1 must load");
+        // 1 = the greedy hierarchy, 2 = the uniform per-node budgets,
+        // and no spill byte ever exceeded 1.
+        for (at, tag) in [(HIERARCHY_BYTE, 1), (BUDGET_MODE_BYTE, 2), (SPILL_BYTE, 2)] {
             let mut bad = meta.clone();
             bad[at] = tag;
             let err = decode_meta(&mut Reader::new(&bad)).expect_err("retired tag must not load");

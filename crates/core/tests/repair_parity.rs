@@ -1,13 +1,45 @@
 //! Repair ≡ rebuild, bit for bit: after any delta batch,
 //! `Scheme::repair` must leave the scheme indistinguishable — routed
-//! paths, costs, and per-node storage accounting — from a scheme
-//! built from scratch on the mutated graph. This is the load-bearing
-//! guarantee behind `core::churn` (CLAIMS.md "incremental repair").
+//! paths, costs, per-node storage accounting, and every saved snapshot
+//! section but META — from a scheme built from scratch on the mutated
+//! graph. This is the load-bearing guarantee behind `core::churn`
+//! (CLAIMS.md "incremental repair").
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use graphkit::gen::Family;
+use graphkit::wire::SnapshotReader;
 use graphkit::{apply_deltas, dijkstra, Graph, GraphDelta, NodeId, INFINITY};
 use routing_core::{RepairOutcome, Scheme, SchemeParams};
 use sim::{pairs, Router};
+
+/// Every snapshot section but META (id 1): META holds the phase
+/// timings and, after a repair, Lemma 3 counts over only the pairs the
+/// repair re-verified, so it legitimately differs.
+const SECTIONS: [(u32, &str); 8] = [
+    (2, "GRAPH"),
+    (3, "DECOMPOSITION"),
+    (4, "HIERARCHY"),
+    (5, "PLANS"),
+    (6, "LANDMARK_BITS"),
+    (7, "CENTER_DIR"),
+    (8, "CENTER_TREES"),
+    (9, "SCALE_COVERS"),
+];
+
+static SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// The compared sections of `scheme`'s snapshot, in [`SECTIONS`] order.
+fn saved_sections(scheme: &Scheme) -> Vec<Vec<u8>> {
+    let seq = SEQ.fetch_add(1, Ordering::SeqCst);
+    let path =
+        std::env::temp_dir().join(format!("agm-repair-parity-{}-{seq}.bin", std::process::id()));
+    scheme.save(&path).expect("save");
+    let sr = SnapshotReader::open(&path).expect("open snapshot");
+    let sections = SECTIONS.iter().map(|&(id, _)| sr.section(id).expect("section")).collect();
+    let _ = std::fs::remove_file(&path);
+    sections
+}
 
 fn connected(g: &Graph) -> bool {
     dijkstra(g, NodeId(0)).dist.iter().all(|&x| x != INFINITY)
@@ -74,6 +106,13 @@ fn assert_same_scheme(label: &str, got: &Scheme, want: &Scheme, n: usize, pair_s
     assert_eq!(gs.num_scales, ws.num_scales, "{label}: scales");
     assert_eq!(gs.num_cover_trees, ws.num_cover_trees, "{label}: cover trees");
     assert_eq!(gs.s_budgets, ws.s_budgets, "{label}: S budgets");
+    // Every plan's source index, every center record, every cover
+    // store and the landmark bits — what sampled routes can miss.
+    for ((got, want), (_, name)) in
+        saved_sections(got).iter().zip(saved_sections(want)).zip(SECTIONS)
+    {
+        assert!(*got == want, "{label}: snapshot section {name} differs");
+    }
     for (s, t) in pairs::sample(n, 250, pair_seed) {
         let ta = got.route(s, t);
         let tb = want.route(s, t);
@@ -85,8 +124,8 @@ fn assert_same_scheme(label: &str, got: &Scheme, want: &Scheme, n: usize, pair_s
     }
 }
 
-/// Family × k × store shape, two repair rounds each (fail+reweigh,
-/// then restore+reweigh) — every round compared against a from-scratch
+/// Family × k, two repair rounds each (fail+reweigh, then
+/// restore+reweigh) — every round compared against a from-scratch
 /// build of the mutated graph.
 #[test]
 fn repair_matches_fresh_build_bit_for_bit() {
@@ -99,52 +138,47 @@ fn repair_matches_fresh_build_bit_for_bit() {
     {
         let g0 = fam.generate(110, 0x9E9A);
         for k in [1usize, 2, 3] {
-            for (shape, build) in [
-                ("resident", Scheme::build_on_demand as fn(Graph, SchemeParams) -> Scheme),
-                ("spilled", |g, p| Scheme::build_on_demand(g, p.with_spill())),
-            ] {
-                let label = format!("{} k={k} {shape}", fam.label());
-                let params = SchemeParams::new(k, 0x9E9A).with_repair();
-                let mut scheme = build(g0.clone(), params);
+            let label = format!("{} k={k}", fam.label());
+            let params = SchemeParams::new(k, 0x9E9A).with_repair();
+            let mut scheme = Scheme::build_on_demand(g0.clone(), params);
 
-                let m = g0.m();
-                let batch1 = delta_mix(&g0, 2, 3, m / 2);
-                assert!(!batch1.is_empty(), "{label}: empty first batch");
-                let g1 = apply_deltas(&g0, &batch1);
-                match scheme.repair(&batch1) {
-                    RepairOutcome::Repaired(r) => {
-                        // k = 1 is the degenerate full-table regime: every
-                        // level-0 tree spans (nearly) all of V, so any dirty
-                        // node forces a near-total rebuild. Reuse is only a
-                        // meaningful guarantee at k >= 2 (sublinear trees).
-                        assert!(
-                            k == 1 || !expect_reuse || r.trees_reused > 0,
-                            "{label}: no trees reused ({r:?})"
-                        );
-                    }
-                    other => panic!("{label}: round 1 not Repaired: {other:?}"),
+            let m = g0.m();
+            let batch1 = delta_mix(&g0, 2, 3, m / 2);
+            assert!(!batch1.is_empty(), "{label}: empty first batch");
+            let g1 = apply_deltas(&g0, &batch1);
+            match scheme.repair(&batch1) {
+                RepairOutcome::Repaired(r) => {
+                    // k = 1 is the degenerate full-table regime: every
+                    // level-0 tree spans (nearly) all of V, so any dirty
+                    // node forces a near-total rebuild. Reuse is only a
+                    // meaningful guarantee at k >= 2 (sublinear trees).
+                    assert!(
+                        k == 1 || !expect_reuse || r.trees_reused > 0,
+                        "{label}: no trees reused ({r:?})"
+                    );
                 }
-                let fresh1 = build(g1.clone(), params);
-                assert_same_scheme(&label, &scheme, &fresh1, g1.n(), 0x9E9B);
-
-                let mut batch2 = restores(&g0, &batch1);
-                let touched: Vec<_> = batch2.iter().map(|d| d.endpoints()).collect();
-                batch2.extend(delta_mix(&g1, 0, 3, m / 3).into_iter().filter(|d| {
-                    matches!(d, GraphDelta::SetWeight { .. }) && !touched.contains(&d.endpoints())
-                }));
-                let g2 = apply_deltas(&g1, &batch2);
-                match scheme.repair(&batch2) {
-                    RepairOutcome::Repaired(r) => {
-                        assert!(
-                            k == 1 || !expect_reuse || r.trees_reused > 0,
-                            "{label}: round 2 no trees reused"
-                        )
-                    }
-                    other => panic!("{label}: round 2 not Repaired: {other:?}"),
-                }
-                let fresh2 = build(g2.clone(), params);
-                assert_same_scheme(&label, &scheme, &fresh2, g2.n(), 0x9E9C);
+                other => panic!("{label}: round 1 not Repaired: {other:?}"),
             }
+            let fresh1 = Scheme::build_on_demand(g1.clone(), params);
+            assert_same_scheme(&label, &scheme, &fresh1, g1.n(), 0x9E9B);
+
+            let mut batch2 = restores(&g0, &batch1);
+            let touched: Vec<_> = batch2.iter().map(|d| d.endpoints()).collect();
+            batch2.extend(delta_mix(&g1, 0, 3, m / 3).into_iter().filter(|d| {
+                matches!(d, GraphDelta::SetWeight { .. }) && !touched.contains(&d.endpoints())
+            }));
+            let g2 = apply_deltas(&g1, &batch2);
+            match scheme.repair(&batch2) {
+                RepairOutcome::Repaired(r) => {
+                    assert!(
+                        k == 1 || !expect_reuse || r.trees_reused > 0,
+                        "{label}: round 2 no trees reused"
+                    )
+                }
+                other => panic!("{label}: round 2 not Repaired: {other:?}"),
+            }
+            let fresh2 = Scheme::build_on_demand(g2.clone(), params);
+            assert_same_scheme(&label, &scheme, &fresh2, g2.n(), 0x9E9C);
         }
     }
 }

@@ -9,10 +9,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 
 use graphkit::gen::Family;
+use graphkit::metrics::apsp;
 use graphkit::wire::{Reader, SnapshotReader};
 use proptest::prelude::*;
-use routing_core::{Scheme, SchemeParams};
-use sim::{pairs, RouteTrace, Router};
+use routing_core::{SBudgetMode, Scheme, SchemeParams};
+use sim::{evaluate, pairs, RouteTrace, Router};
 
 /// Snapshot section ids (stable across snapshot versions).
 const SEC_CENTER_DIR: u32 = 7;
@@ -60,39 +61,53 @@ fn assert_parity(g: &graphkit::Graph, built: &Scheme, loaded: &Scheme, tag: &str
 
 #[test]
 fn saved_scheme_loads_and_routes_identically() {
-    for (fam, k) in [
-        (Family::Geometric, 2usize),
-        (Family::ExpRing, 3),
-        (Family::PrefAttach, 2),
-        (Family::Grid, 1),
+    use SBudgetMode::{Global, PerNode};
+    for (fam, k, budgets) in [
+        (Family::Geometric, 2usize, Global),
+        (Family::ExpRing, 3, Global),
+        (Family::PrefAttach, 2, Global),
+        (Family::Grid, 1, Global),
+        (Family::ExpRing, 2, PerNode),
     ] {
         let g = fam.generate(110, 0x54AD);
-        let scheme = Scheme::build_on_demand(g.clone(), SchemeParams::new(k, 0x54AD));
+        let params = SchemeParams::new(k, 0x54AD).with_s_budget_mode(budgets);
+        let scheme = Scheme::build_on_demand(g.clone(), params);
         let path = TempPath::new();
         scheme.save(&path.0).expect("save");
         let resident = Scheme::load(&path.0).expect("load");
         let lazy = Scheme::load_lazy(&path.0).expect("load_lazy");
-        let tag = format!("{} k={k}", fam.label());
+        let tag = format!("{} k={k} {budgets:?}", fam.label());
         assert_parity(&g, &scheme, &resident, &format!("{tag} resident"));
         assert_parity(&g, &scheme, &lazy, &format!("{tag} lazy"));
         assert_eq!(resident.params().k, k);
         assert_eq!(resident.params().seed, 0x54AD);
+        assert_eq!(lazy.params().s_budget_mode, budgets);
     }
 }
 
+/// The parallel evaluator hammers a lazily loaded store from several
+/// threads, each fetch landing in a per-thread buffer; its aggregate
+/// stats must match the sequential engine — and the resident build —
+/// bit for bit.
 #[test]
-fn spilled_build_saves_by_raw_copy_and_loads_identically() {
-    // A spilled scheme's save path copies spill records verbatim into
-    // the snapshot; the loaded scheme must still match the resident
-    // build bit for bit.
-    let g = Family::Geometric.generate(120, 0x54AE);
-    let params = SchemeParams::new(2, 0x54AE);
-    let resident = Scheme::build_on_demand(g.clone(), params);
-    let spilled = Scheme::build_on_demand(g.clone(), params.with_spill());
+fn lazy_scheme_survives_parallel_evaluation() {
+    let g = Family::Geometric.generate(120, 0x5113);
+    let d = apsp(&g);
+    let scheme = Scheme::build_on_demand(g.clone(), SchemeParams::new(3, 0x5113));
     let path = TempPath::new();
-    spilled.save(&path.0).expect("save");
-    let loaded = Scheme::load(&path.0).expect("load");
-    assert_parity(&g, &resident, &loaded, "spilled->snapshot->resident");
+    scheme.save(&path.0).expect("save");
+    let lazy = Scheme::load_lazy(&path.0).expect("load_lazy");
+    let workload = pairs::sample(g.n(), 400, 0x5114);
+    let seq = evaluate(&g, &d, &lazy, &workload);
+    let par = lazy.evaluate(&d, &workload, 4);
+    let built = scheme.evaluate(&d, &workload, 1);
+    assert_eq!(seq.failures, 0);
+    for other in [&par, &built] {
+        assert_eq!(seq.pairs, other.pairs);
+        assert_eq!(seq.failures, other.failures);
+        assert_eq!(seq.max_stretch.to_bits(), other.max_stretch.to_bits());
+        assert_eq!(seq.mean_stretch.to_bits(), other.mean_stretch.to_bits());
+    }
 }
 
 #[test]
@@ -214,36 +229,32 @@ fn corrupt_center_trees_degrade_lazy_routes_instead_of_panicking() {
 }
 
 /// Two threads released together by a barrier route the same pairs on
-/// a lazily loaded scheme and on a spilled one: every fetch lands in a
-/// per-thread buffer, and every trace must equal the resident scheme's.
+/// a lazily loaded scheme: every fetch lands in a per-thread buffer,
+/// and every trace must equal the resident scheme's.
 #[test]
-fn lazy_and_spilled_schemes_route_identically_from_two_threads() {
+fn lazy_scheme_routes_identically_from_two_threads() {
     let g = Family::PrefAttach.generate(120, 0x54B5);
-    let params = SchemeParams::new(2, 0x54B5);
-    let resident = Scheme::build_on_demand(g.clone(), params);
-    let spilled = Scheme::build_on_demand(g.clone(), params.with_spill());
+    let resident = Scheme::build_on_demand(g.clone(), SchemeParams::new(2, 0x54B5));
     let path = TempPath::new();
     resident.save(&path.0).expect("save");
     let lazy = Scheme::load_lazy(&path.0).expect("load_lazy");
     let queries = pairs::sample(g.n(), 300, 0x54B6);
     let want: Vec<RouteTrace> = queries.iter().map(|&(s, t)| resident.route(s, t)).collect();
-    for (name, scheme) in [("lazy", &lazy), ("spilled", &spilled)] {
-        let barrier = Barrier::new(2);
-        let got: Vec<Vec<RouteTrace>> = std::thread::scope(|sc| {
-            let workers: Vec<_> = (0..2)
-                .map(|_| {
-                    sc.spawn(|| {
-                        barrier.wait();
-                        queries.iter().map(|&(s, t)| scheme.route(s, t)).collect::<Vec<_>>()
-                    })
+    let barrier = Barrier::new(2);
+    let got: Vec<Vec<RouteTrace>> = std::thread::scope(|sc| {
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                sc.spawn(|| {
+                    barrier.wait();
+                    queries.iter().map(|&(s, t)| lazy.route(s, t)).collect::<Vec<_>>()
                 })
-                .collect();
-            workers.into_iter().map(|w| w.join().expect("routing thread panicked")).collect()
-        });
-        for (thread, traces) in got.iter().enumerate() {
-            for (i, (a, b)) in want.iter().zip(traces).enumerate() {
-                assert_eq!(a, b, "{name}, thread {thread}: {:?}", queries[i]);
-            }
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().expect("routing thread panicked")).collect()
+    });
+    for (thread, traces) in got.iter().enumerate() {
+        for (i, (a, b)) in want.iter().zip(traces).enumerate() {
+            assert_eq!(a, b, "thread {thread}: {:?}", queries[i]);
         }
     }
 }
@@ -258,11 +269,15 @@ fn save_is_byte_deterministic() {
     scheme.save(&b.0).expect("save b");
     assert_eq!(std::fs::read(&a.0).unwrap(), std::fs::read(&b.0).unwrap());
     // And resaving a *loaded* scheme reproduces the same bytes — the
-    // decode/encode pair is lossless.
+    // decode/encode pair is lossless, and a lazily loaded scheme copies
+    // every record back out of its file unchanged.
     let loaded = Scheme::load(&a.0).expect("load");
-    let c = TempPath::new();
-    loaded.save(&c.0).expect("save c");
-    assert_eq!(std::fs::read(&a.0).unwrap(), std::fs::read(&c.0).unwrap());
+    let lazy = Scheme::load_lazy(&a.0).expect("load_lazy");
+    for (name, scheme) in [("resident", &loaded), ("lazy", &lazy)] {
+        let c = TempPath::new();
+        scheme.save(&c.0).expect("save c");
+        assert_eq!(std::fs::read(&a.0).unwrap(), std::fs::read(&c.0).unwrap(), "{name} resave");
+    }
 }
 
 proptest! {

@@ -4,8 +4,8 @@
 //! Two layers live here:
 //!
 //! * the record substrate — a growable [`Writer`], a bounds-checked
-//!   [`Reader`], and the [`Tree`] record format — shared by the build
-//!   spill file and every snapshot section;
+//!   [`Reader`], and the [`Tree`] record format — shared by every
+//!   snapshot section;
 //! * the snapshot container — [`SnapshotWriter`] / [`SnapshotReader`]:
 //!   a magic + format-version header, streamed section payloads, and a
 //!   trailing section table of `(id, offset, len, fnv1a64)` entries.
@@ -13,9 +13,8 @@
 //!   single record is decoded, so corrupt or truncated files surface
 //!   as [`io::Error`]s, never panics.
 //!
-//! Spill records stay versionless by design — a spill file never
-//! outlives the process that wrote it. A snapshot is the opposite: it
-//! exists to outlive its writer, hence the explicit format version
+//! Records carry no version of their own. A snapshot exists to outlive
+//! its writer, hence the container's explicit format version
 //! ([`SNAPSHOT_VERSION`], bumped on any layout change; readers reject
 //! versions they do not know).
 

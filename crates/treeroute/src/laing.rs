@@ -112,8 +112,8 @@ pub struct ErtStore {
 }
 
 impl ErtStore {
-    /// Serialize every arena verbatim — the record a spill file or a
-    /// snapshot section holds. Decoding is one pass plus bounds checks;
+    /// Serialize every arena verbatim — the record a snapshot section
+    /// holds. Decoding is one pass plus bounds checks;
     /// nothing is recomputed.
     pub fn to_wire(&self, w: &mut wire::Writer) {
         w.u64(self.k as u64);
@@ -659,7 +659,7 @@ impl ErrorReportingTree {
 
     /// Wrap a deserialized [`ErtStore`], re-deriving only the naming
     /// plan (pure rank arithmetic, O(1) state). No directory assembly —
-    /// this is the snapshot/spill read path.
+    /// this is the snapshot read path.
     pub fn from_store(store: ErtStore) -> Self {
         let naming = Naming::new(store.labeled.tree().size(), store.sigma);
         ErrorReportingTree { store, naming }

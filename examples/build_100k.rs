@@ -33,6 +33,7 @@ use compact_routing::prelude::*;
 use graphkit::gen::{self, WeightDist};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use routing_core::bench_record;
 use sim::evaluate_parallel;
 
 fn main() {
@@ -61,7 +62,7 @@ fn main() {
     let scheme = Scheme::build_on_demand(g.clone(), SchemeParams::new(k, seed));
     let build_s = t_build.elapsed().as_secs_f64();
     let st = scheme.stats();
-    let record = ConstructionRecord::collect(n, k, threads, build_s, st);
+    let peak_rss_kib = graphkit::metrics::peak_rss_kib().unwrap_or(0);
     println!(
         "[{:>7.2}s] scheme built (k = {k}): {} center trees, {} members, {} cover scales, \
          tuned S budgets {:?}",
@@ -76,7 +77,7 @@ fn main() {
     println!(
         "          build {build_s:.1}s ({}), peak RSS {:.2} GiB",
         phases.join(", "),
-        record.peak_rss_kib as f64 / (1024.0 * 1024.0),
+        peak_rss_kib as f64 / (1024.0 * 1024.0),
     );
     if st.lemma3_violations > 0 {
         // Legitimate on unlucky n/seed combinations: the scheme falls
@@ -128,8 +129,9 @@ fn main() {
     assert_eq!(stats.failures, 0, "every pair must deliver");
 
     if let Ok(out) = std::env::var("BENCH_CONSTRUCTION_OUT") {
-        let doc = routing_core::bench_record::render_json(std::slice::from_ref(&record));
-        routing_core::bench_record::write_merged(&out, &doc).expect("write construction record");
+        let record = bench_record::construction_record(n, k, threads, build_s, peak_rss_kib, st);
+        let doc = bench_record::render_topic_json(bench_record::CONSTRUCTION, &[record]);
+        bench_record::write_merged(&out, &doc).expect("write construction record");
         println!("construction record written to {out}");
     }
 
@@ -140,19 +142,17 @@ fn main() {
         std::env::var("BENCH_BASELINE").unwrap_or_else(|_| "BENCH_construction.json".to_string());
     match std::fs::read_to_string(&baseline_path)
         .ok()
-        .and_then(|doc| routing_core::bench_record::baseline_peak_rss_kib(&doc, n))
+        .and_then(|doc| bench_record::baseline_peak_rss_kib(&doc, n))
     {
         Some(base) if base > 0 => {
-            let ratio = record.peak_rss_kib as f64 / base as f64;
+            let ratio = peak_rss_kib as f64 / base as f64;
             println!(
-                "peak RSS vs {baseline_path} baseline at n = {n}: {} KiB vs {base} KiB ({ratio:.2}x)",
-                record.peak_rss_kib
+                "peak RSS vs {baseline_path} baseline at n = {n}: {peak_rss_kib} KiB vs {base} KiB \
+                 ({ratio:.2}x)"
             );
             assert!(
-                record.peak_rss_kib <= base.saturating_mul(2),
-                "peak RSS regression: {} KiB is more than 2x the {} KiB baseline",
-                record.peak_rss_kib,
-                base
+                peak_rss_kib <= base.saturating_mul(2),
+                "peak RSS regression: {peak_rss_kib} KiB is more than 2x the {base} KiB baseline"
             );
         }
         _ => println!(
@@ -195,16 +195,11 @@ fn main() {
     );
 
     if let Ok(out) = std::env::var("BENCH_SERVING_OUT") {
-        let serving = ServingRecord {
-            n,
-            k,
-            snapshot_bytes,
-            load_seconds,
-            scheme: report,
-            baseline: None, // sp-tables would need Θ(n²) state at this n
-        };
-        let doc = routing_core::bench_record::render_serving_json(std::slice::from_ref(&serving));
-        routing_core::bench_record::write_merged(&out, &doc).expect("write serving record");
+        // No sp-tables baseline: it would need Θ(n²) state at this n.
+        let record =
+            bench_record::serving_record(n, k, snapshot_bytes, load_seconds, &report, None);
+        let doc = bench_record::render_topic_json(bench_record::SERVING, &[record]);
+        bench_record::write_merged(&out, &doc).expect("write serving record");
         println!("serving record written to {out}");
     }
 

@@ -18,7 +18,7 @@
 //! `BENCH_evaluation.json` (delivery rate within 0.05 absolute, p99
 //! stretch within 1.5x of the nearest-n baseline epoch; override the
 //! baseline file with `BENCH_BASELINE`). Set `BENCH_EVALUATION_OUT`
-//! to write the epoch's [`EvaluationRecord`].
+//! to write the epoch's [`bench_record::evaluation_record`].
 
 use std::time::Instant;
 
@@ -28,7 +28,7 @@ use graphkit::gen::{self, WeightDist};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use routing_core::churn::{ChurnConfig, ChurnPlan, EpochRow};
-use routing_core::{EvaluationRecord, RepairOutcome};
+use routing_core::{bench_record, RepairOutcome};
 use sim::ReplayRouter;
 
 fn main() {
@@ -107,15 +107,11 @@ fn main() {
         std::env::var("BENCH_BASELINE").unwrap_or_else(|_| "BENCH_evaluation.json".to_string());
     let stale_rate = (stale.pairs - stale.failures) as f64 / stale.pairs.max(1) as f64;
     let base = std::fs::read_to_string(&baseline_path).ok().and_then(|doc| {
-        let bn = routing_core::bench_record::baseline_nearest_anchor(&doc, "n", n as u64)?;
+        let bn = bench_record::baseline_nearest_anchor(&doc, "n", n as u64)?;
         let rate: f64 =
-            routing_core::bench_record::baseline_value(&doc, "n", bn, "pre_delivery_rate")?
-                .parse()
-                .ok()?;
+            bench_record::baseline_value(&doc, "n", bn, "pre_delivery_rate")?.parse().ok()?;
         let p99: f64 =
-            routing_core::bench_record::baseline_value(&doc, "n", bn, "pre_p99_stretch")?
-                .parse()
-                .ok()?;
+            bench_record::baseline_value(&doc, "n", bn, "pre_p99_stretch")?.parse().ok()?;
         Some((bn, rate, p99))
     });
     match base {
@@ -197,9 +193,9 @@ fn main() {
             outcome,
             post: Some(fixed),
         };
-        let record = EvaluationRecord::collect(n, k, &row);
-        let doc = routing_core::bench_record::render_evaluation_json(std::slice::from_ref(&record));
-        routing_core::bench_record::write_merged(&out, &doc).expect("write evaluation record");
+        let record = bench_record::evaluation_record(n, k, &row);
+        let doc = bench_record::render_topic_json(bench_record::EVALUATION, &[record]);
+        bench_record::write_merged(&out, &doc).expect("write evaluation record");
         println!("evaluation record written to {out}");
     }
 

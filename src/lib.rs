@@ -59,8 +59,7 @@ pub mod prelude {
     pub use graphkit::gen::Family;
     pub use graphkit::{Cost, Graph, GraphBuilder, NodeId, OnDemandTruth, Weight};
     pub use routing_core::{
-        serve_batch, ConstructionRecord, ForceMode, SBudgetMode, Scheme, SchemeParams, ServeReport,
-        ServingRecord,
+        serve_batch, ForceMode, SBudgetMode, Scheme, SchemeParams, ServeReport,
     };
     pub use sim::{
         evaluate, evaluate_lenient, evaluate_parallel, evaluate_parallel_lenient, pairs,
