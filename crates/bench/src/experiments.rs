@@ -974,8 +974,9 @@ pub fn sc(cfg: &RunConfig) -> String {
     t.note("membership counts — the CI smoke's regression baseline).");
     t.note("The AGM scheme's own preprocessing now runs matrix-free: bounded-Dijkstra");
     t.note("ranges and E(u,i) balls, one Dijkstra per landmark for claims/centers/S-");
-    t.note("budgets, capped-level scopes for whole-graph regions. No dense DistMatrix");
-    t.note("is ever materialized (last column: what the old path would have needed).");
+    t.note("budgets, an explicit all-of-V tree for each center with a whole-graph");
+    t.note("region. No dense DistMatrix is ever materialized (last column: what the");
+    t.note("old path would have needed).");
     t.render()
 }
 

@@ -319,7 +319,13 @@ pub struct BuildStats {
     /// both Lemma 3 counters cover only the pairs it re-verified.
     pub lemma3_checked: usize,
     /// Effective S-set budget per landmark level (per-node modes
-    /// report each level's max over nodes).
+    /// report each level's max over nodes). It counts only what local
+    /// regions ask: a center with a whole-graph region has the explicit
+    /// tree `T(c) = V` (see [`Scheme::whole_graph_trees`]), so neither
+    /// that region nor any other region on the same center asks for a
+    /// slot. Top-level regions are always whole-graph, so the top entry
+    /// is the floor of 1 unless a lower region on a top-rank center
+    /// asks.
     pub s_budgets: Vec<usize>,
     /// Number of distinct centers (= landmark trees built).
     pub num_center_trees: usize,
@@ -377,6 +383,8 @@ impl Scheme {
     /// * `E(u,i)` balls come from radius-bounded Dijkstras, and levels
     ///   whose range hit the `⌈log₂Δ⌉+3` cap are handled as exact
     ///   whole-graph scopes so no Θ(n) per-node enumeration happens;
+    ///   the center of such a scope gets the explicit tree `T(c) = V`
+    ///   rather than a slot in every node's S set;
     /// * level-0 (`C_0 = V`) S-sets and positions come from per-node
     ///   size-capped Dijkstras instead of full sorted rows.
     ///
@@ -412,10 +420,11 @@ impl Scheme {
         mut prior: Option<Prior<'_>>,
     ) -> (Self, RepairReport) {
         let Parts { dec, hier, ld } = parts;
+        let mut clock = PhaseClock::start();
         let scopes = Self::on_demand_scopes(&g, &dec, &params);
+        clock.lap("scopes");
         let n = g.n();
         let k = params.k;
-        let mut clock = PhaseClock::start();
         let Prepared { mut plans, centers, members, s_budgets } =
             Self::prepare(&g, &params, &dec, &hier, &ld, &scopes, &mut clock);
         let mut stats = BuildStats {
@@ -638,7 +647,8 @@ impl Scheme {
 
         clock.lap("plans");
         // ---- instance-tuned S budgets (see DESIGN.md) ----------------
-        let raw = Self::s_requirements(g, params, hier, ld, &plans, scopes);
+        let whole = whole_graph_centers(dec, &plans);
+        let raw = Self::s_requirements(g, params, hier, ld, &plans, scopes, &whole);
         // Never exceed the paper's budget (it is the proven bound);
         // every budget is at least 1 (a node is its own closest C_0
         // member).
@@ -661,24 +671,26 @@ impl Scheme {
         // ---- landmark-tree membership --------------------------------
         // v stores τ(T(c), v) iff c ∈ S(v) under the tuned budgets,
         // i.e. c is among the first budget(v, rank(c)) entries of v's
-        // sorted C_{rank(c)} list.
+        // sorted C_{rank(c)} list — or c has a whole-graph region.
         let mut centers: Vec<u32> =
             plans.iter().flatten().filter(|p| !p.dense).map(|p| p.center).collect();
         centers.sort_unstable();
         centers.dedup();
-        let members = Self::center_members(g, ld, hier, &centers, &budgets, n, k);
+        let members = Self::center_members(g, ld, hier, &centers, &whole, &budgets, k);
         clock.lap("members");
         Prepared { plans, centers, members, s_budgets: level_max }
     }
 
     /// The per-(node, level) S requirement table behind the budgets:
-    /// `raw[v·k + l]` is the max, over the sparse regions containing `v`
-    /// whose center `c` has rank `l`, of `pos(v, l, c) + 1 + margin`
-    /// (0 where no region asks). `pos(v, l, c)` counts the entries of
-    /// `v`'s `(distance, id)`-sorted `C_l` list below the key
-    /// `(d(v, c), c)`, so it is monotone in that key: a first pass folds
-    /// each (node, level)'s farthest key, a second takes one position
-    /// per (node, level).
+    /// `raw[v·k + l]` is the max, over the local regions containing `v`
+    /// whose center `c` has rank `l` and is not in `whole`, of
+    /// `pos(v, l, c) + 1 + margin` (0 where no region asks). A center
+    /// in `whole` (sorted) has a whole-graph region and the explicit
+    /// tree `T(c) = V`, so none of its regions ask. `pos(v, l, c)`
+    /// counts the entries of `v`'s `(distance, id)`-sorted `C_l` list
+    /// below the key `(d(v, c), c)`, so it is monotone in that key: a
+    /// first pass folds each (node, level)'s farthest key, a second
+    /// takes one position per (node, level).
     pub(crate) fn s_requirements(
         g: &Graph,
         params: &SchemeParams,
@@ -686,65 +698,37 @@ impl Scheme {
         ld: &LandmarkDistances,
         plans: &[Vec<LevelPlan>],
         scopes: &[Vec<Option<EScope>>],
+        whole: &[u32],
     ) -> Vec<u32> {
         let n = g.n();
         let k = params.k;
         type Far = Vec<Option<(Cost, u32)>>;
-        let fold = |far: &mut Far, v: usize, l: usize, key: (Cost, u32)| {
-            let slot = &mut far[v * k + l];
-            *slot = (*slot).max(Some(key));
-        };
-        // Whole-graph scopes ask at every node, once per distinct center.
-        let mut global: Vec<(u32, usize)> = Vec::new();
-        for (u, row) in scopes.iter().enumerate() {
-            for (i, scope) in row.iter().enumerate() {
-                if let Some(EScope::Global) = scope {
-                    let c = plans[u][i].center;
-                    global.push((c, hier.rank(NodeId(c))));
-                }
-            }
-        }
-        global.sort_unstable();
-        global.dedup();
-        // Both kinds of region touch arbitrary nodes, so workers fold
-        // into private n×k tables.
+        // Regions touch arbitrary nodes, so workers fold into private
+        // n×k tables.
         // merge: elementwise max — order-free, hence chunk-count independent.
-        let local = graphkit::metrics::par_chunks(n, |nodes| {
+        let shards = graphkit::metrics::par_chunks(n, |nodes| {
             let mut far: Far = vec![None; n * k];
             for u in nodes {
                 for (i, scope) in scopes[u].iter().enumerate() {
                     let Some(EScope::Local(list)) = scope else { continue };
                     let c = plans[u][i].center;
+                    if whole.binary_search(&c).is_ok() {
+                        continue;
+                    }
                     let l = hier.rank(NodeId(c));
                     for &(v, d_uv) in list {
                         // A rank-0 center is u's closest C_0 member, at
                         // distance 0 from u, so d(v, c) = d(v, u).
                         let d_vc = if l == 0 { d_uv } else { ld.d(c, NodeId(v)) };
-                        fold(&mut far, v as usize, l, (d_vc, c));
+                        let slot = &mut far[v as usize * k + l];
+                        *slot = (*slot).max(Some((d_vc, c)));
                     }
                 }
             }
             far
         });
-        // merge: elementwise max, as above.
-        let whole = graphkit::metrics::par_chunks(global.len(), |range| {
-            let mut far: Far = vec![None; n * k];
-            for &(c, l) in &global[range] {
-                // C_0 = V has no landmark columns: a rank-0 center
-                // costs one full Dijkstra.
-                let column: Vec<Cost> = if l == 0 {
-                    dijkstra::dijkstra(g, NodeId(c)).dist
-                } else {
-                    (0..n as u32).map(|v| ld.d(c, NodeId(v))).collect()
-                };
-                for (v, d_vc) in column.into_iter().enumerate() {
-                    fold(&mut far, v, l, (d_vc, c));
-                }
-            }
-            far
-        });
         let mut far: Far = vec![None; n * k];
-        for shard in local.into_iter().chain(whole) {
+        for shard in shards {
             for (acc, add) in far.iter_mut().zip(shard) {
                 *acc = (*acc).max(add);
             }
@@ -780,9 +764,10 @@ impl Scheme {
         .collect()
     }
 
-    /// Members `{v : c ∈ S(v)}` of every distinct center's tree, with
-    /// `d(v, c)` attached (the bounded tree Dijkstra's radius), in CSR
-    /// form aligned with the sorted `centers` array.
+    /// Members `{v : c ∈ S(v)}` of every distinct center's tree (all of
+    /// V for a center with a whole-graph region), with `d(v, c)`
+    /// attached (the bounded tree Dijkstra's radius), in CSR form
+    /// aligned with the sorted `centers` array.
     ///
     /// Enumerated node-major: `c ∈ S(v)` iff `c` sits in the first
     /// `budget(v, rank(c))` entries of `v`'s sorted `C_{rank(c)}` list
@@ -793,23 +778,30 @@ impl Scheme {
     /// concatenate in node order and the placement scan is stable, so
     /// each center's members stay v-ascending, exactly as the old
     /// center-major enumeration produced them.
+    ///
+    /// The scan skips the centers in `whole` (sorted): each of those
+    /// has a whole-graph region, and its slot gets all of V,
+    /// node-ascending.
     fn center_members(
         g: &Graph,
         ld: &LandmarkDistances,
         hier: &LandmarkHierarchy,
         centers: &[u32],
+        whole: &[u32],
         budgets: &Budgets,
-        n: usize,
         k: usize,
     ) -> CenterMembers {
         debug_assert!(k < u8::MAX as usize);
-        // Center rank by host id (u8::MAX = not a center), and each
-        // center's slot in the sorted array.
+        let n = g.n();
+        // Center rank by host id (u8::MAX = not a scanned center), and
+        // each center's slot in the sorted array.
         let mut center_rank = vec![u8::MAX; n];
         let mut center_slot = vec![u32::MAX; n];
         for (ci, &c) in centers.iter().enumerate() {
-            center_rank[c as usize] = hier.rank(NodeId(c)) as u8;
             center_slot[c as usize] = ci as u32;
+            if whole.binary_search(&c).is_err() {
+                center_rank[c as usize] = hier.rank(NodeId(c)) as u8;
+            }
         }
         let has_rank0 = centers.iter().any(|&c| center_rank[c as usize] == 0);
         // merge: counting-sort scatter by center; within a center the
@@ -842,7 +834,28 @@ impl Scheme {
             }
             out
         });
+        // d(·, c) for each whole-graph center: C_0 = V has no landmark
+        // column, so a rank-0 center costs one full Dijkstra.
+        // merge: columns concatenated in chunk (= center) order.
+        let columns: Vec<Vec<Cost>> = graphkit::metrics::par_chunks(whole.len(), |range| {
+            whole[range]
+                .iter()
+                .map(|&c| {
+                    if hier.rank(NodeId(c)) == 0 {
+                        dijkstra::dijkstra(g, NodeId(c)).dist
+                    } else {
+                        (0..n as u32).map(|v| ld.d(c, NodeId(v))).collect()
+                    }
+                })
+                .collect::<Vec<Vec<Cost>>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
         let mut off = vec![0usize; centers.len() + 1];
+        for &c in whole {
+            off[center_slot[c as usize] as usize + 1] = n;
+        }
         for shard in &shards {
             for &(ci, _, _) in shard {
                 off[ci as usize + 1] += 1;
@@ -858,6 +871,12 @@ impl Scheme {
                 let p = &mut cursor[ci as usize];
                 items[*p] = (v, dist);
                 *p += 1;
+            }
+        }
+        for (&c, column) in whole.iter().zip(columns) {
+            let base = off[center_slot[c as usize] as usize];
+            for (v, dist) in column.into_iter().enumerate() {
+                items[base + v] = (v as u32, dist);
             }
         }
         CenterMembers { off, items }
@@ -886,6 +905,19 @@ impl Scheme {
     /// The landmark hierarchy (exposed for experiments C1/C2).
     pub fn hierarchy(&self) -> &LandmarkHierarchy {
         &self.hier
+    }
+
+    /// Explicit whole-graph trees per center rank: entry `l` counts the
+    /// distinct rank-`l` centers with a whole-graph region
+    /// `E(u, i) = V`, each of which has the tree `T(c) = V`. Read off
+    /// the plans, the decomposition and the hierarchy, so a loaded
+    /// scheme answers it too.
+    pub fn whole_graph_trees(&self) -> Vec<usize> {
+        let mut per_rank = vec![0; self.params.k];
+        for c in whole_graph_centers(&self.dec, &self.plans) {
+            per_rank[self.hier.rank(NodeId(c))] += 1;
+        }
+        per_rank
     }
 
     /// Route a message (§3.7): phases `i = 0..k`, each using the dense
@@ -1040,6 +1072,24 @@ impl Scheme {
         }
         id + 2 * phase + 2 * max_label
     }
+}
+
+/// The sorted, distinct centers of whole-graph regions: every sparse
+/// `(u, i)` with `E(u, i) = V` ([`Decomposition::e_is_global`]). Each
+/// gets the explicit tree `T(c) = V`, which satisfies Lemma 3 for every
+/// region on `c` without asking any S set for a slot.
+fn whole_graph_centers(dec: &Decomposition, plans: &[Vec<LevelPlan>]) -> Vec<u32> {
+    let mut whole: Vec<u32> = Vec::new();
+    for (u, row) in plans.iter().enumerate() {
+        for (i, plan) in row.iter().enumerate() {
+            if !plan.dense && dec.e_is_global(NodeId(u as u32), i) {
+                whole.push(plan.center);
+            }
+        }
+    }
+    whole.sort_unstable();
+    whole.dedup();
+    whole
 }
 
 /// Effective dense/sparse classification of level `i` (force-mode

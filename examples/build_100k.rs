@@ -56,8 +56,9 @@ fn main() {
 
     // Matrix-free Theorem-1 preprocessing: bounded-Dijkstra ranges,
     // one Dijkstra per landmark (≈ √(n ln n) of them at k = 2) for
-    // claims verification / centers / S budgets, capped-level scopes
-    // for whole-graph regions, bounded per-center tree extraction.
+    // claims verification / centers / S budgets, an explicit all-of-V
+    // tree for each center with a whole-graph region, bounded
+    // per-center tree extraction.
     let t_build = Instant::now();
     let scheme = Scheme::build_on_demand(g.clone(), SchemeParams::new(k, seed));
     let build_s = t_build.elapsed().as_secs_f64();
@@ -65,12 +66,13 @@ fn main() {
     let peak_rss_kib = graphkit::metrics::peak_rss_kib().unwrap_or(0);
     println!(
         "[{:>7.2}s] scheme built (k = {k}): {} center trees, {} members, {} cover scales, \
-         tuned S budgets {:?}",
+         tuned S budgets {:?}, whole-graph trees per rank {:?}",
         t0.elapsed().as_secs_f64(),
         st.num_center_trees,
         st.total_members,
         st.num_scales,
         st.s_budgets,
+        scheme.whole_graph_trees(),
     );
     let phases: Vec<String> =
         st.phase_seconds.iter().map(|(name, s)| format!("{name} {s:.1}s")).collect();
