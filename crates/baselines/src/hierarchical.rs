@@ -51,17 +51,20 @@ impl HierarchicalScheme {
                 .iter()
                 .enumerate()
                 .map(|(ti, t)| {
-                    let ix: HashMap<u32, TreeIx> = t
-                        .graph_ids()
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &gid)| (gid, i as TreeIx))
-                        .collect();
                     let router = CoverTreeRouter::new(
                         t.clone(),
                         sigma,
                         seed ^ ((s as u64) << 32 | ti as u64),
                     );
+                    // Indices of the router's renumbered tree.
+                    let ix: HashMap<u32, TreeIx> = router
+                        .labeled()
+                        .tree()
+                        .graph_ids()
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &gid)| (gid, i as TreeIx))
+                        .collect();
                     Entry { router, ix }
                 })
                 .collect();

@@ -141,9 +141,9 @@ impl TzLabeled {
             let members: Vec<NodeId> =
                 (0..n as u32).filter(|&v| in_cluster(w, v)).map(NodeId).collect();
             let sp = dijkstra::dijkstra(&g, NodeId(w));
-            let tree = Tree::from_sssp(&g, &sp, members);
-            let ix_of = tree.index_map(n);
-            Some((w, ClusterTree { lt: LabeledTree::new(tree), ix_of }))
+            let lt = LabeledTree::new(Tree::from_sssp(&g, &sp, members));
+            let ix_of = lt.tree().index_map(n);
+            Some((w, ClusterTree { lt, ix_of }))
         })
         .into_iter()
         .flatten()

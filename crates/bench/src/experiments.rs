@@ -365,11 +365,11 @@ pub fn l4(cfg: &RunConfig) -> String {
     for (name, g) in shapes {
         let s = ErrorReportingTree::new(spanning_tree(&g, NodeId(0)), k, 91);
         let m = s.labeled().tree().size();
+        let by_rank = s.labeled().tree().nodes_by_depth();
         for j in 1..=k {
             let mut hits = 0usize;
             let mut max_stretch = 0.0f64;
-            for rank in 0..m {
-                let tix = s.node_at_rank(rank);
+            for (rank, &tix) in by_rank.iter().enumerate() {
                 let level = s.naming().level_of_rank(rank).max(1);
                 if level > j {
                     continue;
@@ -542,20 +542,26 @@ pub fn l7(cfg: &RunConfig) -> String {
         ),
     ];
     for (name, g) in shapes {
-        let r = CoverTreeRouter::new(spanning_tree(&g, NodeId(0)), 2, 98);
+        let tree = spanning_tree(&g, NodeId(0));
+        // Nodes are drawn by position in the spanning tree's (distance,
+        // id) order; the router renumbers its copy, so go through host ids.
+        let host = tree.graph_ids().to_vec();
+        let r = CoverTreeRouter::new(tree, 2, 98);
+        let ix = r.labeled().tree().index_map(g.n());
+        let router_ix = |t: u32| ix[host[t as usize] as usize];
         let m = r.labeled().tree().size() as u32;
         let budget = r.cost_budget();
         let mut max_cost = 0;
         let lookups = if quick { 400 } else { 2000 };
         for &(s, d) in pairs::sample(m as usize, lookups, 99).iter() {
-            let (outcome, _) = r.route(s.0, r.labeled().tree().graph_id(d.0));
+            let (outcome, _) = r.route(router_ix(s.0), NodeId(host[d.idx()]));
             assert!(outcome.is_found());
             max_cost = max_cost.max(outcome.cost());
         }
         let mut miss_max = 0;
         for absent in [2_000_000u32, 2_000_001] {
             for from in (0..m).step_by((m as usize / 10).max(1)) {
-                let (outcome, _) = r.route(from, NodeId(absent));
+                let (outcome, _) = r.route(router_ix(from), NodeId(absent));
                 assert!(!outcome.is_found());
                 miss_max = miss_max.max(outcome.cost());
             }

@@ -18,10 +18,11 @@
 //! encodes it itself, and `Scheme::load` checksums the section and runs
 //! [`ErtView::new`] on every record before the store exists. After that
 //! it is viewed through its [`ErtLayout`], found once when the record
-//! became resident, and the view's accessors are still checked. A file record is validated with [`ErtView::new`] on every
-//! fetch, and nothing remembers that a record was good: lazy loading
-//! never checksums the section, so these checks are its only guard.
-//! The validation is allocation-free and linear in the record; the
+//! became resident, and the view's accessors are still checked. A file
+//! record is validated with [`ErtView::new`] on every fetch, and
+//! nothing remembers that a record was good: lazy loading never
+//! checksums the section, so these checks are its only guard. The
+//! validation is allocation-free and linear in the record; the
 //! snapshot parity suite asserts both backings route exactly like a
 //! fresh build.
 

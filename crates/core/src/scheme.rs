@@ -927,7 +927,8 @@ impl Scheme {
             return RouteTrace::trivial(src);
         }
         // lint:allow(no-alloc-in-route): the returned RouteTrace owns its path; one Vec per route is the API
-        let mut path = vec![src];
+        let mut path = Vec::with_capacity(treeroute::PATH_CAPACITY);
+        path.push(src);
         let mut cost: Cost = 0;
         // A source outside the scheme's node range is undeliverable,
         // not a panic — serve_batch forwards caller-supplied ids.
@@ -1328,19 +1329,30 @@ pub(crate) fn index_and_bits(
     let tree = ert.labeled();
     let size = tree.size();
     let naming = Naming::new(size, ert.sigma());
-    let mut members: Vec<(u32, u32, u8)> = Vec::with_capacity(size);
+    // Lemma-4 distance ranks: members in (depth, host id) order. Every
+    // parent precedes its child, so one forward pass finds the depths.
+    let mut depths: Vec<Cost> = Vec::with_capacity(size);
+    let mut by_rank: Vec<(Cost, u32, u32)> = Vec::with_capacity(size);
     let mut bits: Vec<(u32, u64)> = Vec::with_capacity(size);
-    let mut max_search_level = 1u8;
     let mut max_label = 0u64;
     for ix in 0..size as u32 {
+        let above = tree.parent(ix).and_then(|p| depths.get(p as usize).copied());
+        let depth = above.map_or(0, |d| d.saturating_add(tree.parent_weight(ix)));
+        depths.push(depth);
         let gid = tree.host(ix).unwrap_or(u32::MAX);
-        let rank = ert.rank_of(ix).unwrap_or(0) as usize;
-        let lvl = naming.level_of_rank(rank).clamp(1, u8::MAX as usize) as u8;
-        max_search_level = max_search_level.max(lvl);
-        members.push((gid, ix, lvl));
+        by_rank.push((depth, gid, ix));
         bits.push((gid, id_bits + ert.node_bits(ix)));
         max_label = max_label.max(tree.label_bits(ix));
     }
+    by_rank.sort_unstable();
+    let mut members: Vec<(u32, u32, u8)> = by_rank
+        .iter()
+        .enumerate()
+        .map(|(rank, &(_, gid, ix))| {
+            (gid, ix, naming.level_of_rank(rank).clamp(1, u8::MAX as usize) as u8)
+        })
+        .collect();
+    let max_search_level = members.iter().map(|&(_, _, lvl)| lvl).max().unwrap_or(1);
     members.sort_unstable();
     (BuildIndex { members, max_search_level }, bits, max_label)
 }
@@ -1369,18 +1381,11 @@ fn build_scale_cover(g: &Graph, dec: &Decomposition, params: &SchemeParams, s: u
             range
                 .map(|ti| {
                     let host_tree = remap_tree(&cover.trees[ti], &sub.to_host);
-                    let ix: HashMap<u32, TreeIx> = host_tree
-                        .graph_ids()
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &gid)| (gid, i as TreeIx))
-                        .collect();
-                    let router = CoverTreeRouter::new(
+                    CoverEntry::from_router(CoverTreeRouter::new(
                         host_tree,
                         sigma,
                         params.seed ^ ((s as u64) << 32 | ti as u64),
-                    );
-                    CoverEntry { router, ix }
+                    ))
                 })
                 .collect::<Vec<CoverEntry>>()
         })

@@ -1,18 +1,28 @@
-//! The serving engine: batched routing lookups sharded across threads.
+//! The serving engine: batched routing lookups spread across threads.
 //!
 //! A *serve* workload is the read side of the scheme's lifecycle —
 //! no construction, no ground truth, just `route(src, dst)` over a
 //! batch of queries against an already-built (typically
-//! snapshot-loaded) router. Queries are sharded by source node id, so
-//! a query's thread assignment is a function of the workload alone,
-//! not of scheduler timing.
+//! snapshot-loaded) router. Workers take the batch in chunks of
+//! `CHUNK` queries from a shared counter, so a worker that stalls —
+//! a preempted thread, or a virtual CPU the host deschedules — holds up
+//! only the chunk in its hands while the others serve the rest. Every
+//! query is served exactly once; which worker serves it depends on
+//! timing, and nothing in the report does.
 //!
 //! The engine reports throughput (routes/sec over the batch wall
 //! clock) and per-query latency percentiles (p50/p99, microseconds),
 //! the numbers `BENCH_serving.json` records.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use graphkit::NodeId;
 use sim::Router;
+
+/// Queries a worker takes from the batch at a time: a few hundred
+/// microseconds of routing, so one atomic add per chunk costs nothing
+/// and an idle worker never waits long for the last chunks.
+const CHUNK: usize = 64;
 
 /// Aggregate results of one served batch.
 #[derive(Clone, Debug)]
@@ -34,8 +44,9 @@ pub struct ServeReport {
 }
 
 /// Serve `queries` against `router` on `threads` threads (0 = all
-/// available), sharding by `src.0 % threads`. Returns the merged
-/// throughput/latency report; per-query results are not retained.
+/// available), each taking `CHUNK` (64) queries at a time until the
+/// batch is done. Returns the merged throughput/latency report; per-query
+/// results are not retained.
 pub fn serve_batch(
     router: &(dyn Router + Sync),
     queries: &[(NodeId, NodeId)],
@@ -46,29 +57,33 @@ pub fn serve_batch(
     } else {
         threads
     };
+    let next = AtomicUsize::new(0);
     let started = std::time::Instant::now();
     let shards: Vec<(usize, Vec<u64>)> = std::thread::scope(|scope| {
         let workers: Vec<_> = (0..threads)
-            .map(|tid| {
-                scope.spawn(move || {
+            .map(|_| {
+                scope.spawn(|| {
                     let mut delivered = 0usize;
                     let mut lat_ns = Vec::new();
-                    for &(s, t) in queries {
-                        if s.0 as usize % threads != tid {
-                            continue;
+                    loop {
+                        let start = next.fetch_add(CHUNK, Ordering::Relaxed);
+                        let Some(rest) = queries.get(start..).filter(|r| !r.is_empty()) else {
+                            break;
+                        };
+                        for &(s, t) in rest.iter().take(CHUNK) {
+                            let q0 = std::time::Instant::now();
+                            let trace = router.route(s, t);
+                            lat_ns.push(q0.elapsed().as_nanos() as u64);
+                            delivered += trace.delivered as usize;
                         }
-                        let q0 = std::time::Instant::now();
-                        let trace = router.route(s, t);
-                        lat_ns.push(q0.elapsed().as_nanos() as u64);
-                        delivered += trace.delivered as usize;
                     }
                     (delivered, lat_ns)
                 })
             })
             .collect();
-        // A panicked worker contributes zero routes: its shard shows
-        // up as undelivered queries in the report (visible, bounded
-        // damage) instead of taking the whole batch down.
+        // A panicked worker contributes zero routes: the chunks it took
+        // show up as undelivered queries in the report (visible,
+        // bounded damage) instead of taking the whole batch down.
         workers.into_iter().map(|w| w.join().unwrap_or((0, Vec::new()))).collect()
     });
     let elapsed_seconds = started.elapsed().as_secs_f64();

@@ -236,18 +236,12 @@ impl Scheme {
             Some(ForceMode::AllSparse) => 1,
             Some(ForceMode::AllDense) => 2,
         });
-        // Hierarchy source: always the sampled-verified one (tag 1, the
-        // retired greedy construction, is never reused).
-        w.u8(0);
         // Budget mode (tag 2, the retired uniform per-node mode, is
         // never reused).
         w.u8(match p.s_budget_mode {
             SBudgetMode::Global => 0,
             SBudgetMode::PerNode => 1,
         });
-        // Spill flag: always 0 (1 marked a build whose center trees went
-        // to the retired spill file).
-        w.u8(0);
         w.u64(self.max_center_label_bits);
         let st = &self.stats;
         w.u64(st.lemma3_violations as u64);
@@ -306,19 +300,11 @@ fn decode_meta(r: &mut Reader<'_>) -> io::Result<(SchemeParams, BuildStats, u64)
         2 => Some(ForceMode::AllDense),
         _ => return Err(wire::invalid("bad force-mode tag")),
     };
-    if r.u8()? != 0 {
-        return Err(wire::invalid("bad hierarchy tag"));
-    }
     let s_budget_mode = match r.u8()? {
         0 => SBudgetMode::Global,
         1 => SBudgetMode::PerNode,
         _ => return Err(wire::invalid("bad budget-mode tag")),
     };
-    // A spilled build's snapshot differs from a resident one only in
-    // this byte, so 1 still loads; the value is ignored.
-    if r.u8()? > 1 {
-        return Err(wire::invalid("bad spill tag"));
-    }
     if k < 1 {
         return Err(wire::invalid("k must be at least 1"));
     }
@@ -445,25 +431,20 @@ mod tests {
     use super::*;
     use graphkit::gen::Family;
 
-    /// META offsets: k (8), seed (8), landmark attempts (4), margin (8)
-    /// and the force-mode byte precede the hierarchy byte.
-    const HIERARCHY_BYTE: usize = 29;
-    const BUDGET_MODE_BYTE: usize = 30;
-    const SPILL_BYTE: usize = 31;
+    /// META offsets: k (8), seed (8), landmark attempts (4) and margin
+    /// (8) precede the force-mode byte; the budget-mode byte follows it.
+    const FORCE_MODE_BYTE: usize = 28;
+    const BUDGET_MODE_BYTE: usize = 29;
 
     #[test]
     fn retired_meta_tags_are_rejected() {
         let scheme = Scheme::build_on_demand(Family::Ring.generate(40, 3), SchemeParams::new(2, 3));
         let meta = scheme.encode_meta();
         assert!(decode_meta(&mut Reader::new(&meta)).is_ok());
-        assert_eq!((meta[HIERARCHY_BYTE], meta[BUDGET_MODE_BYTE], meta[SPILL_BYTE]), (0, 0, 0));
-        // A spilled build's snapshot still loads, as a resident one.
-        let mut spilled = meta.clone();
-        spilled[SPILL_BYTE] = 1;
-        assert!(decode_meta(&mut Reader::new(&spilled)).is_ok(), "spill byte 1 must load");
-        // 1 = the greedy hierarchy, 2 = the uniform per-node budgets,
-        // and no spill byte ever exceeded 1.
-        for (at, tag) in [(HIERARCHY_BYTE, 1), (BUDGET_MODE_BYTE, 2), (SPILL_BYTE, 2)] {
+        assert_eq!((meta[FORCE_MODE_BYTE], meta[BUDGET_MODE_BYTE]), (0, 0));
+        // Force modes stop at 2; budget-mode tag 2, the retired uniform
+        // per-node budgets, is never reused.
+        for (at, tag) in [(FORCE_MODE_BYTE, 3), (BUDGET_MODE_BYTE, 2)] {
             let mut bad = meta.clone();
             bad[at] = tag;
             let err = decode_meta(&mut Reader::new(&bad)).expect_err("retired tag must not load");

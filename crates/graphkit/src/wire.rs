@@ -430,7 +430,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"AGMSNAP\0";
 /// Current snapshot format version. Bump on any layout change; readers
 /// reject unknown versions instead of misparsing.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Header: magic (8) + version (4) + section-table offset (8).
 const HEADER_LEN: u64 = 20;
@@ -810,11 +810,15 @@ mod tests {
         let mut w = SnapshotWriter::create(&path).unwrap();
         w.section(1, b"x").unwrap();
         w.finish().unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[8] = SNAPSHOT_VERSION as u8 + 1;
-        std::fs::write(&path, &bytes).unwrap();
-        let err = SnapshotReader::open(&path).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let good = std::fs::read(&path).unwrap();
+        // The next version and the previous one: no reader for either.
+        for version in [SNAPSHOT_VERSION + 1, SNAPSHOT_VERSION - 1] {
+            let mut bytes = good.clone();
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            let err = SnapshotReader::open(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "version {version}");
+        }
         std::fs::remove_file(&path).ok();
     }
 }

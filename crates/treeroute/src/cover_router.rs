@@ -63,13 +63,15 @@ impl CoverOutcome {
 }
 
 /// One level of a sibling-group guide: sampled boundaries over the DFS
-/// range `[start, end)` this guide is responsible for. Build-time
-/// scratch only — the frozen form lives in [`CoverStore`]'s arenas.
+/// range `[start, end)` this guide is responsible for. A boundary is a
+/// node whose subtree starts there, so an entry is just that node's
+/// index (= its DFS number). Build-time scratch only — the frozen form
+/// lives in [`CoverStore`]'s arenas.
 #[derive(Clone, Debug)]
 struct Guide {
     start: u32,
     end: u32,
-    entries: Vec<(u32, TreeIx)>,
+    entries: Vec<TreeIx>,
 }
 
 /// Per-node build scratch of the Lemma 7 scheme (beyond `µ(T,u)`):
@@ -77,15 +79,16 @@ struct Guide {
 /// flattened into [`CoverStore`] CSR arenas before routing.
 #[derive(Clone, Debug, Default)]
 struct CoverNode {
-    /// Sampled `(dfs_start, child)` boundaries over this node's children
-    /// (≤ s entries; group leaders when the degree exceeds s).
-    child_guide: Vec<(u32, TreeIx)>,
+    /// Sampled children, each the DFS start of its subtree (≤ s
+    /// entries; group leaders when the degree exceeds s).
+    child_guide: Vec<TreeIx>,
     /// Guides for each sibling group this node leads, one per nesting
     /// level (a group leader also leads its own sub-group, so the
     /// tightest guide covering a position always makes progress).
     sibling_guides: Vec<Guide>,
-    /// Directory bucket: tree nodes whose hash position equals this
-    /// node's DFS number (labels resolve through the shared hop arena).
+    /// Directory bucket: `(graph id, tree index)` of the tree nodes
+    /// whose hash position is this node's index (labels resolve through
+    /// the shared hop arena).
     bucket: Vec<(u32, TreeIx)>,
 }
 
@@ -103,14 +106,14 @@ pub struct CoverStore {
     max_guide_depth: u32,
     /// Child guides, CSR by tree index.
     cg_off: Vec<u32>,
-    cg: Vec<(u32, TreeIx)>,
+    cg: Vec<TreeIx>,
     /// Sibling guides: node `t` leads guides `sg_off[t]..sg_off[t+1]`;
     /// guide `i` covers DFS range `sg_bounds[i]` with entries
     /// `sge[sge_off[i]..sge_off[i+1]]`.
     sg_off: Vec<u32>,
     sg_bounds: Vec<(u32, u32)>,
     sge_off: Vec<u32>,
-    sge: Vec<(u32, TreeIx)>,
+    sge: Vec<TreeIx>,
     /// Directory buckets, CSR by tree index.
     bk_off: Vec<u32>,
     bk: Vec<(u32, TreeIx)>,
@@ -162,13 +165,13 @@ impl CoverStore {
     }
 
     // lint:allow-fn(panic-free-serve): validate-then-index — from_wire checks the CSR offsets are monotone and in-bounds for every t < n
-    fn child_guide(&self, t: TreeIx) -> &[(u32, TreeIx)] {
+    fn child_guide(&self, t: TreeIx) -> &[TreeIx] {
         &self.cg[self.cg_off[t as usize] as usize..self.cg_off[t as usize + 1] as usize]
     }
 
     /// Sibling guides led by `t`: `(dfs_start, dfs_end, entries)`.
     // lint:allow-fn(panic-free-serve): validate-then-index — from_wire checks sg_off/sge_off monotone and in-bounds for every t < n
-    fn sibling_guides(&self, t: TreeIx) -> impl Iterator<Item = (u32, u32, &[(u32, TreeIx)])> {
+    fn sibling_guides(&self, t: TreeIx) -> impl Iterator<Item = (u32, u32, &[TreeIx])> {
         let (s, e) = (self.sg_off[t as usize] as usize, self.sg_off[t as usize + 1] as usize);
         (s..e).map(move |i| {
             let (start, end) = self.sg_bounds[i];
@@ -188,11 +191,11 @@ impl CoverStore {
         w.slice_u64(self.hash.coeffs());
         self.labeled.store().to_wire(w);
         w.slice_u32(&self.cg_off);
-        w.slice_pairs(&self.cg);
+        w.slice_u32(&self.cg);
         w.slice_u32(&self.sg_off);
         w.slice_pairs(&self.sg_bounds);
         w.slice_u32(&self.sge_off);
-        w.slice_pairs(&self.sge);
+        w.slice_u32(&self.sge);
         w.slice_u32(&self.bk_off);
         w.slice_pairs(&self.bk);
     }
@@ -212,11 +215,11 @@ impl CoverStore {
         let labeled = LabeledTree::from_store(LabeledStore::from_wire(r)?);
         let m = labeled.tree().size();
         let cg_off = r.slice_u32()?;
-        let cg = r.slice_pairs()?;
+        let cg = r.slice_u32()?;
         let sg_off = r.slice_u32()?;
         let sg_bounds = r.slice_pairs()?;
         let sge_off = r.slice_u32()?;
-        let sge = r.slice_pairs()?;
+        let sge = r.slice_u32()?;
         let bk_off = r.slice_u32()?;
         let bk = r.slice_pairs()?;
         let check_csr = |off: &[u32], len: usize, n: usize, what: &str| {
@@ -233,7 +236,7 @@ impl CoverStore {
         check_csr(&sg_off, sg_bounds.len(), m, "sibling-guide")?;
         check_csr(&sge_off, sge.len(), sg_bounds.len(), "guide-entry")?;
         check_csr(&bk_off, bk.len(), m, "bucket")?;
-        if cg.iter().chain(&sge).chain(&bk).any(|&(_, ix)| ix as usize >= m) {
+        if cg.iter().chain(&sge).chain(bk.iter().map(|(_, ix)| ix)).any(|&ix| ix as usize >= m) {
             return Err(invalid("cover store entry out of range"));
         }
         Ok(CoverStore {
@@ -323,7 +326,8 @@ impl CoverTreeRouter {
         let tree = labeled.tree();
         let mut cost: Cost = 0;
         // lint:allow(no-alloc-in-route): the returned walk owns its path; one Vec per route is the API
-        let mut path = vec![from];
+        let mut path = Vec::with_capacity(crate::PATH_CAPACITY);
+        path.push(from);
         let source_label = labeled.label(from); // carried in the header
         let mut at = from;
         // Short-circuit: the source is the target.
@@ -336,14 +340,12 @@ impl CoverTreeRouter {
             at = p;
             path.push(at);
         }
-        // Phase 2: descend to the directory position.
+        // Phase 2: descend to the directory position: the node whose
+        // index is `pos`.
         let pos = self.position_of(target);
-        loop {
-            let me = labeled.local(at);
-            if me.dfs_in == pos {
-                break;
-            }
-            debug_assert!(pos > me.dfs_in && pos < me.dfs_out, "descent left the interval");
+        let covers = |t: TreeIx| pos >= t && labeled.dfs_out(t).is_some_and(|out| pos < out);
+        while at != pos {
+            debug_assert!(covers(at), "descent left the interval");
             // Pick from my child guide the last boundary ≤ pos. A
             // missing entry means a corrupt guide arena: report a miss
             // from where we stand rather than panicking the server.
@@ -359,10 +361,7 @@ impl CoverTreeRouter {
             // never returns `next` itself — each correction strictly
             // descends one guide level.
             let mut guard = 0;
-            while !{
-                let l = labeled.local(next);
-                pos >= l.dfs_in && pos < l.dfs_out
-            } {
+            while !covers(next) {
                 let Some(cand) = self
                     .store
                     .sibling_guides(next)
@@ -388,29 +387,24 @@ impl CoverTreeRouter {
             }
             at = next;
         }
-        // Phase 3: directory lookup.
+        // Phase 3: directory lookup, then walk by label straight into
+        // the path: to the target on a hit, or — for an unknown name —
+        // back to the source by the header's source label. A label that
+        // no longer routes is a corrupt directory: its partial walk is
+        // dropped and the lookup degrades to a miss instead of
+        // panicking.
         let hit = self.store.bucket(at).iter().find(|(gid, _)| *gid == target.0).map(|&(_, ix)| ix);
-        // A bucket entry (or source header) whose label no longer
-        // routes is a corrupt directory; every arm below degrades to a
-        // miss instead of panicking.
-        if let Some(ix) = hit {
-            if let Some((mut walk, c)) = labeled.route(at, labeled.label(ix)) {
-                cost += c;
-                let delivered_at = walk.last().copied().unwrap_or(at);
-                walk.remove(0);
-                path.extend(walk);
-                return (CoverOutcome::Found { cost, delivered_at }, path);
-            }
+        let base = path.len();
+        let label = hit.map_or(source_label, |ix| labeled.label(ix));
+        let Some((c, delivered_at)) = labeled.walk(at, label, &mut |t| path.push(t)) else {
+            path.truncate(base);
             return (CoverOutcome::NotFound { cost }, path);
+        };
+        cost += c;
+        match hit {
+            Some(_) => (CoverOutcome::Found { cost, delivered_at }, path),
+            None => (CoverOutcome::NotFound { cost }, path),
         }
-        // Unknown name: report failure back to the source using the
-        // header's source label.
-        if let Some((mut walk, c)) = labeled.route(at, source_label) {
-            cost += c;
-            walk.remove(0);
-            path.extend(walk);
-        }
-        (CoverOutcome::NotFound { cost }, path)
     }
 
     /// Storage bits of tree node `t` under this scheme (φ(T,t) in the
@@ -451,9 +445,9 @@ impl CoverBuild {
         let m = self.labeled.tree().size() as u32;
         let mut max_guide_depth = 0;
         for x in 0..m {
-            // Children sorted by dfs_in (DFS assigns contiguous intervals).
-            let mut kids: Vec<TreeIx> = self.labeled.tree().children(x).to_vec();
-            kids.sort_unstable_by_key(|&c| self.labeled.local(c).dfs_in);
+            // Children come in index order, which is DFS order: their
+            // subtrees are consecutive intervals.
+            let kids: Vec<TreeIx> = self.labeled.tree().children(x).to_vec();
             if kids.is_empty() {
                 continue;
             }
@@ -466,10 +460,10 @@ impl CoverBuild {
     /// Recursively spread the boundary table of `slice` (a run of
     /// siblings) over group leaders. Returns the B-tree depth used.
     fn assign_guide_level(&mut self, owner: GuideOwner, slice: &[TreeIx], level: u32) -> u32 {
-        let entries: Vec<(u32, TreeIx)>;
+        let entries: Vec<TreeIx>;
         let mut max_depth = level;
         if slice.len() <= self.fanout {
-            entries = slice.iter().map(|&c| (self.labeled.local(c).dfs_in, c)).collect();
+            entries = slice.to_vec();
         } else {
             // Split into `fanout` groups; record group leaders here and
             // recurse into each group via its leader.
@@ -477,7 +471,7 @@ impl CoverBuild {
             let mut leaders = Vec::new();
             for chunk in slice.chunks(group) {
                 let leader = chunk[0];
-                leaders.push((self.labeled.local(leader).dfs_in, leader));
+                leaders.push(leader);
                 if chunk.len() > 1 {
                     let d = self.assign_guide_level(GuideOwner::Leader(leader), chunk, level + 1);
                     max_depth = max_depth.max(d);
@@ -491,9 +485,9 @@ impl CoverBuild {
                 // The DFS range this guide covers: from the first member's
                 // subtree start to the last member's subtree end. (An
                 // empty slice never recurses here; guard anyway.)
-                if let (Some(&first), Some(&last)) = (slice.first(), slice.last()) {
-                    let start = self.labeled.local(first).dfs_in;
-                    let end = self.labeled.local(last).dfs_out;
+                if let (Some(&start), Some(end)) =
+                    (slice.first(), slice.last().and_then(|&last| self.labeled.dfs_out(last)))
+                {
                     self.nodes[l as usize].sibling_guides.push(Guide { start, end, entries });
                 }
             }
@@ -505,9 +499,8 @@ impl CoverBuild {
         let m = self.labeled.tree().size();
         for t in 0..m as u32 {
             let gid = self.labeled.tree().graph_id(t).0;
-            let pos = (hash.eval(gid as u64) % m as u64) as u32;
-            let owner = self.labeled.node_at_dfs(pos);
-            self.nodes[owner as usize].bucket.push((gid, t));
+            let pos = hash.eval(gid as u64) % m as u64;
+            self.nodes[pos as usize].bucket.push((gid, t));
         }
     }
 }
@@ -518,9 +511,9 @@ enum GuideOwner {
 }
 
 /// Last guide entry with boundary ≤ pos.
-fn guide_pick(guide: &[(u32, TreeIx)], pos: u32) -> Option<TreeIx> {
-    let i = guide.partition_point(|&(b, _)| b <= pos);
-    i.checked_sub(1).and_then(|j| guide.get(j)).map(|&(_, t)| t)
+fn guide_pick(guide: &[TreeIx], pos: u32) -> Option<TreeIx> {
+    let i = guide.partition_point(|&b| b <= pos);
+    i.checked_sub(1).and_then(|j| guide.get(j)).copied()
 }
 
 /// Weight of the tree edge between adjacent nodes.

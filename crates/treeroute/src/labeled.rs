@@ -6,8 +6,9 @@
 //! path using only the local node's O(log n)-bit routing info plus the
 //! label. Our variant is the heavy-path scheme:
 //!
-//! * nodes are numbered by heavy-first DFS, so each subtree is a
-//!   contiguous interval;
+//! * nodes are numbered by heavy-first DFS, and a node's DFS number is
+//!   its index: t's subtree is the interval `[t, dfs_out(t))` and its
+//!   heavy child is `t + 1`;
 //! * per-node info `µ(T,u)`: own interval, heavy-child interval, light
 //!   depth — O(log n) bits;
 //! * label `λ(T,v)`: v's DFS number plus one entry per *light* edge on
@@ -19,19 +20,9 @@
 //! downstream within Theorem 1's `O(k² n^{1/k} log³ n)` (see DESIGN.md).
 
 use graphkit::bits::{bits_for_node, StorageCost};
-use graphkit::wire::{self, Pairs, Reader, U32s, U64s, Writer};
+use graphkit::wire::{self, Reader, U32s, U64s, Writer};
 use graphkit::{Cost, Tree, TreeIx, Weight};
 use std::io;
-
-/// One light edge on the root→v path: the light child entered, plus its
-/// DFS number (used to sanity-check foreign labels).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LightHop {
-    /// DFS number of the light child entered.
-    pub child_dfs: u32,
-    /// Physical port: the tree index of that child.
-    pub child: TreeIx,
-}
 
 /// Destination label `λ(T,v)`, owned. Inside a [`LabeledTree`] labels
 /// live in one contiguous hop arena and are handed out as borrowing
@@ -39,10 +30,10 @@ pub struct LightHop {
 /// label beyond the tree's lifetime (message headers, baselines).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RouteLabel {
-    /// DFS number of the destination.
+    /// DFS number (= tree index) of the destination.
     pub dfs: u32,
-    /// Light edges on the root→destination path, in order.
-    pub light_path: Vec<LightHop>,
+    /// Light children entered on the root→destination path, in order.
+    pub light_path: Vec<TreeIx>,
 }
 
 impl RouteLabel {
@@ -57,10 +48,10 @@ impl RouteLabel {
 /// one allocates nothing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LabelRef<'a> {
-    /// DFS number of the destination.
+    /// DFS number (= tree index) of the destination.
     pub dfs: u32,
-    /// Light edges on the root→destination path, in order.
-    pub light_path: &'a [LightHop],
+    /// Light children entered on the root→destination path, in order.
+    pub light_path: &'a [TreeIx],
 }
 
 impl LabelRef<'_> {
@@ -68,19 +59,6 @@ impl LabelRef<'_> {
     pub fn to_owned(self) -> RouteLabel {
         RouteLabel { dfs: self.dfs, light_path: self.light_path.to_vec() }
     }
-}
-
-/// Per-node routing information `µ(T,u)`.
-#[derive(Clone, Copy, Debug)]
-pub struct NodeLocal {
-    /// Own DFS number (= interval start).
-    pub dfs_in: u32,
-    /// Interval end, exclusive: the subtree of `u` is `[dfs_in, dfs_out)`.
-    pub dfs_out: u32,
-    /// Heavy child's `(dfs_in, dfs_out, tree index)`, absent at leaves.
-    pub heavy: Option<(u32, u32, TreeIx)>,
-    /// Number of light edges on the root→u path.
-    pub light_depth: u32,
 }
 
 /// Outcome of a single local forwarding decision.
@@ -94,26 +72,29 @@ pub enum Step {
     NotInTree,
 }
 
-/// The plain-old-data half of a [`LabeledTree`]: the physical tree plus
-/// the flat µ/λ arenas the read path routes against. Everything here is
-/// CSR-shaped — no per-node allocations — so a store serializes as a
-/// handful of flat arrays and a snapshot load is one pass back into the
-/// same shape, no preprocessing rerun.
+/// The plain-old-data half of a [`LabeledTree`]: the physical tree,
+/// stored in heavy-first DFS order, plus the flat µ/λ arenas the read
+/// path routes against. Everything here is CSR-shaped — no per-node
+/// allocations — so a store serializes as a handful of flat arrays and
+/// a snapshot load is one pass back into the same shape, no
+/// preprocessing rerun.
 ///
-/// Labels are stored flat: one hop arena (`light_hops`) plus an offset
-/// table (`light_off`), CSR-style, instead of a `Vec<LightHop>` per
-/// node — label storage is two allocations per tree regardless of size,
-/// and a node's label is a 16-byte [`LabelRef`] view.
+/// One numbering serves every purpose: node `t`'s DFS number is `t`,
+/// its heavy child (if any) is `t + 1`, and its light depth is the
+/// length of its label. Labels are stored flat: one hop arena
+/// (`light_hops`, one child index per light edge) plus an offset table
+/// (`light_off`), CSR-style, so a node's label is a 16-byte
+/// [`LabelRef`] view.
 #[derive(Clone, Debug)]
 pub struct LabeledStore {
     tree: Tree,
-    locals: Vec<NodeLocal>,
+    /// End of each node's subtree interval, exclusive: the subtree of
+    /// `t` is `[t, dfs_out[t])`.
+    dfs_out: Vec<u32>,
     /// CSR offsets: node `t`'s light path is
     /// `light_hops[light_off[t]..light_off[t + 1]]`.
     light_off: Vec<u32>,
-    light_hops: Vec<LightHop>,
-    /// `dfs_order[d]` = tree index of the node with DFS number `d`.
-    dfs_order: Vec<TreeIx>,
+    light_hops: Vec<TreeIx>,
 }
 
 impl LabeledStore {
@@ -122,40 +103,22 @@ impl LabeledStore {
         &self.tree
     }
 
-    /// Serialize as flat arrays (structure-of-arrays for the locals,
-    /// `u32::MAX` heavy-child sentinel for leaves).
+    /// Serialize as flat arrays: the tree, then the subtree ends, the
+    /// light offsets and the hop arena.
     pub fn to_wire(&self, w: &mut Writer) {
         wire::write_tree(w, &self.tree);
-        let m = self.tree.size();
-        w.len(m);
-        self.locals.iter().for_each(|l| w.u32(l.dfs_in));
-        w.len(m);
-        self.locals.iter().for_each(|l| w.u32(l.dfs_out));
-        w.len(m);
-        self.locals.iter().for_each(|l| w.u32(l.light_depth));
-        w.len(3 * m);
-        for l in &self.locals {
-            let (hi, ho, hc) = l.heavy.unwrap_or((0, 0, u32::MAX));
-            w.u32(hi);
-            w.u32(ho);
-            w.u32(hc);
-        }
+        w.slice_u32(&self.dfs_out);
         w.slice_u32(&self.light_off);
-        w.len(self.light_hops.len());
-        for h in &self.light_hops {
-            w.u32(h.child_dfs);
-            w.u32(h.child);
-        }
-        w.slice_u32(&self.dfs_order);
+        w.slice_u32(&self.light_hops);
     }
 
     /// Exact length of [`LabeledStore::to_wire`]'s output.
     pub fn wire_len(&self) -> usize {
         let m = self.tree.size();
-        // Ten length-prefixed arrays; per node: graph id, parent,
-        // dfs_in, dfs_out, light depth, dfs order (4 B each), weight
-        // (8 B), heavy triple (12 B), light offset (4 B, plus one).
-        10 * 8 + m * (6 * 4 + 8 + 12 + 4) + 4 + self.light_hops.len() * 8
+        // Six length-prefixed arrays; per node: graph id, parent,
+        // subtree end (4 B each), weight (8 B), light offset (4 B, plus
+        // one); per light hop: 4 B.
+        6 * 8 + m * (3 * 4 + 8 + 4) + 4 + self.light_hops.len() * 4
     }
 
     /// Inverse of [`LabeledStore::to_wire`]: the checks of
@@ -170,14 +133,15 @@ impl LabeledStore {
 }
 
 /// A destination label as the Lemma-5 walk reads it: the DFS number
-/// plus the light hops on the root→destination path. Implemented by
-/// owned labels ([`LabelRef`]) and labels read in place from a record
-/// ([`RecordLabel`]).
+/// plus the light children entered on the root→destination path.
+/// Implemented by owned labels ([`LabelRef`]) and labels read in place
+/// from a record ([`RecordLabel`]).
 pub trait TreeLabel: Copy {
     /// DFS number of the destination.
     fn dfs(&self) -> u32;
-    /// Light hop `i` of the root→destination path, if present.
-    fn light_hop(&self, i: usize) -> Option<LightHop>;
+    /// The light child entered by hop `i` of the root→destination
+    /// path, if present.
+    fn light_hop(&self, i: usize) -> Option<TreeIx>;
     /// Number of light hops.
     fn hop_count(&self) -> usize;
 }
@@ -187,7 +151,7 @@ impl TreeLabel for LabelRef<'_> {
         self.dfs
     }
 
-    fn light_hop(&self, i: usize) -> Option<LightHop> {
+    fn light_hop(&self, i: usize) -> Option<TreeIx> {
         self.light_path.get(i).copied()
     }
 
@@ -200,7 +164,7 @@ impl TreeLabel for LabelRef<'_> {
 #[derive(Clone, Copy, Debug)]
 pub struct RecordLabel<'a> {
     dfs: u32,
-    hops: Pairs<'a>,
+    hops: U32s<'a>,
 }
 
 impl TreeLabel for RecordLabel<'_> {
@@ -208,8 +172,8 @@ impl TreeLabel for RecordLabel<'_> {
         self.dfs
     }
 
-    fn light_hop(&self, i: usize) -> Option<LightHop> {
-        self.hops.get(i).map(|(child_dfs, child)| LightHop { child_dfs, child })
+    fn light_hop(&self, i: usize) -> Option<TreeIx> {
+        self.hops.get(i)
     }
 
     fn hop_count(&self) -> usize {
@@ -236,15 +200,8 @@ pub trait LabeledRead {
     fn parent(&self, t: TreeIx) -> Option<TreeIx>;
     /// Weight of `t`'s parent edge (0 at the root or out of range).
     fn parent_weight(&self, t: TreeIx) -> Weight;
-    /// `t`'s DFS number (its subtree interval's start).
-    fn dfs_in(&self, t: TreeIx) -> Option<u32>;
-    /// End of `t`'s subtree interval, exclusive.
+    /// End of `t`'s subtree interval `[t, dfs_out(t))`, exclusive.
     fn dfs_out(&self, t: TreeIx) -> Option<u32>;
-    /// `t`'s heavy child as `(dfs_in, dfs_out, tree index)`; `None` at
-    /// a leaf or out of range.
-    fn heavy(&self, t: TreeIx) -> Option<(u32, u32, TreeIx)>;
-    /// Number of light edges on the root→t path.
-    fn light_depth(&self, t: TreeIx) -> Option<u32>;
     /// Label `λ(T,t)`.
     fn label_at(&self, t: TreeIx) -> Option<Self::Label<'_>>;
 
@@ -284,7 +241,8 @@ pub trait LabeledRead {
     fn local_bits(&self, t: TreeIx) -> u64 {
         let b = bits_for_node(self.size());
         // dfs_in + dfs_out + heavy option (2 interval ends + port) + light depth.
-        let heavy = 1 + if self.heavy(t).is_some() { 3 * b } else { 0 };
+        let has_heavy = self.dfs_out(t).is_some_and(|out| t + 1 < out);
+        let heavy = 1 + if has_heavy { 3 * b } else { 0 };
         2 * b + heavy + b
     }
 
@@ -292,7 +250,7 @@ pub trait LabeledRead {
     fn label_bits(&self, t: TreeIx) -> u64 {
         let b = bits_for_node(self.size());
         let hops = self.label_at(t).map_or(0, |l| l.hop_count()) as u64;
-        b + hops * 2 * b + b // dfs + hops + length field
+        b + hops * 2 * b + b // dfs + hops (child number + port) + length field
     }
 }
 
@@ -310,30 +268,27 @@ enum Move {
 fn advance<T: LabeledRead + ?Sized>(tree: &T, at: TreeIx, label: impl TreeLabel) -> Move {
     // An out-of-range position (corrupt caller state) is "not in this
     // tree", not a panic.
-    let Some(din) = tree.dfs_in(at) else { return Move::Stuck };
+    let Some(out) = tree.dfs_out(at) else { return Move::Stuck };
     let dfs = label.dfs();
-    if dfs == din {
+    if dfs == at {
         return Move::Deliver;
     }
     // Destination outside my subtree: go up.
-    let up = || tree.parent(at).map_or(Move::Stuck, Move::Up);
-    if dfs < din {
-        return up();
+    if dfs < at || dfs >= out {
+        return tree.parent(at).map_or(Move::Stuck, Move::Up);
     }
-    let Some(dout) = tree.dfs_out(at) else { return Move::Stuck };
-    if dfs >= dout {
-        return up();
-    }
-    if let Some((hi, ho, hc)) = tree.heavy(at) {
-        if dfs >= hi && dfs < ho {
-            return Move::Down(hc);
-        }
+    // A proper descendant, so I have children and the first is my heavy
+    // child, at + 1.
+    let heavy = at + 1;
+    if tree.dfs_out(heavy).is_some_and(|heavy_out| dfs < heavy_out) {
+        return Move::Down(heavy);
     }
     // Destination is in one of my light subtrees; the light path entry
-    // at index `light_depth` is the edge leaving me.
-    let hop = tree.light_depth(at).and_then(|ld| label.light_hop(ld as usize));
+    // at index `light depth(at)` (the length of my own label) is the
+    // edge leaving me.
+    let hop = tree.label_at(at).and_then(|own| label.light_hop(own.hop_count()));
     match hop {
-        Some(hop) if hop.child_dfs > din && hop.child_dfs < dout => Move::Down(hop.child),
+        Some(child) if child > at && child < out => Move::Down(child),
         _ => Move::Stuck,
     }
 }
@@ -347,13 +302,9 @@ pub struct LabeledView<'a> {
     graph_ids: U32s<'a>,
     parents: U32s<'a>,
     weights: U64s<'a>,
-    dfs_in: U32s<'a>,
     dfs_out: U32s<'a>,
-    light_depth: U32s<'a>,
-    heavy: U32s<'a>,
     light_off: U32s<'a>,
-    hops: Pairs<'a>,
-    dfs_order: U32s<'a>,
+    hops: U32s<'a>,
 }
 
 impl<'a> LabeledView<'a> {
@@ -374,40 +325,28 @@ impl<'a> LabeledView<'a> {
             graph_ids: U32s::new(next(4)?),
             parents: U32s::new(next(4)?),
             weights: U64s::new(next(8)?),
-            dfs_in: U32s::new(next(4)?),
             dfs_out: U32s::new(next(4)?),
-            light_depth: U32s::new(next(4)?),
-            heavy: U32s::new(next(4)?),
             light_off: U32s::new(next(4)?),
-            hops: Pairs::new(next(8)?),
-            dfs_order: U32s::new(next(4)?),
+            hops: U32s::new(next(4)?),
         })
     }
 
     /// Check every invariant the walk and the owned decode rely on, in
     /// O(m + hops) without allocating: consistent lengths, node 0 the
-    /// only root, in-range parents, heavy children and light hops, a
-    /// DFS numbering that is a permutation inverse to `dfs_order`,
-    /// proper subtree intervals, and light offsets that agree with the
-    /// light depths.
+    /// only root, every parent before its child, proper subtree
+    /// intervals, monotone light offsets inside the hop arena, and
+    /// in-range light hops.
     ///
     /// Acyclicity needs no traversal: every non-root `t` must satisfy
-    /// `dfs_in[parent(t)] < dfs_in[t]`. DFS numbers are distinct, so
-    /// every parent chain strictly descends and must end at the one
-    /// node without a parent — the root.
+    /// `parent(t) < t`, so every parent chain strictly descends and must
+    /// end at the one node without a parent — the root.
     pub fn validate(&self) -> io::Result<()> {
         use wire::invalid;
         let m = self.graph_ids.len();
         if m == 0 || self.parents.len() != m || self.weights.len() != m {
             return Err(invalid("inconsistent tree record"));
         }
-        if self.dfs_in.len() != m
-            || self.dfs_out.len() != m
-            || self.light_depth.len() != m
-            || self.heavy.len() != 3 * m
-            || self.light_off.len() != m + 1
-            || self.dfs_order.len() != m
-        {
+        if self.dfs_out.len() != m || self.light_off.len() != m + 1 {
             return Err(invalid("labeled store arrays have mismatched lengths"));
         }
         if self.parents.get(0) != Some(u32::MAX) {
@@ -417,34 +356,21 @@ impl<'a> LabeledView<'a> {
         {
             return Err(invalid("labeled store light-path arena bounds"));
         }
-        let locals = self.dfs_in.iter().zip(self.dfs_out.iter()).zip(self.light_depth.iter());
-        for (t, ((d, out), ld)) in locals.enumerate() {
-            if d as usize >= m || self.dfs_order.get(d as usize) != Some(t as u32) {
-                return Err(invalid("labeled store DFS order is not a permutation"));
+        let mut prev_off = 0;
+        let nodes = self.parents.iter().zip(self.dfs_out.iter()).zip(self.light_off.iter());
+        for (t, ((p, out), off)) in nodes.enumerate() {
+            if t > 0 && p as usize >= t {
+                return Err(invalid("parent relation is not a connected tree"));
             }
-            if out <= d || out as usize > m {
+            if out as usize <= t || out as usize > m {
                 return Err(invalid("labeled store subtree interval out of range"));
             }
-            let lo = self.light_off.get(t).unwrap_or(u32::MAX);
-            let hi = self.light_off.get(t + 1).unwrap_or(0);
-            if hi < lo || hi - lo != ld {
-                return Err(invalid("labeled store light offsets disagree with depths"));
+            if off < prev_off {
+                return Err(invalid("labeled store light offsets decrease"));
             }
-            let hc = self.heavy.get(3 * t + 2).unwrap_or(0);
-            if hc != u32::MAX && hc as usize >= m {
-                return Err(invalid("labeled store heavy child out of range"));
-            }
-            if t > 0 {
-                let p = self.parents.get(t).unwrap_or(u32::MAX);
-                if p as usize >= m {
-                    return Err(invalid(&format!("bad parent for node {t}")));
-                }
-                if self.dfs_in.get(p as usize).is_none_or(|pd| pd >= d) {
-                    return Err(invalid("parent relation is not a connected tree"));
-                }
-            }
+            prev_off = off;
         }
-        if self.hops.iter().any(|(_, child)| child as usize >= m) {
+        if self.hops.iter().any(|child| child as usize >= m) {
             return Err(invalid("labeled store light hop out of range"));
         }
         Ok(())
@@ -458,27 +384,11 @@ impl<'a> LabeledView<'a> {
             self.weights.iter().collect(),
         )
         .map_err(|msg| wire::invalid(&msg))?;
-        let locals = (0..self.size() as u32)
-            .map(|t| {
-                Some(NodeLocal {
-                    dfs_in: self.dfs_in(t)?,
-                    dfs_out: self.dfs_out(t)?,
-                    heavy: self.heavy(t),
-                    light_depth: self.light_depth(t)?,
-                })
-            })
-            .collect::<Option<Vec<NodeLocal>>>()
-            .ok_or_else(|| wire::invalid("labeled store locals truncated"))?;
         Ok(LabeledStore {
             tree,
-            locals,
+            dfs_out: self.dfs_out.iter().collect(),
             light_off: self.light_off.iter().collect(),
-            light_hops: self
-                .hops
-                .iter()
-                .map(|(child_dfs, child)| LightHop { child_dfs, child })
-                .collect(),
-            dfs_order: self.dfs_order.iter().collect(),
+            light_hops: self.hops.iter().collect(),
         })
     }
 }
@@ -505,31 +415,14 @@ impl LabeledRead for LabeledView<'_> {
         self.weights.get(t as usize).unwrap_or(0)
     }
 
-    fn dfs_in(&self, t: TreeIx) -> Option<u32> {
-        self.dfs_in.get(t as usize)
-    }
-
     fn dfs_out(&self, t: TreeIx) -> Option<u32> {
         self.dfs_out.get(t as usize)
     }
 
-    fn heavy(&self, t: TreeIx) -> Option<(u32, u32, TreeIx)> {
-        let t = 3 * t as usize;
-        let hc = self.heavy.get(t + 2).filter(|&hc| hc != u32::MAX)?;
-        Some((self.heavy.get(t)?, self.heavy.get(t + 1)?, hc))
-    }
-
-    fn light_depth(&self, t: TreeIx) -> Option<u32> {
-        self.light_depth.get(t as usize)
-    }
-
     fn label_at(&self, t: TreeIx) -> Option<RecordLabel<'_>> {
-        let t = t as usize;
-        let (lo, hi) = (self.light_off.get(t)?, self.light_off.get(t + 1)?);
-        Some(RecordLabel {
-            dfs: self.dfs_in.get(t)?,
-            hops: self.hops.range(lo as usize, hi as usize)?,
-        })
+        let i = t as usize;
+        let (lo, hi) = (self.light_off.get(i)?, self.light_off.get(i + 1)?);
+        Some(RecordLabel { dfs: t, hops: self.hops.range(lo as usize, hi as usize)? })
     }
 }
 
@@ -543,107 +436,72 @@ pub struct LabeledTree {
 }
 
 impl LabeledTree {
-    /// Preprocess `tree` for labeled routing. O(m) time.
+    /// Preprocess `tree` for labeled routing, renumbering it in
+    /// heavy-first DFS order: the heavy child (largest subtree, ties to
+    /// the smaller index) first, then the light children in index
+    /// order. The result's tree is that renumbered copy, so callers
+    /// read tree indices off [`LabeledTree::tree`], not off the input.
+    /// A tree already in this order comes back unchanged. O(m) time.
     pub fn new(tree: Tree) -> Self {
         let m = tree.size();
         // Subtree sizes by iterative post-order.
         let mut sizes = vec![1u32; m];
-        let order = post_order(&tree);
-        for &t in &order {
+        for &t in &post_order(&tree) {
             if let Some(p) = tree.parent(t) {
                 sizes[p as usize] += sizes[t as usize];
             }
         }
-        // Heavy child per node: max subtree size, ties to smaller index.
-        let mut heavy_child: Vec<Option<TreeIx>> = vec![None; m];
-        for t in 0..m as u32 {
-            let mut best: Option<TreeIx> = None;
-            for &c in tree.children(t) {
-                let better = match best {
-                    None => true,
-                    Some(b) => {
-                        sizes[c as usize] > sizes[b as usize]
-                            || (sizes[c as usize] == sizes[b as usize] && c < b)
-                    }
-                };
-                if better {
-                    best = Some(c);
-                }
-            }
-            heavy_child[t as usize] = best;
+        // Heavy-first DFS. Children are listed in index order, so
+        // pushing the light ones in reverse and the heavy one last
+        // visits the heavy child first, then the light ones in order.
+        let mut order: Vec<TreeIx> = Vec::with_capacity(m);
+        let mut stack = vec![tree.root()];
+        while let Some(t) = stack.pop() {
+            order.push(t);
+            let kids = tree.children(t);
+            // Max subtree size, ties to the smaller index.
+            let heavy = kids.iter().copied().rev().max_by_key(|&c| sizes[c as usize]);
+            stack.extend(kids.iter().rev().filter(|&&c| Some(c) != heavy));
+            stack.extend(heavy);
         }
-        // Heavy-first DFS: assign dfs_in/out and light depths. Light
-        // paths are NOT materialized per node here; they land in one
-        // shared arena below.
-        let mut locals: Vec<NodeLocal> = (0..m)
-            .map(|_| NodeLocal { dfs_in: 0, dfs_out: 0, heavy: None, light_depth: 0 })
-            .collect();
-        let mut dfs_order = vec![0 as TreeIx; m];
-        let mut counter: u32 = 0;
-        // Stack carries (node, light depth).
-        let mut stack: Vec<(TreeIx, u32)> = vec![(tree.root(), 0)];
-        while let Some((t, ld)) = stack.pop() {
-            let dfs = counter;
-            counter += 1;
-            dfs_order[dfs as usize] = t;
-            locals[t as usize].dfs_in = dfs;
-            locals[t as usize].light_depth = ld;
-            // Push children: light ones (reverse order) then heavy, so the
-            // heavy child is visited first and gets dfs_in + 1.
-            let hc = heavy_child[t as usize];
-            let mut lights: Vec<TreeIx> =
-                tree.children(t).iter().copied().filter(|&c| Some(c) != hc).collect();
-            lights.sort_unstable_by(|a, b| b.cmp(a)); // reversed push order
-            for c in lights {
-                stack.push((c, ld + 1));
-            }
-            if let Some(h) = hc {
-                stack.push((h, ld));
-            }
+        debug_assert_eq!(order.len(), m);
+        // Renumber: the node visited d-th becomes node d.
+        let mut dfs_of = vec![0 as TreeIx; m];
+        for (d, &t) in order.iter().enumerate() {
+            dfs_of[t as usize] = d as TreeIx;
         }
-        debug_assert_eq!(counter as usize, m);
-        // dfs_out by post-order accumulation: out = max over subtree + 1.
-        let mut outs: Vec<u32> = locals.iter().map(|l| l.dfs_in + 1).collect();
-        for &t in &order {
-            if let Some(p) = tree.parent(t) {
-                outs[p as usize] = outs[p as usize].max(outs[t as usize]);
-            }
-        }
-        for t in 0..m {
-            locals[t].dfs_out = outs[t];
-        }
-        // Fill heavy intervals.
-        for t in 0..m as u32 {
-            if let Some(h) = heavy_child[t as usize] {
-                locals[t as usize].heavy =
-                    Some((locals[h as usize].dfs_in, locals[h as usize].dfs_out, h));
-            }
-        }
+        let parents =
+            order.iter().map(|&t| tree.parent(t).map_or(u32::MAX, |p| dfs_of[p as usize]));
+        let dfs_out: Vec<u32> =
+            order.iter().enumerate().map(|(d, &t)| d as u32 + sizes[t as usize]).collect();
+        let tree = Tree::from_parents(
+            order.iter().map(|&t| tree.graph_id(t).0).collect(),
+            parents.collect(),
+            order.iter().map(|&t| tree.parent_weight(t)).collect(),
+        );
         // Light-path arena: a node's path is its parent's path plus one
-        // hop if the edge from the parent is light, so path length ==
-        // light_depth and the CSR offsets are a prefix sum. Fill parent
-        // before child (preorder walk): copy the parent's slice, then
-        // append the light hop. Same O(m log m) total size as before,
-        // but in exactly two allocations.
+        // hop unless it is the parent's heavy child (parent + 1), so the
+        // CSR offsets are a prefix sum, and parents precede children, so
+        // one forward pass fills it: copy the parent's slice, then
+        // append the light hop.
+        let light = |t: TreeIx| tree.parent(t).is_some_and(|p| p + 1 != t);
         let mut light_off = vec![0u32; m + 1];
-        for t in 0..m {
-            light_off[t + 1] = light_off[t] + locals[t].light_depth;
+        for t in 0..m as TreeIx {
+            let above =
+                tree.parent(t).map_or(0, |p| light_off[p as usize + 1] - light_off[p as usize]);
+            light_off[t as usize + 1] = light_off[t as usize] + above + light(t) as u32;
         }
-        let mut light_hops = vec![LightHop { child_dfs: 0, child: 0 }; light_off[m] as usize];
-        let mut walk = vec![tree.root()];
-        while let Some(t) = walk.pop() {
-            let (ps, pe) = (light_off[t as usize] as usize, light_off[t as usize + 1] as usize);
-            for &c in tree.children(t) {
-                let cs = light_off[c as usize] as usize;
-                light_hops.copy_within(ps..pe, cs);
-                if heavy_child[t as usize] != Some(c) {
-                    light_hops[cs + (pe - ps)] =
-                        LightHop { child_dfs: locals[c as usize].dfs_in, child: c };
-                }
-                walk.push(c);
+        let mut light_hops = vec![0 as TreeIx; light_off[m] as usize];
+        for t in 1..m as TreeIx {
+            let Some(p) = tree.parent(t) else { continue };
+            let (ps, pe) = (light_off[p as usize] as usize, light_off[p as usize + 1] as usize);
+            let cs = light_off[t as usize] as usize;
+            light_hops.copy_within(ps..pe, cs);
+            if light(t) {
+                light_hops[cs + (pe - ps)] = t;
             }
         }
-        LabeledTree { store: LabeledStore { tree, locals, light_off, light_hops, dfs_order } }
+        LabeledTree { store: LabeledStore { tree, dfs_out, light_off, light_hops } }
     }
 
     /// Wrap an already-built (typically snapshot-loaded) store. No
@@ -657,7 +515,7 @@ impl LabeledTree {
         &self.store
     }
 
-    /// The underlying physical tree.
+    /// The underlying physical tree, in heavy-first DFS order.
     pub fn tree(&self) -> &Tree {
         &self.store.tree
     }
@@ -666,17 +524,7 @@ impl LabeledTree {
     pub fn label(&self, t: TreeIx) -> LabelRef<'_> {
         let s = &self.store;
         let (a, b) = (s.light_off[t as usize] as usize, s.light_off[t as usize + 1] as usize);
-        LabelRef { dfs: s.locals[t as usize].dfs_in, light_path: &s.light_hops[a..b] }
-    }
-
-    /// Local routing info of tree node `t`.
-    pub fn local(&self, t: TreeIx) -> &NodeLocal {
-        &self.store.locals[t as usize]
-    }
-
-    /// Tree node with DFS number `d`.
-    pub fn node_at_dfs(&self, d: u32) -> TreeIx {
-        self.store.dfs_order[d as usize]
+        LabelRef { dfs: t, light_path: &s.light_hops[a..b] }
     }
 
     /// One forwarding decision at `at` toward `label` — uses only
@@ -700,7 +548,7 @@ impl LabeledTree {
 
     /// Max light-path length over all labels (≤ ceil(log2 m)).
     pub fn max_light_depth(&self) -> u32 {
-        self.store.locals.iter().map(|l| l.light_depth).max().unwrap_or(0)
+        self.store.light_off.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0)
     }
 }
 
@@ -723,29 +571,14 @@ impl LabeledRead for LabeledTree {
         self.store.tree.parent_weights().get(t as usize).copied().unwrap_or(0)
     }
 
-    fn dfs_in(&self, t: TreeIx) -> Option<u32> {
-        self.store.locals.get(t as usize).map(|l| l.dfs_in)
-    }
-
     fn dfs_out(&self, t: TreeIx) -> Option<u32> {
-        self.store.locals.get(t as usize).map(|l| l.dfs_out)
-    }
-
-    fn heavy(&self, t: TreeIx) -> Option<(u32, u32, TreeIx)> {
-        self.store.locals.get(t as usize).and_then(|l| l.heavy)
-    }
-
-    fn light_depth(&self, t: TreeIx) -> Option<u32> {
-        self.store.locals.get(t as usize).map(|l| l.light_depth)
+        self.store.dfs_out.get(t as usize).copied()
     }
 
     fn label_at(&self, t: TreeIx) -> Option<LabelRef<'_>> {
         let s = &self.store;
         let (lo, hi) = (*s.light_off.get(t as usize)?, *s.light_off.get(t as usize + 1)?);
-        Some(LabelRef {
-            dfs: s.locals.get(t as usize)?.dfs_in,
-            light_path: s.light_hops.get(lo as usize..hi as usize)?,
-        })
+        Some(LabelRef { dfs: t, light_path: s.light_hops.get(lo as usize..hi as usize)? })
     }
 }
 
@@ -839,17 +672,60 @@ mod tests {
         check_all_pairs(&lt);
     }
 
+    /// The trees the numbering tests run on: random trees rooted
+    /// somewhere non-trivial, a path, a star and a caterpillar.
+    fn numbering_cases() -> Vec<LabeledTree> {
+        let mut cases = Vec::new();
+        for seed in 0..4 {
+            let mut rng = SmallRng::seed_from_u64(33 + seed);
+            let g = gen::random_tree(100, WeightDist::UniformInt { lo: 1, hi: 9 }, &mut rng);
+            cases.push(LabeledTree::new(spanning_tree(&g, NodeId(seed as u32 * 7))));
+        }
+        let mut rng = SmallRng::seed_from_u64(38);
+        cases.push(LabeledTree::new(spanning_tree(&gen::path(30, 2), NodeId(11))));
+        cases.push(LabeledTree::new(spanning_tree(&gen::star(25, 3), NodeId(0))));
+        let g = gen::caterpillar(9, 4, WeightDist::Unit, &mut rng);
+        cases.push(LabeledTree::new(spanning_tree(&g, NodeId(0))));
+        cases
+    }
+
+    fn wire_of(lt: &LabeledTree) -> Vec<u8> {
+        let mut w = graphkit::wire::Writer::new();
+        lt.store().to_wire(&mut w);
+        w.into_bytes()
+    }
+
     #[test]
-    fn dfs_numbers_are_a_permutation() {
-        let mut rng = SmallRng::seed_from_u64(33);
-        let g = gen::random_tree(100, WeightDist::Unit, &mut rng);
-        let lt = LabeledTree::new(spanning_tree(&g, NodeId(0)));
-        let mut seen = [false; 100];
-        for t in 0..100u32 {
-            let d = lt.local(t).dfs_in as usize;
-            assert!(!seen[d]);
-            seen[d] = true;
-            assert_eq!(lt.node_at_dfs(d as u32), t);
+    fn dfs_number_is_the_index() {
+        for lt in numbering_cases() {
+            let tree = lt.tree();
+            let m = tree.size() as u32;
+            for t in 0..m {
+                let out = lt.dfs_out(t).unwrap();
+                // t's subtree is exactly [t, dfs_out(t)): every node in
+                // the interval has t as an ancestor, and no other does.
+                for v in 0..m {
+                    let mut a = Some(v);
+                    while a.is_some_and(|a| a > t) {
+                        a = tree.parent(a.unwrap());
+                    }
+                    assert_eq!(a == Some(t), (t..out).contains(&v), "t={t} v={v}");
+                }
+                if t > 0 {
+                    assert!(tree.parent(t).unwrap() < t, "parent after child at {t}");
+                }
+                // A node with children has its heavy child at t + 1.
+                let kids = tree.children(t);
+                if let Some(&first) = kids.first() {
+                    assert_eq!(first, t + 1);
+                    let size = |c: TreeIx| lt.dfs_out(c).unwrap() - c;
+                    assert!(kids.iter().all(|&c| size(c) <= size(t + 1)), "heavy child at {t}");
+                }
+            }
+            // Renumbering an already renumbered tree changes nothing:
+            // the tie-breaks pick t + 1 and keep the light-child order.
+            let again = LabeledTree::new(tree.clone());
+            assert_eq!(wire_of(&again), wire_of(&lt));
         }
     }
 
@@ -859,16 +735,10 @@ mod tests {
         let g = gen::random_tree(80, WeightDist::Unit, &mut rng);
         let lt = LabeledTree::new(spanning_tree(&g, NodeId(0)));
         for t in 0..80u32 {
-            let me = lt.local(t);
-            assert!(me.dfs_in < me.dfs_out);
+            let out = lt.dfs_out(t).unwrap();
+            assert!(t < out);
             for &c in lt.tree().children(t) {
-                let ch = lt.local(c);
-                assert!(me.dfs_in < ch.dfs_in && ch.dfs_out <= me.dfs_out);
-            }
-            if let Some((hi, ho, hc)) = me.heavy {
-                assert_eq!(hi, me.dfs_in + 1, "heavy child must be visited first");
-                assert_eq!(lt.local(hc).dfs_in, hi);
-                assert_eq!(lt.local(hc).dfs_out, ho);
+                assert!(t < c && lt.dfs_out(c).unwrap() <= out);
             }
         }
     }

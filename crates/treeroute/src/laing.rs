@@ -23,13 +23,17 @@
 //!
 //! ## Storage layout
 //!
-//! Directories are flat: both per-node stores are CSR arrays indexed by
-//! distance **rank**, and every entry refers to its target by tree
-//! index (the label itself stays in the [`LabeledTree`]'s shared hop
-//! arena). Name lookups use pure rank arithmetic
+//! A record is one header (k, σ, the hash-verified flag), the hash
+//! coefficients, the [`LabeledTree`]'s arrays, then the two directories.
+//! A tree has one numbering: a node's index is its heavy-first DFS
+//! number, the index its label routes to. Both directories are CSR
+//! arrays by that index, and every entry refers to its target by it
+//! too (the label itself stays in the labeled tree's shared hop arena).
+//! No record stores a distance rank: the rank order — (depth, graph
+//! id), [`Tree::nodes_by_depth`] — is needed only while the directories
+//! are assembled. Name lookups use pure rank arithmetic
 //! ([`Naming::child_rank`] / [`Naming::rank_of_name`] on a borrowed
-//! digit slice) — no `Vec<u32>`-keyed hash maps anywhere, so building a
-//! tree's directories performs O(1) allocations total.
+//! digit slice) — no `Vec<u32>`-keyed hash maps anywhere.
 //!
 //! ## Two read paths, one search
 //!
@@ -97,14 +101,10 @@ pub struct ErtStore {
     k: usize,
     sigma: u64,
     max_load: usize,
-    /// rank (depth order) → tree index.
-    node_of_rank: Vec<TreeIx>,
-    /// tree index → rank.
-    rank_of: Vec<u32>,
-    /// Item (2), CSR indexed by rank: `(digit y, name-child tree ix)`.
+    /// Item (2), CSR by tree index: `(digit y, name-child tree ix)`.
     nc_off: Vec<u32>,
     nc: Vec<(u32, TreeIx)>,
-    /// Item (3), CSR indexed by rank: `(target graph id, target tree ix)`.
+    /// Item (3), CSR by tree index: `(target graph id, target tree ix)`.
     hd_off: Vec<u32>,
     hd: Vec<(u32, TreeIx)>,
     /// Whether the hash verification succeeded within the retry budget.
@@ -121,8 +121,6 @@ impl ErtStore {
         w.u8(self.hash_verified as u8);
         w.slice_u64(self.hash.coeffs());
         self.labeled.store().to_wire(w);
-        w.slice_u32(&self.node_of_rank);
-        w.slice_u32(&self.rank_of);
         w.slice_u32(&self.nc_off);
         w.slice_pairs(&self.nc);
         w.slice_u32(&self.hd_off);
@@ -131,13 +129,14 @@ impl ErtStore {
 
     /// Exact length of [`ErtStore::to_wire`]'s record.
     pub fn wire_len(&self) -> usize {
-        let m = self.rank_of.len();
-        // Header (k, σ, verified flag), then seven length-prefixed
+        let m = self.labeled.size();
+        // Header (k, σ, verified flag), then five length-prefixed
         // arrays around the labeled store.
-        17 + 7 * 8
+        HEADER
+            + 5 * 8
             + 8 * self.hash.coeffs().len()
             + self.labeled.store().wire_len()
-            + 4 * (2 * m + 2 * (m + 1))
+            + 4 * 2 * (m + 1)
             + 8 * (self.nc.len() + self.hd.len())
     }
 
@@ -174,8 +173,6 @@ pub trait ErtRead {
     fn hash_eval(&self, x: u64) -> u64;
     /// Bits to store the hash description.
     fn hash_bits(&self) -> u64;
-    /// Distance rank of tree node `t`.
-    fn rank_of(&self, t: TreeIx) -> Option<u32>;
     /// Item (2) of `t`'s storage: `(digit, name-child tree index)`.
     fn name_row(&self, t: TreeIx) -> Self::Row<'_>;
     /// Item (3) of `t`'s storage: `(target graph id, tree index)`.
@@ -274,8 +271,6 @@ pub struct ErtView<'a> {
     sigma: u64,
     hash_verified: bool,
     coeffs: U64s<'a>,
-    node_of_rank: U32s<'a>,
-    rank_of: U32s<'a>,
     nc_off: U32s<'a>,
     nc: Pairs<'a>,
     hd_off: U32s<'a>,
@@ -353,8 +348,6 @@ impl<'a> ErtView<'a> {
             hash_verified,
             coeffs: U64s::new(next(8)?),
             labeled: LabeledView::from_arrays(&mut next)?,
-            node_of_rank: U32s::new(next(4)?),
-            rank_of: U32s::new(next(4)?),
             nc_off: U32s::new(next(4)?),
             nc: Pairs::new(next(8)?),
             hd_off: U32s::new(next(4)?),
@@ -363,9 +356,9 @@ impl<'a> ErtView<'a> {
     }
 
     /// The record checks: a sane header and a hash inside GF(p), the
-    /// labeled store ([`LabeledView::validate`]), rank arrays that are
-    /// inverse permutations, and CSR directories whose offsets are
-    /// monotone and in bounds and whose entries name real tree nodes.
+    /// labeled store ([`LabeledView::validate`]), and CSR directories
+    /// whose offsets are monotone and in bounds and whose entries name
+    /// real tree nodes.
     pub fn validate(&self) -> io::Result<()> {
         use wire::invalid;
         if self.k == 0
@@ -377,14 +370,6 @@ impl<'a> ErtView<'a> {
         }
         self.labeled.validate()?;
         let m = self.labeled.size();
-        if self.node_of_rank.len() != m || self.rank_of.len() != m {
-            return Err(invalid("ERT rank arrays have mismatched lengths"));
-        }
-        for (rank, t) in self.node_of_rank.iter().enumerate() {
-            if t as usize >= m || self.rank_of.get(t as usize) != Some(rank as u32) {
-                return Err(invalid("ERT rank order is not a permutation"));
-            }
-        }
         let check_csr = |off: U32s<'_>, arena: Pairs<'_>, what: &str| {
             let mut prev = 0u32;
             let monotone = off.iter().all(|o| {
@@ -420,8 +405,6 @@ impl<'a> ErtView<'a> {
             k: self.k,
             sigma: self.sigma,
             max_load,
-            node_of_rank: self.node_of_rank.iter().collect(),
-            rank_of: self.rank_of.iter().collect(),
             nc_off: self.nc_off.iter().collect(),
             nc: self.nc.iter().collect(),
             hd_off: self.hd_off.iter().collect(),
@@ -435,13 +418,12 @@ impl<'a> ErtView<'a> {
         self.hash_verified
     }
 
-    /// The CSR row `r` of a directory, empty when out of range.
-    fn row(off: U32s<'a>, arena: Pairs<'a>, rank: Option<u32>) -> Pairs<'a> {
-        rank.and_then(|r| {
-            let (lo, hi) = (off.get(r as usize)?, off.get(r as usize + 1)?);
-            arena.range(lo as usize, hi as usize)
-        })
-        .unwrap_or_default()
+    /// Tree node `t`'s CSR row of a directory, empty when out of range.
+    fn row(off: U32s<'a>, arena: Pairs<'a>, t: TreeIx) -> PairRow<'a> {
+        let t = t as usize;
+        let pairs = off.get(t).zip(off.get(t + 1));
+        let pairs = pairs.and_then(|(lo, hi)| arena.range(lo as usize, hi as usize));
+        PairRow { pairs: pairs.unwrap_or_default(), next: 0 }
     }
 }
 
@@ -472,23 +454,19 @@ impl<'a> ErtRead for ErtView<'a> {
         self.coeffs.len() as u64 * 61
     }
 
-    fn rank_of(&self, t: TreeIx) -> Option<u32> {
-        self.rank_of.get(t as usize)
-    }
-
     fn name_row(&self, t: TreeIx) -> PairRow<'_> {
-        PairRow { pairs: Self::row(self.nc_off, self.nc, self.rank_of(t)), next: 0 }
+        Self::row(self.nc_off, self.nc, t)
     }
 
     fn hash_row(&self, t: TreeIx) -> PairRow<'_> {
-        PairRow { pairs: Self::row(self.hd_off, self.hd, self.rank_of(t)), next: 0 }
+        Self::row(self.hd_off, self.hd, t)
     }
 }
 
 /// Header bytes of an ERT record: k, σ, the hash-verified flag.
 const HEADER: usize = 17;
 /// Length-prefixed arrays in an ERT record.
-const ARRAYS: usize = 17;
+const ARRAYS: usize = 11;
 
 /// Where the arrays of one ERT record end, found once by
 /// [`ErtView::locate`] so a store that keeps the record can rebuild its
@@ -538,9 +516,11 @@ impl ErrorReportingTree {
         assert!(k >= 1, "k must be at least 1");
         assert!(sigma >= 1);
         let m = tree.size();
-        let order = tree.nodes_by_depth();
         let naming = Naming::new(m, sigma);
         let labeled = LabeledTree::new(tree);
+        // Distance ranks of the renumbered tree; (depth, graph id) order
+        // does not depend on the numbering.
+        let order = labeled.tree().nodes_by_depth();
         // Hash selection with verification + reseeding.
         let max_load = Self::load_budget(m, sigma);
         let degree = PolyHash::degree_for(m);
@@ -575,10 +555,12 @@ impl ErrorReportingTree {
             .max(sigma.saturating_add(2))
     }
 
+    /// Lay out the two directories of a renumbered tree, given its
+    /// distance-rank order (`order[rank]` = tree index).
     fn assemble(
         labeled: LabeledTree,
         naming: Naming,
-        node_of_rank: Vec<TreeIx>,
+        order: Vec<TreeIx>,
         k: usize,
         sigma: u64,
         hash: PolyHash,
@@ -586,40 +568,39 @@ impl ErrorReportingTree {
     ) -> Self {
         let m = labeled.tree().size();
         let max_load = Self::load_budget(m, sigma);
-        let mut rank_of = vec![0u32; m];
-        for (r, &t) in node_of_rank.iter().enumerate() {
-            rank_of[t as usize] = r as u32;
+        let mut rank_of = vec![0usize; m];
+        for (r, &t) in order.iter().enumerate() {
+            rank_of[t as usize] = r;
         }
-        // Item (2): name-children. Child names of rank r are contiguous
-        // ranks at the next level, so this is a straight CSR append in
-        // (rank, digit) order.
+        // Item (2): name-children, in digit order. Child names of rank r
+        // are contiguous ranks at the next level.
         let mut nc_off = vec![0u32; m + 1];
         let mut nc: Vec<(u32, TreeIx)> = Vec::new();
-        for rank in 0..m {
+        for (t, &rank) in rank_of.iter().enumerate() {
             if naming.level_of_rank(rank) < k {
                 for y in 0..sigma as u32 {
                     match naming.child_rank(rank, y) {
-                        Some(cr) => nc.push((y, node_of_rank[cr])),
+                        Some(cr) => nc.push((y, order[cr])),
                         // Child ranks grow with y; past capacity, all
                         // larger digits are absent too.
                         None => break,
                     }
                 }
             }
-            nc_off[rank + 1] = nc.len() as u32;
+            nc_off[t + 1] = nc.len() as u32;
         }
-        // Item (3): hash directories. Collect (owner rank, target rank)
+        // Item (3): hash directories. Collect (owner, target rank)
         // pairs — a target's prefix of length j is owned by the node
         // whose *name* equals those j digits — sort, and keep the first
         // `max_load` targets (closest-to-root first) per owner.
         let mut digits = vec![0u32; k];
         let mut pairs: Vec<u64> = Vec::new();
-        for (rank, &tix) in node_of_rank.iter().enumerate().take(m) {
+        for (rank, &tix) in order.iter().enumerate() {
             let gid = labeled.tree().graph_id(tix).0 as u64;
             hash.digits_into(gid, sigma, &mut digits);
             for plen in 0..k {
                 if let Some(owner) = naming.rank_of_name(&digits[..plen]) {
-                    pairs.push((owner as u64) << 32 | rank as u64);
+                    pairs.push((order[owner] as u64) << 32 | rank as u64);
                 }
             }
         }
@@ -633,7 +614,7 @@ impl ErrorReportingTree {
                 p += 1;
             }
             for &pair in &pairs[start..(start + max_load).min(p)] {
-                let t = node_of_rank[(pair & 0xFFFF_FFFF) as usize];
+                let t = order[(pair & 0xFFFF_FFFF) as usize];
                 hd.push((labeled.tree().graph_id(t).0, t));
             }
             hd_off[owner + 1] = hd.len() as u32;
@@ -645,8 +626,6 @@ impl ErrorReportingTree {
                 k,
                 sigma,
                 max_load,
-                node_of_rank,
-                rank_of,
                 nc_off,
                 nc,
                 hd_off,
@@ -745,58 +724,31 @@ impl ErrorReportingTree {
         self.store.hash_verified
     }
 
-    /// Distance rank of tree node `t` (0 = root).
-    pub fn rank(&self, t: TreeIx) -> u32 {
-        self.store.rank_of[t as usize]
-    }
-
-    /// Tree node at distance rank `r`.
-    pub fn node_at_rank(&self, r: usize) -> TreeIx {
-        self.store.node_of_rank[r]
-    }
-
     /// Item (2) of node `t`'s storage: `(digit, name-child tree index)`.
     pub fn name_children(&self, t: TreeIx) -> &[(u32, TreeIx)] {
-        let s = &self.store;
-        Self::row(&s.nc_off, &s.nc, s.rank_of.get(t as usize))
+        Self::row(&self.store.nc_off, &self.store.nc, t)
     }
 
     /// Item (3) of node `t`'s storage: `(target graph id, tree index)`.
     pub fn hash_dir(&self, t: TreeIx) -> &[(u32, TreeIx)] {
-        let s = &self.store;
-        Self::row(&s.hd_off, &s.hd, s.rank_of.get(t as usize))
+        Self::row(&self.store.hd_off, &self.store.hd, t)
     }
 
-    /// CSR row of the node at `rank`, empty when out of range.
-    fn row<'s>(off: &[u32], arena: &'s [(u32, TreeIx)], rank: Option<&u32>) -> &'s [(u32, TreeIx)] {
-        rank.and_then(|&r| {
-            let (lo, hi) = (*off.get(r as usize)?, *off.get(r as usize + 1)?);
-            arena.get(lo as usize..hi as usize)
-        })
-        .unwrap_or_default()
+    /// Tree node `t`'s CSR row, empty when out of range.
+    fn row<'s>(off: &[u32], arena: &'s [(u32, TreeIx)], t: TreeIx) -> &'s [(u32, TreeIx)] {
+        let t = t as usize;
+        off.get(t)
+            .zip(off.get(t + 1))
+            .and_then(|(&lo, &hi)| arena.get(lo as usize..hi as usize))
+            .unwrap_or_default()
     }
 
     /// Depth of the farthest node in `V_j` (used by the Lemma 4 cost
     /// bound on negative responses).
     pub fn max_depth_in_level(&self, j: usize) -> Cost {
+        let tree = self.store.labeled.tree();
         let cap = self.naming.level_capacity(j);
-        (0..cap)
-            .map(|r| self.store.labeled.tree().depth(self.store.node_of_rank[r]))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Smallest `j` such that a j-bounded search finds every node in
-    /// `members` (tree indices). This is the paper's `b(u,i)` quantity:
-    /// the level that covers a given set. Computed structurally (the
-    /// level of the deepest-ranked member's *hash discovery round*).
-    pub fn level_covering(&self, members: impl IntoIterator<Item = TreeIx>) -> usize {
-        let mut j = 1usize;
-        for t in members {
-            let rank = self.store.rank_of[t as usize] as usize;
-            j = j.max(self.naming.level_of_rank(rank).max(1));
-        }
-        j.min(self.store.k)
+        tree.nodes_by_depth().iter().take(cap).map(|&t| tree.depth(t)).max().unwrap_or(0)
     }
 
     /// Execute a `j`-bounded search from the root for the node whose
@@ -852,10 +804,6 @@ impl ErtRead for ErrorReportingTree {
         self.store.hash.storage_bits()
     }
 
-    fn rank_of(&self, t: TreeIx) -> Option<u32> {
-        self.store.rank_of.get(t as usize).copied()
-    }
-
     fn name_row(&self, t: TreeIx) -> Self::Row<'_> {
         self.name_children(t).iter().copied()
     }
@@ -891,9 +839,7 @@ mod tests {
     /// Lemma 4(a): every node of V_j is found by a j-bounded search with
     /// stretch ≤ 2j−1 (w.r.t. its tree depth), for every j.
     fn check_hit_guarantee(s: &ErrorReportingTree) {
-        let m = s.labeled().tree().size();
-        for rank in 0..m {
-            let t = s.node_at_rank(rank);
+        for (rank, &t) in s.labeled().tree().nodes_by_depth().iter().enumerate() {
             let target = s.labeled().tree().graph_id(t);
             let level = s.naming().level_of_rank(rank).max(1);
             for j in level..=s.k() {
@@ -980,8 +926,7 @@ mod tests {
         let g = gen::random_tree(50, WeightDist::Unit, &mut rng);
         let s = build(&g, NodeId(0), 1, 4);
         check_hit_guarantee(&s);
-        for rank in 0..50 {
-            let t = s.node_at_rank(rank);
+        for &t in &s.labeled().tree().nodes_by_depth() {
             let (outcome, _) = s.search(s.labeled().tree().graph_id(t), 1);
             // 1-bounded: found exactly at optimal cost from the root.
             assert_eq!(outcome.cost(), s.labeled().tree().depth(t));
@@ -1006,8 +951,7 @@ mod tests {
         let s = build(&g, NodeId(0), 3, 6);
         let cap1 = s.naming().level_capacity(1);
         let mut missed = 0;
-        for rank in cap1..100 {
-            let t = s.node_at_rank(rank);
+        for &t in &s.labeled().tree().nodes_by_depth()[cap1..] {
             let (outcome, _) = s.search(s.labeled().tree().graph_id(t), 1);
             if !outcome.is_found() {
                 missed += 1;
@@ -1023,25 +967,15 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(44);
         let g = gen::random_tree(60, WeightDist::UniformInt { lo: 1, hi: 5 }, &mut rng);
         let s = build(&g, NodeId(0), 3, 7);
+        let order = s.labeled().tree().nodes_by_depth();
+        assert_eq!(order.len(), 60);
         let mut prev = 0;
-        for rank in 0..60 {
-            let d = s.labeled().tree().depth(s.node_at_rank(rank));
+        for &t in &order {
+            let d = s.labeled().tree().depth(t);
             assert!(d >= prev);
             prev = d;
         }
-        assert_eq!(s.rank(s.labeled().tree().root()), 0);
-    }
-
-    #[test]
-    fn level_covering_bounds() {
-        let mut rng = SmallRng::seed_from_u64(45);
-        let g = gen::random_tree(80, WeightDist::Unit, &mut rng);
-        let s = build(&g, NodeId(0), 3, 8);
-        // Root alone is covered by level 1.
-        assert_eq!(s.level_covering([s.labeled().tree().root()]), 1);
-        // Everything is covered by at most k.
-        let all: Vec<TreeIx> = (0..80u32).collect();
-        assert!(s.level_covering(all) <= 3);
+        assert_eq!(order[0], s.labeled().tree().root());
     }
 
     #[test]
@@ -1102,8 +1036,8 @@ mod tests {
         assert_eq!(s2.sigma(), s.sigma());
         assert_eq!(s2.max_load(), s.max_load());
         assert_eq!(s2.hash_verified(), s.hash_verified());
+        assert_eq!(s2.labeled().tree().nodes_by_depth(), s.labeled().tree().nodes_by_depth());
         for t in 0..150u32 {
-            assert_eq!(s2.rank(t), s.rank(t));
             assert_eq!(s2.node_bits(t), s.node_bits(t));
             assert_eq!(s2.name_children(t), s.name_children(t));
             assert_eq!(s2.hash_dir(t), s.hash_dir(t));
@@ -1228,6 +1162,42 @@ mod tests {
         assert!(ErrorReportingTree::from_wire(&mut wire::Reader::new(&bad)).is_err());
     }
 
+    /// Overwrite one `u32` of array `array` (record order: 0 the hash
+    /// coefficients, 1 graph ids, 2 parents, 3 weights, 4 subtree ends,
+    /// 5 light offsets, …) and check that the view and the owned decode
+    /// both reject the result.
+    fn assert_u32_patch_rejected(good: &[u8], array: usize, at: usize, value: u32) {
+        let (_, layout) = ErtView::locate(good).unwrap();
+        let start = if array == 0 { HEADER } else { layout.ends[array - 1] as usize } + 8;
+        let mut bad = good.to_vec();
+        bad[start + 4 * at..start + 4 * at + 4].copy_from_slice(&value.to_le_bytes());
+        assert!(ErtView::new(&bad).is_err(), "array {array}[{at}] = {value}");
+        assert!(ErrorReportingTree::from_wire(&mut wire::Reader::new(&bad)).is_err());
+    }
+
+    #[test]
+    fn subtree_ends_and_light_offsets_are_checked() {
+        let mut rng = SmallRng::seed_from_u64(66);
+        let g = gen::random_tree(40, WeightDist::UniformInt { lo: 1, hi: 5 }, &mut rng);
+        let s = build(&g, NodeId(0), 2, 15);
+        let good = record_of(&s);
+        assert!(ErtView::new(&good).is_ok());
+        let lt = s.labeled();
+        let m = lt.size() as u32;
+        let light = (1..m).find(|&t| lt.label(t).light_path.len() == 1).expect("a light child");
+        let leaf = (0..m).find(|&t| lt.tree().children(t).is_empty()).unwrap();
+        // dfs_out(t) ≤ t: an empty (or reversed) subtree interval.
+        assert_u32_patch_rejected(&good, 4, leaf as usize, leaf);
+        assert_u32_patch_rejected(&good, 4, 3, 2);
+        // dfs_out(t) > m: an interval past the tree.
+        assert_u32_patch_rejected(&good, 4, leaf as usize, m + 1);
+        assert_u32_patch_rejected(&good, 4, 0, u32::MAX);
+        // A decreasing light offset: node `light`'s start moved past its
+        // end.
+        let end: u32 = (0..=light).map(|t| lt.label(t).light_path.len() as u32).sum();
+        assert_u32_patch_rejected(&good, 5, light as usize, end + 1);
+    }
+
     #[test]
     fn prefix_load_matches_reference_counting() {
         // The interned-code fast path must agree with a naive
@@ -1237,11 +1207,11 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(50);
         let g = gen::random_tree(90, WeightDist::Unit, &mut rng);
         let tree = spanning_tree(&g, NodeId(0));
-        let order = tree.nodes_by_depth();
         let k = 3usize;
         let sigma = 5u64;
         let naming = Naming::new(tree.size(), sigma);
         let labeled = LabeledTree::new(tree);
+        let order = labeled.tree().nodes_by_depth();
         for seed in 0..4u64 {
             let h = PolyHash::new(PolyHash::degree_for(90), seed);
             let fast = ErrorReportingTree::max_prefix_load(&h, &labeled, &order, &naming, k, sigma);

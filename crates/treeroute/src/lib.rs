@@ -30,3 +30,13 @@ pub use labeled::{
 };
 pub use laing::{ErrorReportingTree, ErtLayout, ErtRead, ErtStore, ErtView, SearchOutcome};
 pub use names::{Name, Naming};
+
+/// Nodes a route's path is allocated for up front, so one allocation
+/// serves nearly every walk: on the n = 3 000 pref-attach instance the
+/// scheme's routes are at most 40 nodes long at k = 2 and 74 at k = 3
+/// (99th percentiles 31 and 54). Grown push by push, a path would be
+/// reallocated several times per route, and glibc's `realloc` takes
+/// the lock of the arena that owns the block; serving workers' blocks
+/// can all sit in the main arena, and then every growth step of every
+/// route in every worker queues on that one lock.
+pub const PATH_CAPACITY: usize = 64;

@@ -59,9 +59,8 @@ proptest! {
     #[test]
     fn laing_hits_within_stretch(g in arb_tree(), k in 1usize..4, seed in any::<u64>()) {
         let ert = ErrorReportingTree::new(rooted(&g, 0), k, seed);
-        let m = ert.labeled().tree().size();
-        for rank in (0..m).step_by(2) {
-            let t = ert.node_at_rank(rank);
+        let by_rank = ert.labeled().tree().nodes_by_depth();
+        for (rank, &t) in by_rank.iter().enumerate().step_by(2) {
             let level = ert.naming().level_of_rank(rank).max(1).min(k);
             let target = ert.labeled().tree().graph_id(t);
             let (outcome, _) = ert.search(target, level);
