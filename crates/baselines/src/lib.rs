@@ -11,20 +11,17 @@
 //! | B2 | [`HierarchicalScheme`] | name-indep. | O(k) | Õ(n^{1/k} **log Δ**) | **no** |
 //! | B3 | [`LandmarkChaining`] | name-indep. | **O(2^k)-shaped** | Õ(n^{1/k}) | yes |
 //! | B4 | [`TzLabeled`] | **labeled** | 4k−5 | Õ(n^{1/k}) | yes |
-//! | — | [`DistanceOracle`] | distance queries | est ≤ (2k−1)·d | Õ(k·n^{1/k}) | yes |
 //!
 //! B2 is the Awerbuch–Peleg \[10\] / AGM DISC'04 \[3\] line the paper
 //! de-scales; B3 is the pre-2006 scale-free line (\[6, 7, 8\]) whose
 //! exponential stretch Theorem 1 eliminates; B4 is the labeled-model
 //! bound \[29\] that name-independent schemes chase.
 
-pub mod distance_oracle;
 pub mod exponential;
 pub mod hierarchical;
 pub mod shortest_path;
 pub mod tz_labeled;
 
-pub use distance_oracle::DistanceOracle;
 pub use exponential::LandmarkChaining;
 pub use hierarchical::HierarchicalScheme;
 pub use shortest_path::ShortestPathTables;
@@ -38,5 +35,4 @@ const _: () = {
     assert_sync::<HierarchicalScheme>();
     assert_sync::<LandmarkChaining>();
     assert_sync::<TzLabeled>();
-    assert_sync::<DistanceOracle>();
 };

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! experiments [--quick] [--pairs-sampled N] [--threads T]
-//!             [--truth dense|ondemand] [--per-node-budgets] [ids…|all]
+//!             [--truth dense|ondemand] [ids…|all]
 //! ```
 //!
 //! Without ids, prints the registry. An unknown flag or experiment id
@@ -10,17 +10,16 @@
 //! shrinks instance sizes (the mode the integration tests run).
 //! `--pairs-sampled` overrides the evaluation workload budget,
 //! `--threads` the evaluation/prefetch worker count (0 = auto),
-//! `--truth` selects the ground-truth engine (the dense Θ(n²) matrix or
-//! on-demand Dijkstra), and `--per-node-budgets` switches the `sc` and
-//! `churn` builds to instance-tuned per-node S budgets. Tables are
-//! bit-identical across `--threads` and `--truth` settings.
+//! and `--truth` selects the ground-truth engine (the dense Θ(n²) matrix
+//! or on-demand Dijkstra). Tables are bit-identical across `--threads`
+//! and `--truth` settings.
 
 use routing_bench::{RunConfig, TruthKind};
 
 fn usage(registry: &[(&str, &str, routing_bench::Runner)]) -> ! {
     eprintln!(
         "usage: experiments [--quick] [--pairs-sampled N] [--threads T] \
-         [--truth dense|ondemand] [--per-node-budgets] [ids…|all]\n\n\
+         [--truth dense|ondemand] [ids…|all]\n\n\
          available experiments:"
     );
     for (id, desc, _) in registry {
@@ -62,7 +61,6 @@ fn main() {
                     usage(&registry);
                 }
             },
-            "--per-node-budgets" => cfg.per_node_budgets = true,
             other if other.starts_with("--") => {
                 eprintln!("unknown flag {other}");
                 usage(&registry);

@@ -14,7 +14,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use routing_core::bench_record::{self, TopicRecord};
 use routing_core::churn::{run_churn, ChurnConfig, ChurnPlan};
-use routing_core::{ForceMode, RepairOutcome, SBudgetMode, Scheme, SchemeParams};
+use routing_core::{ForceMode, RepairOutcome, Scheme, SchemeParams};
 use sim::{
     evaluate_parallel, evaluate_parallel_lenient, pairs, Router, StorageAudit, StretchStats,
 };
@@ -869,7 +869,7 @@ fn write_records(
 /// the AGM `Scheme` itself is preprocessed matrix-free on a scale-free
 /// (heavy-tailed, Δ ≈ 2^30) workload, routed, and measured against
 /// on-demand ground truth, next to the landmark-chaining baseline.
-/// Honors `--pairs-sampled`, `--threads`, and `--per-node-budgets`.
+/// Honors `--pairs-sampled` and `--threads`.
 /// Each AGM build also emits a machine-readable datapoint; the
 /// collected records are merged into `BENCH_construction.json`, keeping
 /// rows at other `(n, k)` (path override: `BENCH_CONSTRUCTION_OUT`;
@@ -904,10 +904,7 @@ pub fn sc(cfg: &RunConfig) -> String {
         let sources = pairs_budget.div_ceil(64).max(1);
         let workload = pairs::sample_grouped(n, sources, pairs_budget.div_ceil(sources), 0x5CA1E);
 
-        let mut params = SchemeParams::new(k, 0x5CA1E);
-        if cfg.per_node_budgets {
-            params = params.with_s_budget_mode(SBudgetMode::PerNode);
-        }
+        let params = SchemeParams::new(k, 0x5CA1E);
         let routers: Vec<(&str, Box<dyn Router + Sync>, f64)> = {
             let t0 = std::time::Instant::now();
             let scheme = Scheme::build_on_demand(g.clone(), params);
@@ -1080,7 +1077,7 @@ pub fn serve(cfg: &RunConfig) -> String {
 /// truncate to undelivered; surviving paths re-cost at current
 /// weights), then [`Scheme::repair`] patches the scheme and the same
 /// workload is measured again — degradation and recovery side by side.
-/// Honors `--pairs-sampled`, `--threads`, and `--per-node-budgets`.
+/// Honors `--pairs-sampled` and `--threads`.
 /// Each epoch also emits a machine-readable
 /// [`bench_record::evaluation_record`]; the collected records are merged
 /// into `BENCH_evaluation.json`, keeping rows at other `(n, k)` (path
@@ -1113,10 +1110,7 @@ pub fn churn(cfg: &RunConfig) -> String {
     let churn_cfg = ChurnConfig::edges_only(0xC4A1, epochs, fails, reweights);
     let plan = ChurnPlan::generate(&g, &churn_cfg);
 
-    let mut params = SchemeParams::new(k, 0xC4A0);
-    if cfg.per_node_budgets {
-        params = params.with_s_budget_mode(SBudgetMode::PerNode);
-    }
+    let params = SchemeParams::new(k, 0xC4A0);
     let pairs_per_epoch = cfg.pairs_sampled.unwrap_or(pairs_default);
     let rows = run_churn(&g, params, &plan, pairs_per_epoch, 0xC4A2, cfg.threads);
 

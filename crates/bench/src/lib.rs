@@ -27,7 +27,7 @@ pub enum TruthKind {
 
 /// Knobs shared by every experiment runner — the CLI surface of the
 /// `experiments` binary (`--quick`, `--pairs-sampled`, `--threads`,
-/// `--truth`, `--per-node-budgets`).
+/// `--truth`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RunConfig {
     /// Shrink instance sizes (the mode the integration tests run).
@@ -39,9 +39,6 @@ pub struct RunConfig {
     pub threads: usize,
     /// Ground-truth engine for stretch evaluation.
     pub truth: TruthKind,
-    /// Build the `sc` and `churn` schemes with instance-tuned per-node S
-    /// budgets instead of the global level maxima (`--per-node-budgets`).
-    pub per_node_budgets: bool,
 }
 
 impl RunConfig {

@@ -18,11 +18,12 @@ fn unknown_id_is_rejected_before_any_experiment_runs() {
 }
 
 #[test]
-fn retired_spill_flag_is_an_unknown_flag() {
-    let flag = concat!("--", "spill");
-    let out = experiments(&["--quick", flag, "l5"]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains(&format!("unknown flag {flag}")), "{stderr}");
-    assert!(out.stdout.is_empty(), "l5 printed a table");
+fn retired_flags_are_unknown_flags() {
+    for flag in [concat!("--", "spill"), concat!("--", "per-node-budgets")] {
+        let out = experiments(&["--quick", flag, "l5"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {stderr}");
+        assert!(stderr.contains(&format!("unknown flag {flag}")), "{stderr}");
+        assert!(out.stdout.is_empty(), "{flag}: l5 printed a table");
+    }
 }

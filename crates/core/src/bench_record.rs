@@ -290,11 +290,6 @@ pub fn baseline_peak_rss_kib(json: &str, n: usize) -> Option<u64> {
     baseline_value(json, "n", n as u64, "peak_rss_kib")?.parse().ok()
 }
 
-/// The checked-in baseline's build wall clock (seconds) at graph size `n`.
-pub fn baseline_build_seconds(json: &str, n: usize) -> Option<f64> {
-    baseline_value(json, "n", n as u64, "build_seconds")?.parse().ok()
-}
-
 /// Every value the `anchor` field takes across a rendered topic
 /// document, in record order — one entry per record.
 pub fn baseline_anchors(json: &str, anchor: &str) -> Vec<u64> {
@@ -350,7 +345,7 @@ mod tests {
         let json = sample();
         assert_eq!(baseline_peak_rss_kib(&json, 10_000), Some(400_000));
         assert_eq!(baseline_peak_rss_kib(&json, 50_000), Some(2_000_000));
-        assert_eq!(baseline_build_seconds(&json, 50_000), Some(222.5));
+        assert_eq!(baseline_value(&json, "n", 50_000, "build_seconds"), Some("222.500"));
         assert_eq!(baseline_peak_rss_kib(&json, 99), None);
     }
 

@@ -42,7 +42,7 @@ mod s_requirement_oracle;
 
 pub use directed::{validate_directed_trace, DirectedScheme};
 pub use repair::{DeferReason, RebuildReason, RepairOutcome, RepairReport};
-pub use scheme::{BuildStats, ForceMode, SBudgetMode, Scheme, SchemeParams, StorageBreakdown};
+pub use scheme::{BuildStats, ForceMode, Scheme, SchemeParams, StorageBreakdown};
 pub use serve::{serve_batch, ServeReport};
 
 #[cfg(test)]

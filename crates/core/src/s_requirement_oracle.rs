@@ -3,18 +3,21 @@
 //! position per (node, level), relying on `pos(v, l, c)` being monotone
 //! in that key. The oracle instead takes `pos(v, rank(c), c)` for every
 //! member of every region that asks, straight from its definition over
-//! the dense matrix, then max + 1 + margin. A center with a whole-graph
-//! region has the explicit tree `T(c) = V`, so that region and every
-//! other region on the same center ask nothing. The regions and centers
-//! the oracle reads come from the matrix too, and the build's own are
-//! checked against them.
+//! the dense matrix, then max + 1 + [`S_MARGIN`]. A center with a
+//! whole-graph region has the explicit tree `T(c) = V`, so that region
+//! and every other region on the same center ask nothing. The regions
+//! and centers the oracle reads come from the matrix too, and the
+//! build's own are checked against them. Each level's budget is the max
+//! of the table over all nodes, capped at the paper's budget, and the
+//! oracle derives every tree's members from those budgets by the same
+//! definition.
 //!
 //! The same oracle with no whole-graph centers is the rule where every
 //! region asks (`T(c) = V` only through the S budgets); its memberships
 //! are the reference for the no-tree-grows invariant: every built tree
 //! is a subset of that rule's tree. The k = 2 instances all have a
 //! rank-0 center whose region is the whole graph — the case that made
-//! every node's level-0 budget pay for it under that rule.
+//! the level-0 budget pay for it under that rule.
 
 use decomposition::Decomposition;
 use graphkit::gen::{erdos_renyi, random_tree, WeightDist};
@@ -24,8 +27,8 @@ use landmarks::{LandmarkDistances, LandmarkHierarchy};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::scheme::{EScope, LevelPlan, PhaseClock};
-use crate::{SBudgetMode, Scheme, SchemeParams};
+use crate::scheme::{EScope, LevelPlan, PhaseClock, S_MARGIN};
+use crate::{Scheme, SchemeParams};
 
 /// `pos(v, l, c)` by definition: the members of `C_l` whose key
 /// `(d(v, ·), id)` lies strictly below `(d(v, c), c)`.
@@ -84,7 +87,6 @@ fn oracle(
     scopes: &[Vec<Option<EScope>>],
     whole: &[u32],
     k: usize,
-    margin: usize,
 ) -> Vec<u32> {
     let n = d.n();
     let mut raw = vec![0u32; n * k];
@@ -101,7 +103,7 @@ fn oracle(
             };
             let l = hier.rank(NodeId(c));
             for v in members {
-                let need = (pos(d, hier, v, l, c) + 1 + margin) as u32;
+                let need = pos(d, hier, v, l, c) as u32 + 1 + S_MARGIN;
                 let slot = &mut raw[v as usize * k + l];
                 *slot = (*slot).max(need);
             }
@@ -110,9 +112,16 @@ fn oracle(
     raw
 }
 
-/// `PerNode` memberships `(v, d(v, c))` of `c`'s tree under the table
-/// `raw`: all of V for a center in `whole`, otherwise every `v` with
-/// `c` among the first `budget(v, rank(c))` entries of its sorted
+/// Level `l`'s budget under the `n × k` table `raw`: its max over all
+/// nodes, at least 1 and at most the paper's budget.
+fn level_budget(raw: &[u32], hier: &LandmarkHierarchy, l: usize) -> usize {
+    let k = hier.k();
+    (0..hier.n()).map(|v| (raw[v * k + l] as usize).max(1).min(hier.s_budget())).max().unwrap_or(1)
+}
+
+/// Memberships `(v, d(v, c))` of `c`'s tree under the table `raw`: all
+/// of V for a center in `whole`, otherwise every `v` with `c` among the
+/// first `level_budget(raw, rank(c))` entries of its sorted
 /// `C_rank(c)`.
 fn tree_of(
     d: &DistMatrix,
@@ -121,11 +130,10 @@ fn tree_of(
     whole: &[u32],
     c: u32,
 ) -> Vec<(u32, u64)> {
-    let k = raw.len() / d.n();
     let l = hier.rank(NodeId(c));
-    let budget = |v: u32| (raw[v as usize * k + l] as usize).max(1).min(hier.s_budget());
+    let budget = level_budget(raw, hier, l);
     (0..d.n() as u32)
-        .filter(|&v| whole.contains(&c) || pos(d, hier, v, l, c) < budget(v))
+        .filter(|&v| whole.contains(&c) || pos(d, hier, v, l, c) < budget)
         .map(|v| (v, d.d(NodeId(v), NodeId(c))))
         .collect()
 }
@@ -153,14 +161,13 @@ struct Checked {
 }
 
 /// Check the build's regions and centers against the matrix, its
-/// requirement table against the oracle, the per-node budgets and
+/// requirement table against the oracle, the level budgets and
 /// memberships `prepare` derives from it, and that no tree is larger
 /// than under the rule where every region asks.
 fn check(g: &Graph, k: usize, seed: u64) -> Checked {
-    let n = g.n();
     let d = apsp(g);
     assert!(d.connected());
-    let params = SchemeParams::new(k, seed).with_s_budget_mode(SBudgetMode::PerNode);
+    let params = SchemeParams::new(k, seed);
     let Scheme { dec, hier, plans, stats, .. } = Scheme::build_on_demand(g.clone(), params);
     assert_eq!(stats.lemma3_violations, 0, "Lemma 3 violations");
     let scopes = matrix_scopes(&d, &dec, k);
@@ -173,18 +180,15 @@ fn check(g: &Graph, k: usize, seed: u64) -> Checked {
         }
     }
     let whole = whole_centers(&plans, &scopes);
-    let want = oracle(&d, &hier, &plans, &scopes, &whole, k, params.s_margin);
+    let want = oracle(&d, &hier, &plans, &scopes, &whole, k);
     let ld = LandmarkDistances::build(g, &hier);
     let got = Scheme::s_requirements(g, &params, &hier, &ld, &plans, &scopes, &whole);
     assert_eq!(got, want, "requirement table differs from the oracle");
     let prep = Scheme::prepare(g, &params, &dec, &hier, &ld, &scopes, &mut PhaseClock::start());
-    let paper = hier.s_budget();
     for l in 0..k {
-        let level_max =
-            (0..n).map(|v| (want[v * k + l] as usize).max(1).min(paper)).max().unwrap_or(1);
-        assert_eq!(prep.s_budgets[l], level_max, "level {l} budget");
+        assert_eq!(prep.s_budgets[l], level_budget(&want, &hier, l), "level {l} budget");
     }
-    let every = oracle(&d, &hier, &plans, &scopes, &[], k, params.s_margin);
+    let every = oracle(&d, &hier, &plans, &scopes, &[], k);
     let mut members_if_every_region_asks = 0;
     for (ci, &c) in prep.centers.iter().enumerate() {
         let built = prep.members.members(ci);

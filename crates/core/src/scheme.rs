@@ -38,18 +38,9 @@ pub enum ForceMode {
     AllDense,
 }
 
-/// How the instance-tuned S-set budgets are resolved (see DESIGN.md).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SBudgetMode {
-    /// One budget per landmark level, the max requirement over all
-    /// nodes (the historical behavior, and the default).
-    #[default]
-    Global,
-    /// Each node `v` keeps, per level, only the slots *its own*
-    /// membership constraints require — strictly smaller S sets (and
-    /// landmark trees) wherever requirements are skewed.
-    PerNode,
-}
+/// Extra S-set slots beyond the instance-tuned requirement: a margin
+/// against the tie-break edge.
+pub(crate) const S_MARGIN: u32 = 2;
 
 /// Construction parameters.
 #[derive(Clone, Copy, Debug)]
@@ -60,13 +51,8 @@ pub struct SchemeParams {
     pub seed: u64,
     /// Re-sampling attempts for a Claims-1/2-verified hierarchy.
     pub landmark_attempts: u32,
-    /// Extra S-set slots beyond the instance-tuned requirement (margin
-    /// against the tie-break edge; ≥ 1 recommended).
-    pub s_margin: usize,
     /// Ablation override (None = the paper's decomposition).
     pub force_mode: Option<ForceMode>,
-    /// Global or per-node S-set budgets.
-    pub s_budget_mode: SBudgetMode,
     /// Retain the build-time state (`RepairState`) that
     /// [`Scheme::repair`] needs to patch the scheme in place after
     /// graph deltas — old membership lists and per-center label sizes,
@@ -79,29 +65,15 @@ pub struct SchemeParams {
 }
 
 impl SchemeParams {
-    /// Defaults: verified sampling with 16 attempts, margin 2, global
-    /// budgets, no repair state.
+    /// Defaults: verified sampling with 16 attempts, the paper's
+    /// decomposition, no repair state.
     pub fn new(k: usize, seed: u64) -> Self {
-        SchemeParams {
-            k,
-            seed,
-            landmark_attempts: 16,
-            s_margin: 2,
-            force_mode: None,
-            s_budget_mode: SBudgetMode::default(),
-            repairable: false,
-        }
+        SchemeParams { k, seed, landmark_attempts: 16, force_mode: None, repairable: false }
     }
 
     /// Builder-style ablation switch.
     pub fn with_force_mode(mut self, mode: ForceMode) -> Self {
         self.force_mode = Some(mode);
-        self
-    }
-
-    /// Builder-style S-budget mode switch.
-    pub fn with_s_budget_mode(mut self, mode: SBudgetMode) -> Self {
-        self.s_budget_mode = mode;
         self
     }
 
@@ -145,26 +117,6 @@ pub(crate) struct LevelPlan {
     /// (`u32::MAX` when unknown). Simulation bookkeeping — a node knows
     /// itself — not routing state, so storage accounting ignores it.
     pub(crate) src_ix: u32,
-}
-
-/// Resolved S-set budgets: global per-level values, or a flat
-/// `n × k` per-node table.
-enum Budgets {
-    /// `budget[l]` applies to every node.
-    Global(Vec<usize>),
-    /// `per[v·k + l]` — node `v`'s slot count at level `l`.
-    PerNode { per: Vec<u32>, k: usize },
-}
-
-impl Budgets {
-    /// The budget of node `v` at landmark level `l`.
-    #[inline]
-    fn of(&self, v: u32, l: usize) -> usize {
-        match self {
-            Budgets::Global(b) => b[l],
-            Budgets::PerNode { per, k } => per[v as usize * k + l] as usize,
-        }
-    }
 }
 
 /// What the `b(u,i)` pass needs from one finished center tree, without
@@ -318,8 +270,8 @@ pub struct BuildStats {
     /// Sparse (u, i, v) membership triples checked. After a repair,
     /// both Lemma 3 counters cover only the pairs it re-verified.
     pub lemma3_checked: usize,
-    /// Effective S-set budget per landmark level (per-node modes
-    /// report each level's max over nodes). It counts only what local
+    /// S-set budget per landmark level: the max requirement over all
+    /// nodes, capped at the paper's budget. It counts only what local
     /// regions ask: a center with a whole-graph region has the explicit
     /// tree `T(c) = V` (see [`Scheme::whole_graph_trees`]), so neither
     /// that region nor any other region on the same center asks for a
@@ -658,25 +610,18 @@ impl Scheme {
                 (0..n).map(|v| raw[v * k + l] as usize).max().unwrap_or(0).max(1).min(paper_budget)
             })
             .collect();
-        let budgets = match params.s_budget_mode {
-            SBudgetMode::Global => Budgets::Global(level_max.clone()),
-            SBudgetMode::PerNode => Budgets::PerNode {
-                per: raw.iter().map(|&x| (x as usize).max(1).min(paper_budget) as u32).collect(),
-                k,
-            },
-        };
         drop(raw);
         clock.lap("budgets");
 
         // ---- landmark-tree membership --------------------------------
         // v stores τ(T(c), v) iff c ∈ S(v) under the tuned budgets,
-        // i.e. c is among the first budget(v, rank(c)) entries of v's
+        // i.e. c is among the first level_max[rank(c)] entries of v's
         // sorted C_{rank(c)} list — or c has a whole-graph region.
         let mut centers: Vec<u32> =
             plans.iter().flatten().filter(|p| !p.dense).map(|p| p.center).collect();
         centers.sort_unstable();
         centers.dedup();
-        let members = Self::center_members(g, ld, hier, &centers, &whole, &budgets, k);
+        let members = Self::center_members(g, ld, hier, &centers, &whole, &level_max);
         clock.lap("members");
         Prepared { plans, centers, members, s_budgets: level_max }
     }
@@ -684,7 +629,7 @@ impl Scheme {
     /// The per-(node, level) S requirement table behind the budgets:
     /// `raw[v·k + l]` is the max, over the local regions containing `v`
     /// whose center `c` has rank `l` and is not in `whole`, of
-    /// `pos(v, l, c) + 1 + margin` (0 where no region asks). A center
+    /// `pos(v, l, c) + 1 + S_MARGIN` (0 where no region asks). A center
     /// in `whole` (sorted) has a whole-graph region and the explicit
     /// tree `T(c) = V`, so none of its regions ask. `pos(v, l, c)`
     /// counts the entries of `v`'s `(distance, id)`-sorted `C_l` list
@@ -736,7 +681,6 @@ impl Scheme {
         // One position per (node, level). Level 0 has no sorted list:
         // a run out to the key's distance settles every node below the
         // key, in key order.
-        let margin = params.s_margin as u32;
         // merge: per-node rows, flattened in chunk (= node id) order.
         graphkit::metrics::par_chunks(n, |nodes| {
             let mut scratch = None;
@@ -754,7 +698,7 @@ impl Scheme {
                         s.run(g, NodeId(v as u32), key.0, usize::MAX);
                         s.position_below(key)
                     };
-                    out.push(pos as u32 + 1 + margin);
+                    out.push(pos as u32 + 1 + S_MARGIN);
                 }
             }
             out
@@ -770,9 +714,9 @@ impl Scheme {
     /// aligned with the sorted `centers` array.
     ///
     /// Enumerated node-major: `c ∈ S(v)` iff `c` sits in the first
-    /// `budget(v, rank(c))` entries of `v`'s sorted `C_{rank(c)}` list
+    /// `budgets[rank(c)]` entries of `v`'s sorted `C_{rank(c)}` list
     /// (positions are unique — the sort key `(distance, id)` is), so
-    /// each node scans its own prefix once — `O(Σ_v Σ_l budget(v, l))`
+    /// each node scans its own prefix once — `O(n · Σ_l budgets[l])`
     /// work instead of `O(|centers| · n)` position probes — and a
     /// counting sort by center re-buckets the stream. Chunks
     /// concatenate in node order and the placement scan is stable, so
@@ -788,10 +732,9 @@ impl Scheme {
         hier: &LandmarkHierarchy,
         centers: &[u32],
         whole: &[u32],
-        budgets: &Budgets,
-        k: usize,
+        budgets: &[usize],
     ) -> CenterMembers {
-        debug_assert!(k < u8::MAX as usize);
+        debug_assert!(budgets.len() < u8::MAX as usize);
         let n = g.n();
         // Center rank by host id (u8::MAX = not a scanned center), and
         // each center's slot in the sorted array.
@@ -810,8 +753,7 @@ impl Scheme {
             let mut out = Vec::new();
             let mut scratch = None;
             for v in nodes {
-                for l in 0..k {
-                    let b = budgets.of(v as u32, l);
+                for (l, &b) in budgets.iter().enumerate() {
                     let prefix = if l >= 1 {
                         let list = ld.list(NodeId(v as u32), l);
                         &list[..b.min(list.len())]
@@ -1230,7 +1172,7 @@ pub(crate) struct Prepared {
     pub(crate) centers: Vec<u32>,
     /// Membership CSR aligned with `centers`.
     pub(crate) members: CenterMembers,
-    /// Effective per-level S budgets (for [`BuildStats::s_budgets`]).
+    /// Per-level S budgets (for [`BuildStats::s_budgets`]).
     pub(crate) s_budgets: Vec<usize>,
 }
 

@@ -42,7 +42,7 @@ use treeroute::cover_router::{CoverStore, CoverTreeRouter};
 
 use crate::center_store::CenterStore;
 use crate::scheme::{
-    BuildStats, CoverEntry, ForceMode, LevelPlan, SBudgetMode, ScaleCover, Scheme, SchemeParams,
+    BuildStats, CoverEntry, ForceMode, LevelPlan, ScaleCover, Scheme, SchemeParams,
 };
 
 /// Section ids (stable across snapshot versions; never reuse).
@@ -230,17 +230,10 @@ impl Scheme {
         w.u64(p.k as u64);
         w.u64(p.seed);
         w.u32(p.landmark_attempts);
-        w.u64(p.s_margin as u64);
         w.u8(match p.force_mode {
             None => 0,
             Some(ForceMode::AllSparse) => 1,
             Some(ForceMode::AllDense) => 2,
-        });
-        // Budget mode (tag 2, the retired uniform per-node mode, is
-        // never reused).
-        w.u8(match p.s_budget_mode {
-            SBudgetMode::Global => 0,
-            SBudgetMode::PerNode => 1,
         });
         w.u64(self.max_center_label_bits);
         let st = &self.stats;
@@ -293,17 +286,11 @@ fn decode_meta(r: &mut Reader<'_>) -> io::Result<(SchemeParams, BuildStats, u64)
     let k = r.u64()? as usize;
     let seed = r.u64()?;
     let landmark_attempts = r.u32()?;
-    let s_margin = r.u64()? as usize;
     let force_mode = match r.u8()? {
         0 => None,
         1 => Some(ForceMode::AllSparse),
         2 => Some(ForceMode::AllDense),
         _ => return Err(wire::invalid("bad force-mode tag")),
-    };
-    let s_budget_mode = match r.u8()? {
-        0 => SBudgetMode::Global,
-        1 => SBudgetMode::PerNode,
-        _ => return Err(wire::invalid("bad budget-mode tag")),
     };
     if k < 1 {
         return Err(wire::invalid("k must be at least 1"));
@@ -327,9 +314,7 @@ fn decode_meta(r: &mut Reader<'_>) -> io::Result<(SchemeParams, BuildStats, u64)
         k,
         seed,
         landmark_attempts,
-        s_margin,
         force_mode,
-        s_budget_mode,
         // Repair state is build-time-only and never serialized; a
         // loaded scheme's first repair() falls back to a full rebuild.
         repairable: false,
@@ -431,24 +416,20 @@ mod tests {
     use super::*;
     use graphkit::gen::Family;
 
-    /// META offsets: k (8), seed (8), landmark attempts (4) and margin
-    /// (8) precede the force-mode byte; the budget-mode byte follows it.
-    const FORCE_MODE_BYTE: usize = 28;
-    const BUDGET_MODE_BYTE: usize = 29;
+    /// META offsets: k (8), seed (8) and landmark attempts (4) precede
+    /// the force-mode byte.
+    const FORCE_MODE_BYTE: usize = 20;
 
     #[test]
     fn retired_meta_tags_are_rejected() {
         let scheme = Scheme::build_on_demand(Family::Ring.generate(40, 3), SchemeParams::new(2, 3));
         let meta = scheme.encode_meta();
         assert!(decode_meta(&mut Reader::new(&meta)).is_ok());
-        assert_eq!((meta[FORCE_MODE_BYTE], meta[BUDGET_MODE_BYTE]), (0, 0));
-        // Force modes stop at 2; budget-mode tag 2, the retired uniform
-        // per-node budgets, is never reused.
-        for (at, tag) in [(FORCE_MODE_BYTE, 3), (BUDGET_MODE_BYTE, 2)] {
-            let mut bad = meta.clone();
-            bad[at] = tag;
-            let err = decode_meta(&mut Reader::new(&bad)).expect_err("retired tag must not load");
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "byte {at} = {tag}");
-        }
+        assert_eq!(meta[FORCE_MODE_BYTE], 0);
+        // Force modes stop at 2.
+        let mut bad = meta.clone();
+        bad[FORCE_MODE_BYTE] = 3;
+        let err = decode_meta(&mut Reader::new(&bad)).expect_err("force-mode tag 3 must not load");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 }

@@ -12,7 +12,7 @@ use graphkit::gen::Family;
 use graphkit::metrics::apsp;
 use graphkit::wire::{Reader, SnapshotReader};
 use proptest::prelude::*;
-use routing_core::{SBudgetMode, Scheme, SchemeParams};
+use routing_core::{Scheme, SchemeParams};
 use sim::{evaluate, pairs, RouteTrace, Router};
 
 /// Snapshot section ids (stable across snapshot versions).
@@ -61,27 +61,25 @@ fn assert_parity(g: &graphkit::Graph, built: &Scheme, loaded: &Scheme, tag: &str
 
 #[test]
 fn saved_scheme_loads_and_routes_identically() {
-    use SBudgetMode::{Global, PerNode};
-    for (fam, k, budgets) in [
-        (Family::Geometric, 2usize, Global),
-        (Family::ExpRing, 3, Global),
-        (Family::PrefAttach, 2, Global),
-        (Family::Grid, 1, Global),
-        (Family::ExpRing, 2, PerNode),
+    for (fam, k) in [
+        (Family::Geometric, 2usize),
+        (Family::ExpRing, 3),
+        (Family::PrefAttach, 2),
+        (Family::Grid, 1),
+        (Family::ExpRing, 2),
     ] {
         let g = fam.generate(110, 0x54AD);
-        let params = SchemeParams::new(k, 0x54AD).with_s_budget_mode(budgets);
-        let scheme = Scheme::build_on_demand(g.clone(), params);
+        let scheme = Scheme::build_on_demand(g.clone(), SchemeParams::new(k, 0x54AD));
         let path = TempPath::new();
         scheme.save(&path.0).expect("save");
         let resident = Scheme::load(&path.0).expect("load");
         let lazy = Scheme::load_lazy(&path.0).expect("load_lazy");
-        let tag = format!("{} k={k} {budgets:?}", fam.label());
+        let tag = format!("{} k={k}", fam.label());
         assert_parity(&g, &scheme, &resident, &format!("{tag} resident"));
         assert_parity(&g, &scheme, &lazy, &format!("{tag} lazy"));
         assert_eq!(resident.params().k, k);
         assert_eq!(resident.params().seed, 0x54AD);
-        assert_eq!(lazy.params().s_budget_mode, budgets);
+        assert_eq!(lazy.params().k, k);
     }
 }
 

@@ -200,11 +200,6 @@ impl Graph {
         })
     }
 
-    /// Total bits to store the raw graph (for reporting only).
-    pub fn raw_bits(&self) -> u64 {
-        (self.targets.len() * 32 + self.weights.len() * 64) as u64
-    }
-
     #[inline(always)]
     // lint:allow-fn(panic-free-serve): validate-then-index — u < n for every NodeId in a frozen graph; offsets has n+1 entries by construction
     fn span(&self, u: NodeId) -> (usize, usize) {

@@ -430,7 +430,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"AGMSNAP\0";
 /// Current snapshot format version. Bump on any layout change; readers
 /// reject unknown versions instead of misparsing.
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Header: magic (8) + version (4) + section-table offset (8).
 const HEADER_LEN: u64 = 20;

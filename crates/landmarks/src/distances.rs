@@ -90,11 +90,6 @@ impl LandmarkDistances {
         self.n
     }
 
-    /// Number of landmark Dijkstra rows held.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// `d(c, v)` for a rank-≥1 landmark `c` (graphs are undirected, so
     /// this is also `d(v, c)`). Panics if `c` is not a landmark.
     #[inline]

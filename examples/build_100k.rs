@@ -5,9 +5,6 @@
 //! dense distance matrix (which would be ~75 GiB at this size), then
 //! route sampled pairs against on-demand ground truth.
 //!
-//! The construction-side counterpart of `scale_100k.rs` (which broke
-//! the same wall for *evaluation* in an earlier change).
-//!
 //! ```text
 //! cargo run --release --example build_100k -- [n] [pairs] [threads] [serve_queries]
 //! ```

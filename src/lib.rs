@@ -58,9 +58,7 @@ pub mod prelude {
     pub use baselines::{HierarchicalScheme, LandmarkChaining, ShortestPathTables, TzLabeled};
     pub use graphkit::gen::Family;
     pub use graphkit::{Cost, Graph, GraphBuilder, NodeId, OnDemandTruth, Weight};
-    pub use routing_core::{
-        serve_batch, ForceMode, SBudgetMode, Scheme, SchemeParams, ServeReport,
-    };
+    pub use routing_core::{serve_batch, ForceMode, Scheme, SchemeParams, ServeReport};
     pub use sim::{
         evaluate, evaluate_lenient, evaluate_parallel, evaluate_parallel_lenient, pairs,
         GroundTruth, Router, StorageAudit, StretchStats,
