@@ -16,15 +16,14 @@
 //! The construction repeatedly grabs an unserved ball and inflates it
 //! by merging the balls of unserved centers it contains, until the
 //! node count stops growing by the factor `n^{1/k}`; the inflation can
-//! repeat at most `k` times, which caps the radius. All four
-//! properties are *verified* per instance ([`verify_cover`], test
-//! suite, experiment L6).
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! repeat at most `k` times, which caps the radius. Each inflation
+//! round's union of balls `Z` is one multi-source bounded Dijkstra from
+//! every center merged so far, so a round costs one search over `Z`,
+//! not one per merged ball. All four properties are *verified* per
+//! instance ([`verify_cover`], test suite, experiment L6).
 
 use graphkit::ids::nth_root_ceil;
-use graphkit::{Cost, Graph, NodeId, Tree, Weight, INFINITY};
+use graphkit::{Cost, DijkstraScratch, Graph, NodeId, Tree, TreeScratch, Weight, INFINITY};
 
 /// A sparse tree cover of one graph.
 #[derive(Clone, Debug)]
@@ -66,38 +65,31 @@ impl TreeCover {
 pub fn build_cover(g: &Graph, k: usize, rho: u64) -> TreeCover {
     assert!(k >= 1 && rho >= 1);
     let n = g.n();
+    let mut scratch = Scratch::new(n);
     if k == 1 {
         // Radius bound (2k−1)ρ = ρ forbids any inflation: the cover is
         // one tree per ball (overlap ≤ n = 2k·n^{1/k}/2 is within spec).
-        let mut scratch = BallScratch::new(n);
-        let mut trees = Vec::with_capacity(n);
-        let mut home = Vec::with_capacity(n);
-        for v in 0..n as u32 {
-            let members = scratch.ball(g, NodeId(v), rho);
-            home.push(v);
-            trees.push(cluster_tree(g, NodeId(v), &members, rho));
-        }
-        return TreeCover { rho, k, trees, home };
+        let trees = (0..n as u32)
+            .map(|v| {
+                let members = scratch.balls(g, &[NodeId(v)], rho);
+                scratch.cluster_tree(g, NodeId(v), &members, rho)
+            })
+            .collect();
+        return TreeCover { rho, k, trees, home: (0..n as u32).collect() };
     }
     let mut served = vec![false; n];
     let mut home = vec![u32::MAX; n];
     let mut trees: Vec<Tree> = Vec::new();
-    // Scratch buffers reused across clusters.
-    let mut ball_scratch = BallScratch::new(n);
     // Process unserved centers in id order for determinism.
     for v in 0..n as u32 {
         if served[v as usize] {
             continue;
         }
-        let (members, merged_centers) =
-            grow_cluster(g, NodeId(v), rho, k, &served, &mut ball_scratch);
-        let tree_ix = trees.len() as u32;
-        trees.push(cluster_tree(g, NodeId(v), &members, rho));
-        for w in merged_centers {
-            debug_assert!(!served[w as usize]);
-            served[w as usize] = true;
-            home[w as usize] = tree_ix;
+        let (members, merged) = grow_cluster(g, NodeId(v), rho, k, &mut served, &mut scratch);
+        for w in merged {
+            home[w.idx()] = trees.len() as u32;
         }
+        trees.push(scratch.cluster_tree(g, NodeId(v), &members, rho));
     }
     debug_assert!(home.iter().all(|&h| h != u32::MAX));
     TreeCover { rho, k, trees, home }
@@ -105,164 +97,86 @@ pub fn build_cover(g: &Graph, k: usize, rho: u64) -> TreeCover {
 
 /// One Awerbuch–Peleg cluster: start from `B(v,ρ)`, repeatedly merge
 /// the balls of *unserved* centers inside the current kernel `Y`, stop
-/// when `|Z| ≤ n^{1/k}·|Y|`. Returns the final member set `Z` and the
-/// centers whose balls were merged (they become served).
+/// when `|Z| ≤ n^{1/k}·|Y|`. Merged centers are marked in `served`.
+/// Returns the final member set `Z` and the centers whose balls were
+/// merged.
 fn grow_cluster(
     g: &Graph,
     v: NodeId,
     rho: u64,
     k: usize,
-    served: &[bool],
-    scratch: &mut BallScratch,
-) -> (Vec<u32>, Vec<u32>) {
-    let n = g.n() as u64;
-    let sigma = nth_root_ceil(n, k as u32); // ⌈n^{1/k}⌉
-    let mut z: Vec<u32> = scratch.ball(g, v, rho);
-    let mut merged: Vec<u32> = Vec::new();
+    served: &mut [bool],
+    scratch: &mut Scratch,
+) -> (Vec<u32>, Vec<NodeId>) {
+    let sigma = nth_root_ceil(g.n() as u64, k as u32); // ⌈n^{1/k}⌉
+    let mut z = scratch.balls(g, &[v], rho);
+    let mut merged: Vec<NodeId> = Vec::new();
     loop {
-        let y = z.clone();
-        // Centers to merge: unserved nodes inside Y not yet merged.
-        let mut new_centers: Vec<u32> =
-            y.iter().copied().filter(|&w| !served[w as usize] && !merged.contains(&w)).collect();
-        new_centers.sort_unstable();
-        if new_centers.is_empty() && !merged.is_empty() {
+        // Y = Z; merge every unserved center inside it.
+        let (y_len, before) = (z.len(), merged.len());
+        for &w in &z {
+            if !served[w as usize] {
+                served[w as usize] = true;
+                merged.push(NodeId(w));
+            }
+        }
+        if merged.len() == before {
             // Nothing new to absorb: Z is stable.
             return (z, merged);
         }
-        for &w in &new_centers {
-            let b = scratch.ball(g, NodeId(w), rho);
-            z.extend(b);
-        }
-        z.sort_unstable();
-        z.dedup();
-        merged.extend(new_centers);
+        z = scratch.balls(g, &merged, rho);
         // Stop when the n^{1/k} growth failed: |Z| ≤ σ·|Y|.
-        if z.len() as u64 <= sigma.saturating_mul(y.len() as u64) {
+        if z.len() as u64 <= sigma.saturating_mul(y_len as u64) {
             return (z, merged);
         }
     }
 }
 
-/// Shortest-path tree spanning a cluster, rooted at its seed, built in
-/// the subgraph induced by the members *with edges ≤ 2ρ* (which is what
-/// bounds `maxE(T)`). Falls back to unfiltered induced edges for any
-/// member unreachable through light edges (never observed on the
-/// workloads; the verifier would flag the resulting heavy edge).
-fn cluster_tree(g: &Graph, root: NodeId, members: &[u32], rho: u64) -> Tree {
-    let tree = restricted_sssp_tree(g, root, members, Some(2 * rho));
-    if tree.size() == members.len() {
-        return tree;
-    }
-    restricted_sssp_tree(g, root, members, None)
+/// Reusable workspace of one cover build: graphkit's Dijkstra and tree
+/// extractor, plus a member bitmap set and cleared per cluster.
+struct Scratch {
+    dijkstra: DijkstraScratch,
+    tree: TreeScratch,
+    member: Vec<bool>,
 }
 
-/// Dijkstra restricted to `members` (sorted host ids) and to edges of
-/// weight ≤ `max_edge`; returns the SPT of the reached members.
-fn restricted_sssp_tree(g: &Graph, root: NodeId, members: &[u32], max_edge: Option<u64>) -> Tree {
-    let n = g.n();
-    let mut dist = vec![INFINITY; n];
-    let mut parent = vec![u32::MAX; n];
-    let in_set = {
-        let mut v = vec![false; n];
-        for &m in members {
-            v[m as usize] = true;
-        }
-        v
-    };
-    debug_assert!(in_set[root.idx()]);
-    let mut heap: BinaryHeap<Reverse<(Cost, u32)>> = BinaryHeap::new();
-    dist[root.idx()] = 0;
-    heap.push(Reverse((0, root.0)));
-    while let Some(Reverse((d, u))) = heap.pop() {
-        if d > dist[u as usize] {
-            continue;
-        }
-        for (w, wt) in g.edges_of(NodeId(u)) {
-            if !in_set[w.idx()] {
-                continue;
-            }
-            if let Some(me) = max_edge {
-                if wt > me {
-                    continue;
-                }
-            }
-            let nd = d + wt;
-            let dw = &mut dist[w.idx()];
-            if nd < *dw || (nd == *dw && u < parent[w.idx()]) {
-                let improved = nd < *dw;
-                *dw = nd;
-                parent[w.idx()] = u;
-                if improved {
-                    heap.push(Reverse((nd, w.0)));
-                }
-            }
-        }
-    }
-    // Assemble the tree over reached members, ordered by (dist, id).
-    let mut reached: Vec<u32> =
-        members.iter().copied().filter(|&m| dist[m as usize] != INFINITY).collect();
-    reached.sort_unstable_by_key(|&m| (dist[m as usize], m));
-    debug_assert_eq!(reached[0], root.0);
-    let mut local = vec![u32::MAX; n];
-    for (i, &m) in reached.iter().enumerate() {
-        local[m as usize] = i as u32;
-    }
-    let mut parents = Vec::with_capacity(reached.len());
-    let mut weights = Vec::with_capacity(reached.len());
-    for &m in &reached {
-        if m == root.0 {
-            parents.push(u32::MAX);
-            weights.push(0);
-        } else {
-            let p = parent[m as usize];
-            debug_assert_ne!(p, u32::MAX);
-            parents.push(local[p as usize]);
-            weights.push(g.edge_weight(NodeId(p), NodeId(m)).expect("SPT edge"));
-        }
-    }
-    Tree::from_parents(reached, parents, weights)
-}
-
-/// Reusable bounded-Dijkstra scratch to avoid O(n) allocs per ball.
-struct BallScratch {
-    dist: Vec<Cost>,
-    touched: Vec<u32>,
-}
-
-impl BallScratch {
+impl Scratch {
     fn new(n: usize) -> Self {
-        BallScratch { dist: vec![INFINITY; n], touched: Vec::new() }
+        Scratch {
+            dijkstra: DijkstraScratch::new(n),
+            tree: TreeScratch::new(n),
+            member: vec![false; n],
+        }
     }
 
-    /// Members of `B(u, r)`, sorted by id.
-    fn ball(&mut self, g: &Graph, u: NodeId, r: u64) -> Vec<u32> {
-        for &t in &self.touched {
-            self.dist[t as usize] = INFINITY;
+    /// Members of `∪_{c ∈ centers} B(c, ρ)`, in settle order: one
+    /// multi-source run.
+    fn balls(&mut self, g: &Graph, centers: &[NodeId], rho: u64) -> Vec<u32> {
+        self.dijkstra.run_where(g, centers, rho, usize::MAX, |_, _| true);
+        self.dijkstra.settled().iter().map(|&(_, v)| v).collect()
+    }
+
+    /// Shortest-path tree spanning a cluster, rooted at its seed, built
+    /// in the subgraph induced by the members *with edges ≤ 2ρ* (which
+    /// is what bounds `maxE(T)`). Falls back to unfiltered induced
+    /// edges when some member is unreachable through light edges (never
+    /// observed on the workloads; the verifier would flag the resulting
+    /// heavy edge). Nodes are ordered by `(distance, id)`.
+    fn cluster_tree(&mut self, g: &Graph, root: NodeId, members: &[u32], rho: u64) -> Tree {
+        let Scratch { dijkstra, tree, member } = self;
+        for &m in members {
+            member[m as usize] = true;
         }
-        self.touched.clear();
-        let mut heap: BinaryHeap<Reverse<(Cost, u32)>> = BinaryHeap::new();
-        self.dist[u.idx()] = 0;
-        self.touched.push(u.0);
-        heap.push(Reverse((0, u.0)));
-        let mut out = Vec::new();
-        while let Some(Reverse((d, x))) = heap.pop() {
-            if d > self.dist[x as usize] {
-                continue;
-            }
-            out.push(x);
-            for (w, wt) in g.edges_of(NodeId(x)) {
-                let nd = d + wt;
-                if nd <= r && nd < self.dist[w.idx()] {
-                    if self.dist[w.idx()] == INFINITY {
-                        self.touched.push(w.0);
-                    }
-                    self.dist[w.idx()] = nd;
-                    heap.push(Reverse((nd, w.0)));
-                }
-            }
+        let light = rho.saturating_mul(2);
+        dijkstra.run_where(g, &[root], INFINITY, usize::MAX, |v, w| member[v.idx()] && w <= light);
+        if dijkstra.settled().len() < members.len() {
+            dijkstra.run_where(g, &[root], INFINITY, usize::MAX, |v, _| member[v.idx()]);
         }
-        out.sort_unstable();
-        out
+        for &m in members {
+            member[m as usize] = false;
+        }
+        let settled = dijkstra.settled().iter().map(|&(_, v)| NodeId(v));
+        Tree::from_dist_parents_with(tree, g, root, dijkstra.dists(), dijkstra.parents(), settled)
     }
 }
 
@@ -308,9 +222,9 @@ pub fn verify_cover(g: &Graph, cover: &TreeCover) -> CoverReport {
         ..Default::default()
     };
     // Cover: B(v,ρ) ⊆ home tree.
-    let mut scratch = BallScratch::new(n);
+    let mut scratch = Scratch::new(n);
     for v in 0..n as u32 {
-        let ball = scratch.ball(g, NodeId(v), cover.rho);
+        let ball = scratch.balls(g, &[NodeId(v)], cover.rho);
         let map = cover.home_tree(NodeId(v)).index_map(n);
         if ball.iter().any(|&m| map[m as usize] == u32::MAX) {
             report.cover_violations += 1;
@@ -330,8 +244,10 @@ pub fn verify_cover(g: &Graph, cover: &TreeCover) -> CoverReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphkit::gen::Family;
+    use graphkit::gen::{preferential_attachment, Family, WeightDist};
     use graphkit::metrics::apsp;
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
 
     fn check(fam: Family, n: usize, k: usize, rho: u64, seed: u64) -> CoverReport {
         let g = fam.generate(n, seed);
@@ -390,13 +306,19 @@ mod tests {
 
     #[test]
     fn lemma6_with_huge_rho_single_tree() {
-        // ρ ≥ diameter: the first cluster swallows everything.
-        let g = Family::Grid.generate(64, 66);
-        let d = apsp(&g);
-        let cover = build_cover(&g, 2, d.diameter());
-        assert_eq!(cover.trees.len(), 1);
-        assert_eq!(cover.trees[0].size(), 64);
-        assert!(verify_cover(&g, &cover).ok());
+        // ρ ≥ diameter: the first cluster swallows everything. The
+        // second input is the churn smoke's draw (Δ ≈ 2^30), whose
+        // dense scale is such a whole-graph cluster.
+        let mut rng = SmallRng::seed_from_u64(0xC4A0 + 400);
+        let churn =
+            preferential_attachment(400, 3, WeightDist::PowerOfTwo { max_exp: 30 }, &mut rng);
+        for g in [Family::Grid.generate(64, 66), churn] {
+            let d = apsp(&g);
+            let cover = build_cover(&g, 2, d.diameter());
+            assert_eq!(cover.trees.len(), 1);
+            assert_eq!(cover.trees[0].size(), g.n());
+            assert!(verify_cover(&g, &cover).ok());
+        }
     }
 
     #[test]
@@ -432,10 +354,10 @@ mod tests {
     fn home_tree_contains_ball() {
         let g = Family::Geometric.generate(100, 69);
         let cover = build_cover(&g, 3, 40);
-        let mut scratch = BallScratch::new(g.n());
+        let mut scratch = Scratch::new(g.n());
         for v in 0..g.n() as u32 {
             let home = cover.home_tree(NodeId(v));
-            for m in scratch.ball(&g, NodeId(v), cover.rho) {
+            for m in scratch.balls(&g, &[NodeId(v)], cover.rho) {
                 assert!(home.find(NodeId(m)).is_some());
             }
         }

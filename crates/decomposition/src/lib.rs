@@ -208,13 +208,6 @@ impl Decomposition {
             .collect()
     }
 
-    /// [`Decomposition::f_members`] from the graph alone: one
-    /// radius-bounded Dijkstra instead of a dense row. Identical
-    /// output (ids ascending).
-    pub fn f_members_on_demand(&self, g: &Graph, u: NodeId, i: usize) -> Vec<u32> {
-        ball_ids(g, u, self.f_radius(u, i))
-    }
-
     /// Largest integer distance inside `F(u, i)`: `⌊2^{a(u,i)}/2⌋`.
     pub fn f_radius(&self, u: NodeId, i: usize) -> Cost {
         octave_radius(self.a(u, i)) / 2
@@ -233,20 +226,6 @@ impl Decomposition {
             .filter(|&(_, &dist)| dist != graphkit::INFINITY && dist <= radius)
             .map(|(v, _)| v as u32)
             .collect()
-    }
-
-    /// [`Decomposition::e_members`] from the graph alone: one
-    /// radius-bounded Dijkstra instead of a dense row. Identical
-    /// output (ids ascending).
-    pub fn e_members_on_demand(&self, g: &Graph, u: NodeId, i: usize) -> Vec<u32> {
-        debug_assert!(i < self.k);
-        ball_ids(g, u, self.e_radius(u, i))
-    }
-
-    /// [`Decomposition::ball_size`] from the graph alone: one
-    /// radius-bounded Dijkstra instead of a dense row.
-    pub fn ball_size_on_demand(&self, g: &Graph, u: NodeId, i: usize) -> usize {
-        graphkit::ball_size(g, u, self.ball_radius(u, i))
     }
 
     /// Radius of `E(u,i)` as an exact rational bound `2^{a(u,i+1)}/6`,
@@ -296,17 +275,6 @@ impl Decomposition {
         }
         Ok(Decomposition { k, n, ranges, log_delta })
     }
-}
-
-/// Ids (ascending) of the ball `B(u, radius)` via one bounded Dijkstra.
-fn ball_ids(g: &Graph, u: NodeId, radius: Cost) -> Vec<u32> {
-    let sp = graphkit::dijkstra_bounded(g, u, radius);
-    sp.dist
-        .iter()
-        .enumerate()
-        .filter(|&(_, &dist)| dist != graphkit::INFINITY && dist <= radius)
-        .map(|(v, _)| v as u32)
-        .collect()
 }
 
 /// Compute `a(u, 0..=k)` into `out`.
@@ -665,23 +633,6 @@ mod tests {
     }
 
     #[test]
-    fn on_demand_members_match_dense() {
-        let g = Family::Geometric.generate(140, 62);
-        let d = apsp(&g);
-        let dec = Decomposition::build(&d, 3);
-        for u in (0..140u32).step_by(7) {
-            let u = NodeId(u);
-            for i in 0..3usize {
-                assert_eq!(dec.e_members(&d, u, i), dec.e_members_on_demand(&g, u, i));
-                if i >= 1 {
-                    assert_eq!(dec.f_members(&d, u, i), dec.f_members_on_demand(&g, u, i));
-                }
-                assert_eq!(dec.ball_size(&d, u, i), dec.ball_size_on_demand(&g, u, i));
-            }
-        }
-    }
-
-    #[test]
     fn near_u64_max_weights_do_not_overflow() {
         // One edge near u64::MAX pushes ⌈log₂Δ⌉ to 63, so the +3 cap
         // would shift past the u64 range without the saturating
@@ -704,7 +655,6 @@ mod tests {
                     assert!(dense.ball_radius(u, i) < graphkit::INFINITY);
                 }
                 for i in 0..k {
-                    assert_eq!(dense.e_members(&d, u, i), dense.e_members_on_demand(&g, u, i));
                     assert!(dense.e_radius(u, i) < graphkit::INFINITY);
                     // Divided-membership path at range exponents ≥ 64:
                     // every member satisfies d ≤ ⌊2^{a}/6⌋ exactly (the
@@ -720,7 +670,6 @@ mod tests {
                     }
                 }
                 for i in 1..=k {
-                    assert_eq!(dense.f_members(&d, u, i), dense.f_members_on_demand(&g, u, i));
                     let fr = dense.f_radius(u, i);
                     for v in 0..4u32 {
                         let dv = d.d(u, NodeId(v));

@@ -1,15 +1,15 @@
-//! Single-source shortest paths, bounded variants, and m-closest queries.
+//! Single-source shortest paths and bounded variants.
 //!
 //! Ties are broken by node id everywhere (the paper fixes an arbitrary
-//! lexicographic order on nodes; we use the integer order of ids). This
-//! makes `N(u, m, Z)` — the m closest nodes of `Z` to `u` — a unique,
-//! deterministic set, which several lemmas rely on.
+//! lexicographic order on nodes; we use the integer order of ids), so
+//! every ball, settle order and shortest-path tree is unique and
+//! deterministic, which several lemmas rely on.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::graph::Graph;
-use crate::ids::{cost_add, Cost, NodeId, INFINITY};
+use crate::ids::{cost_add, Cost, NodeId, Weight, INFINITY};
 
 /// Result of a single-source run: distances and parent pointers.
 #[derive(Clone, Debug)]
@@ -123,7 +123,6 @@ pub struct DijkstraScratch {
     /// Settled `(distance, node)` pairs of the last run, in increasing
     /// `(distance, id)` order (the heap pop order).
     settled: Vec<(Cost, u32)>,
-    source: NodeId,
 }
 
 impl DijkstraScratch {
@@ -135,7 +134,6 @@ impl DijkstraScratch {
             heap: BinaryHeap::new(),
             touched: Vec::new(),
             settled: Vec::new(),
-            source: NodeId(0),
         }
     }
 
@@ -150,6 +148,23 @@ impl DijkstraScratch {
     /// the settled list is exactly the `settle_cap` smallest
     /// `(distance, id)` pairs (ties broken by id, as everywhere).
     pub fn run(&mut self, g: &Graph, source: NodeId, radius: Cost, settle_cap: usize) {
+        self.run_where(g, &[source], radius, settle_cap, |_, _| true);
+    }
+
+    /// [`Self::run`] from every node of `sources` at once (each starts
+    /// at distance 0), relaxing an edge only when `keep(head, weight)`
+    /// holds. The run settles every node within `radius` of its
+    /// nearest source in the subgraph of kept edges: with `keep`
+    /// always true, the union of the balls `B(s, radius)` over
+    /// `sources`. Ties still go to the smaller parent id.
+    pub fn run_where(
+        &mut self,
+        g: &Graph,
+        sources: &[NodeId],
+        radius: Cost,
+        settle_cap: usize,
+        keep: impl Fn(NodeId, Weight) -> bool,
+    ) {
         // Lazy reset of the previous run's footprint.
         for &v in &self.touched {
             self.dist[v as usize] = INFINITY;
@@ -158,10 +173,14 @@ impl DijkstraScratch {
         self.touched.clear();
         self.settled.clear();
         self.heap.clear();
-        self.source = source;
-        self.dist[source.idx()] = 0;
-        self.touched.push(source.0);
-        self.heap.push(Reverse((0, source.0)));
+        for &s in sources {
+            // A repeated source is queued, and so settled, once.
+            if self.dist[s.idx()] != 0 {
+                self.dist[s.idx()] = 0;
+                self.touched.push(s.0);
+                self.heap.push(Reverse((0, s.0)));
+            }
+        }
         while let Some(Reverse((d, u))) = self.heap.pop() {
             if d > self.dist[u as usize] {
                 continue; // stale entry
@@ -172,7 +191,7 @@ impl DijkstraScratch {
             }
             for (v, w) in g.edges_of(NodeId(u)) {
                 let nd = cost_add(d, w);
-                if nd > radius {
+                if nd > radius || !keep(v, w) {
                     continue;
                 }
                 let dv = &mut self.dist[v.idx()];
@@ -214,11 +233,6 @@ impl DijkstraScratch {
         self.parent[v.idx()]
     }
 
-    /// Source of the last run.
-    pub fn source(&self) -> NodeId {
-        self.source
-    }
-
     /// Full distance view of the last run (`INFINITY` outside the
     /// settled ball) — the slice form [`crate::Tree::from_dist_parents`]
     /// consumes.
@@ -239,88 +253,6 @@ impl DijkstraScratch {
     pub fn position_below(&self, key: (Cost, u32)) -> usize {
         self.settled.partition_point(|&e| e < key)
     }
-}
-
-/// Settle nodes in nondecreasing distance order until `m` nodes from the
-/// candidate set `in_set` have been found (or the graph is exhausted).
-/// Returns the settled members of the set, ordered by `(distance, id)`.
-///
-/// This is the paper's `N(u, m, Z)` primitive. It runs a truncated
-/// Dijkstra, so the cost is proportional to the ball that contains the m
-/// closest members of `Z`, not to the whole graph.
-pub fn m_closest_in_set(
-    g: &Graph,
-    source: NodeId,
-    m: usize,
-    in_set: impl Fn(NodeId) -> bool,
-) -> Vec<(NodeId, Cost)> {
-    let n = g.n();
-    if m == 0 {
-        return Vec::new();
-    }
-    let mut dist = vec![INFINITY; n];
-    let mut heap: BinaryHeap<Reverse<(Cost, u32)>> = BinaryHeap::new();
-    dist[source.idx()] = 0;
-    heap.push(Reverse((0, source.0)));
-    let mut found: Vec<(NodeId, Cost)> = Vec::with_capacity(m.min(n));
-    // We must settle *all* nodes at the threshold distance before we can
-    // apply the (distance, id) tie-break, so we collect candidates and
-    // trim at the end.
-    let mut settled: Vec<(Cost, u32)> = Vec::new();
-    let mut members_seen = 0usize;
-    let mut cutoff: Option<Cost> = None;
-    while let Some(Reverse((d, u))) = heap.pop() {
-        if d > dist[u as usize] {
-            continue;
-        }
-        if let Some(c) = cutoff {
-            if d > c {
-                break;
-            }
-        }
-        if in_set(NodeId(u)) {
-            settled.push((d, u));
-            members_seen += 1;
-            if members_seen >= m && cutoff.is_none() {
-                // Finish everything at this same distance to break ties
-                // deterministically, then stop.
-                cutoff = Some(d);
-            }
-        }
-        for (v, w) in g.edges_of(NodeId(u)) {
-            let nd = cost_add(d, w);
-            if nd < dist[v.idx()] {
-                dist[v.idx()] = nd;
-                heap.push(Reverse((nd, v.0)));
-            }
-        }
-    }
-    settled.sort_unstable();
-    for (d, u) in settled.into_iter().take(m) {
-        found.push((NodeId(u), d));
-    }
-    found
-}
-
-/// All nodes within distance `r` of `u`, with distances, ordered by
-/// `(distance, id)`. The paper's ball `B(u, r)`.
-pub fn ball(g: &Graph, u: NodeId, r: Cost) -> Vec<(NodeId, Cost)> {
-    let sp = dijkstra_bounded(g, u, r);
-    let mut out: Vec<(Cost, u32)> = sp
-        .dist
-        .iter()
-        .enumerate()
-        .filter(|&(_, &d)| d != INFINITY && d <= r)
-        .map(|(v, &d)| (d, v as u32))
-        .collect();
-    out.sort_unstable();
-    out.into_iter().map(|(d, v)| (NodeId(v), d)).collect()
-}
-
-/// Size of `B(u, r)` without materializing it.
-pub fn ball_size(g: &Graph, u: NodeId, r: Cost) -> usize {
-    let sp = dijkstra_bounded(g, u, r);
-    sp.dist.iter().filter(|&&d| d != INFINITY && d <= r).count()
 }
 
 #[cfg(test)]
@@ -384,49 +316,6 @@ mod tests {
             cost += g.edge_weight(win[0], win[1]).unwrap();
         }
         assert_eq!(cost, sp.d(NodeId(4)));
-    }
-
-    #[test]
-    fn ball_contents() {
-        let g = path5();
-        let b = ball(&g, NodeId(2), 1);
-        let ids: Vec<u32> = b.iter().map(|(v, _)| v.0).collect();
-        assert_eq!(ids, vec![2, 1, 3]); // ordered by (dist, id)
-        assert_eq!(ball_size(&g, NodeId(2), 2), 5);
-        assert_eq!(ball_size(&g, NodeId(0), 0), 1);
-    }
-
-    #[test]
-    fn m_closest_basic() {
-        let g = path5();
-        let c = m_closest_in_set(&g, NodeId(0), 3, |_| true);
-        let ids: Vec<u32> = c.iter().map(|(v, _)| v.0).collect();
-        assert_eq!(ids, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn m_closest_respects_set() {
-        let g = path5();
-        // Only odd nodes are candidates.
-        let c = m_closest_in_set(&g, NodeId(0), 2, |v| v.0 % 2 == 1);
-        let ids: Vec<u32> = c.iter().map(|(v, _)| v.0).collect();
-        assert_eq!(ids, vec![1, 3]);
-    }
-
-    #[test]
-    fn m_closest_tie_break_by_id() {
-        // Star: center 0, leaves 1..=4 all at distance 5.
-        let g = graph_from_edges(5, &[(0, 1, 5), (0, 2, 5), (0, 3, 5), (0, 4, 5)]);
-        let c = m_closest_in_set(&g, NodeId(0), 3, |v| v.0 != 0);
-        let ids: Vec<u32> = c.iter().map(|(v, _)| v.0).collect();
-        assert_eq!(ids, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn m_closest_more_than_available() {
-        let g = path5();
-        let c = m_closest_in_set(&g, NodeId(0), 100, |v| v.0 >= 3);
-        assert_eq!(c.len(), 2);
     }
 
     #[test]

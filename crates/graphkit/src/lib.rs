@@ -6,8 +6,8 @@
 //!
 //! * [`Graph`] / [`GraphBuilder`] — frozen CSR undirected weighted graphs
 //!   with deterministic port numbering;
-//! * [`mod@dijkstra`] — single-source shortest paths, bounded balls
-//!   `B(u, r)`, and the paper's `N(u, m, Z)` m-closest primitive with
+//! * [`mod@dijkstra`] — single-source shortest paths and the reusable
+//!   [`DijkstraScratch`] behind every bounded ball `B(u, r)`, with
 //!   `(distance, id)` tie-breaking;
 //! * [`Tree`] — rooted weighted trees over graph-node subsets (landmark
 //!   shortest-path trees, cover trees);
@@ -51,9 +51,7 @@ pub mod wire;
 pub use bits::StorageCost;
 pub use delta::{apply_deltas, delta_impact, DeltaImpact, GraphDelta};
 pub use digraph::{DiGraph, DiGraphBuilder};
-pub use dijkstra::{
-    ball, ball_size, dijkstra, dijkstra_bounded, m_closest_in_set, DijkstraScratch, Sssp,
-};
+pub use dijkstra::{dijkstra, dijkstra_bounded, DijkstraScratch, Sssp};
 pub use graph::{graph_from_edges, Graph, GraphBuilder};
 pub use ids::{cost_add, octave_radius, Cost, NodeId, Weight, INFINITY};
 pub use metrics::{apsp, diameter_matrix_free, DistMatrix};

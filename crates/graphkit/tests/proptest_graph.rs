@@ -1,10 +1,8 @@
 //! Property-based tests for the graph substrate: Dijkstra against a
-//! Floyd–Warshall oracle, metric axioms, ball/m-closest consistency,
-//! and tree extraction invariants.
+//! Floyd–Warshall oracle, metric axioms, restricted multi-source balls
+//! against per-source Dijkstra, and tree extraction invariants.
 
-use graphkit::{
-    ball, dijkstra, graph_from_edges, m_closest_in_set, Cost, Graph, NodeId, Tree, INFINITY,
-};
+use graphkit::{dijkstra, graph_from_edges, Cost, DijkstraScratch, Graph, NodeId, Tree, INFINITY};
 use proptest::prelude::*;
 
 /// A random (possibly disconnected) graph as an edge list.
@@ -76,38 +74,44 @@ proptest! {
         }
     }
 
-    /// `ball(u, r)` is exactly the distance-filtered node set, ordered
-    /// by (distance, id).
+    /// `run_where` from 1–3 sources inside a member set, keeping only
+    /// edges into members of weight ≤ `cap`, settles exactly the nodes
+    /// within `r` of their nearest source in the graph of the kept
+    /// edges, with that distance, in `(distance, id)` order.
     #[test]
-    fn ball_matches_distances((n, edges) in arb_edges(), r in 1u64..300) {
-        let g = graph_from_edges(n, &edges);
-        let sp = dijkstra(&g, NodeId(0));
-        let b = ball(&g, NodeId(0), r);
-        let expect: usize =
-            sp.dist.iter().filter(|&&d| d != INFINITY && d <= r).count();
-        prop_assert_eq!(b.len(), expect);
-        for w in b.windows(2) {
-            prop_assert!(w[0].1 < w[1].1 || (w[0].1 == w[1].1 && w[0].0 < w[1].0));
+    fn ball_matches_distances(
+        (n, edges) in arb_edges(),
+        mask in any::<u32>(),
+        picks in proptest::collection::vec(any::<u32>(), 1..4),
+        r in 1u64..300,
+        cap in 1u64..100,
+    ) {
+        let sources: Vec<NodeId> = picks.iter().map(|&p| NodeId(p % n as u32)).collect();
+        let mut member: Vec<bool> = (0..n).map(|v| mask >> v & 1 == 1).collect();
+        for s in &sources {
+            member[s.idx()] = true;
         }
-        for (v, dist) in b {
-            prop_assert_eq!(dist, sp.d(v));
-        }
-    }
-
-    /// `m_closest_in_set` agrees with sorting the full distance vector.
-    #[test]
-    fn m_closest_matches_sort((n, edges) in arb_edges(), m in 1usize..10) {
         let g = graph_from_edges(n, &edges);
-        let sp = dijkstra(&g, NodeId(0));
-        let got = m_closest_in_set(&g, NodeId(0), m, |v| v.0 % 2 == 0);
+        let mut scratch = DijkstraScratch::new(n);
+        scratch.run_where(&g, &sources, r, usize::MAX, |v, w| member[v.idx()] && w <= cap);
+        let kept: Vec<(u32, u32, u64)> = g
+            .all_edges()
+            .filter(|&(u, v, w)| member[u.idx()] && member[v.idx()] && w <= cap)
+            .map(|(u, v, w)| (u.0, v.0, w))
+            .collect();
+        let reference = graph_from_edges(n, &kept);
+        let mut nearest = vec![INFINITY; n];
+        for &s in &sources {
+            for (best, d) in nearest.iter_mut().zip(dijkstra(&reference, s).dist) {
+                *best = (*best).min(d);
+            }
+        }
         let mut expect: Vec<(Cost, u32)> = (0..n as u32)
-            .filter(|v| v % 2 == 0 && sp.reachable(NodeId(*v)))
-            .map(|v| (sp.d(NodeId(v)), v))
+            .filter(|&v| nearest[v as usize] <= r)
+            .map(|v| (nearest[v as usize], v))
             .collect();
         expect.sort_unstable();
-        expect.truncate(m);
-        let got_pairs: Vec<(Cost, u32)> = got.iter().map(|&(v, d)| (d, v.0)).collect();
-        prop_assert_eq!(got_pairs, expect);
+        prop_assert_eq!(scratch.settled(), &expect[..]);
     }
 
     /// SPT extraction: member depths equal graph distances; every tree
