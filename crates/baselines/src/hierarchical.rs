@@ -9,31 +9,20 @@
 //! *not* scale-free. Experiment SF plots exactly this divergence
 //! against the paper's scheme.
 
-use std::collections::HashMap;
-
 use graphkit::bits::bits_for_node;
 use graphkit::ids::ceil_log2;
-use graphkit::{Graph, NodeId, TreeIx};
+use graphkit::{Graph, NodeId};
 use sim::{RouteTrace, Router};
-use treeroute::cover_router::{CoverOutcome, CoverTreeRouter};
-
-/// One scale's cover, with routers attached.
-struct Scale {
-    routers: Vec<Entry>,
-    /// node -> home router index.
-    home: Vec<u32>,
-}
-
-struct Entry {
-    router: CoverTreeRouter,
-    ix: HashMap<u32, TreeIx>,
-}
+use treeroute::cover_router::CoverScale;
 
 /// The log Δ-storage hierarchical scheme.
 pub struct HierarchicalScheme {
     g: Graph,
     k: usize,
-    scales: Vec<Scale>,
+    scales: Vec<CoverScale>,
+    /// `φ(T, v)` summed over every cover tree containing `v`, at every
+    /// scale.
+    cover_bits: Vec<u64>,
 }
 
 impl HierarchicalScheme {
@@ -43,34 +32,17 @@ impl HierarchicalScheme {
         assert!(d.connected(), "hierarchical scheme requires a connected graph");
         let max_scale = ceil_log2(d.diameter().max(1)).max(1);
         let sigma = graphkit::ids::nth_root_ceil(g.n() as u64, k as u32).max(2);
-        let mut scales = Vec::with_capacity(max_scale as usize + 1);
-        for s in 0..=max_scale {
-            let cover = covers::build_cover(&g, k, graphkit::ids::octave_radius(s));
-            let routers: Vec<Entry> = cover
-                .trees
-                .iter()
-                .enumerate()
-                .map(|(ti, t)| {
-                    let router = CoverTreeRouter::new(
-                        t.clone(),
-                        sigma,
-                        seed ^ ((s as u64) << 32 | ti as u64),
-                    );
-                    // Indices of the router's renumbered tree.
-                    let ix: HashMap<u32, TreeIx> = router
-                        .labeled()
-                        .tree()
-                        .graph_ids()
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &gid)| (gid, i as TreeIx))
-                        .collect();
-                    Entry { router, ix }
-                })
-                .collect();
-            scales.push(Scale { routers, home: cover.home.clone() });
+        let scales: Vec<CoverScale> = (0..=max_scale)
+            .map(|s| {
+                let cover = covers::build_cover(&g, k, graphkit::ids::octave_radius(s));
+                CoverScale::new(cover.trees, cover.home, sigma, seed, s)
+            })
+            .collect();
+        let mut cover_bits = vec![0; g.n()];
+        for scale in &scales {
+            scale.add_node_bits(&mut cover_bits, 0);
         }
-        HierarchicalScheme { g, k, scales }
+        HierarchicalScheme { g, k, scales, cover_bits }
     }
 
     /// Number of scales (= `⌈log₂ Δ⌉ + 1`), the storage multiplier.
@@ -92,15 +64,9 @@ impl Router for HierarchicalScheme {
         let mut path = vec![src];
         let mut cost = 0;
         for scale in &self.scales {
-            let entry = &scale.routers[scale.home[src.idx()] as usize];
-            let from = entry.ix[&src.0];
-            let (outcome, tpath) = entry.router.route(from, dst);
-            let tree = entry.router.labeled().tree();
-            for &t in &tpath[1..] {
-                path.push(tree.graph_id(t));
-            }
+            let outcome = scale.route(src, dst, &mut path);
             cost += outcome.cost();
-            if matches!(outcome, CoverOutcome::Found { .. }) {
+            if outcome.is_found() {
                 return RouteTrace { path, cost, delivered: true };
             }
             debug_assert_eq!(*path.last().unwrap(), src);
@@ -113,19 +79,9 @@ impl Router for HierarchicalScheme {
     }
 
     fn node_storage_bits(&self, v: NodeId) -> u64 {
-        let id = bits_for_node(self.g.n());
-        let mut bits = 0;
-        for scale in &self.scales {
-            // Home-root pointer at every scale…
-            bits += id;
-            // …plus φ(T, v) for every cover tree containing v.
-            for entry in &scale.routers {
-                if let Some(&ix) = entry.ix.get(&v.0) {
-                    bits += entry.router.node_bits(ix);
-                }
-            }
-        }
-        bits
+        // A home-root pointer at every scale, plus φ(T, v) for every
+        // cover tree containing v.
+        self.scales.len() as u64 * bits_for_node(self.g.n()) + self.cover_bits[v.idx()]
     }
 }
 

@@ -1,25 +1,21 @@
 //! Regenerate the paper's tables/figures.
 //!
 //! ```text
-//! experiments [--quick] [--pairs-sampled N] [--threads T]
-//!             [--truth dense|ondemand] [ids…|all]
+//! experiments [--quick] [--pairs-sampled N] [--threads T] [ids…|all]
 //! ```
 //!
 //! Without ids, prints the registry. An unknown flag or experiment id
 //! prints it too and exits 2 before any experiment runs. `--quick`
 //! shrinks instance sizes (the mode the integration tests run).
-//! `--pairs-sampled` overrides the evaluation workload budget,
-//! `--threads` the evaluation/prefetch worker count (0 = auto),
-//! and `--truth` selects the ground-truth engine (the dense Θ(n²) matrix
-//! or on-demand Dijkstra). Tables are bit-identical across `--threads`
-//! and `--truth` settings.
+//! `--pairs-sampled` overrides the evaluation workload budget and
+//! `--threads` the evaluation/prefetch worker count (0 = auto). Tables
+//! are bit-identical across `--threads` settings.
 
-use routing_bench::{RunConfig, TruthKind};
+use routing_bench::RunConfig;
 
 fn usage(registry: &[(&str, &str, routing_bench::Runner)]) -> ! {
     eprintln!(
-        "usage: experiments [--quick] [--pairs-sampled N] [--threads T] \
-         [--truth dense|ondemand] [ids…|all]\n\n\
+        "usage: experiments [--quick] [--pairs-sampled N] [--threads T] [ids…|all]\n\n\
          available experiments:"
     );
     for (id, desc, _) in registry {
@@ -53,14 +49,6 @@ fn main() {
                 };
                 cfg.threads = v;
             }
-            "--truth" => match it.next().as_deref() {
-                Some("dense") => cfg.truth = TruthKind::Dense,
-                Some("ondemand") => cfg.truth = TruthKind::OnDemand,
-                _ => {
-                    eprintln!("--truth must be 'dense' or 'ondemand'");
-                    usage(&registry);
-                }
-            },
             other if other.starts_with("--") => {
                 eprintln!("unknown flag {other}");
                 usage(&registry);

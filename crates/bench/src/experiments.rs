@@ -5,7 +5,6 @@
 use graphkit::gen::{self, Family, WeightDist};
 use graphkit::ids::ceil_log2;
 use graphkit::metrics::apsp;
-use graphkit::metrics::DistMatrix;
 use graphkit::OnDemandTruth;
 use graphkit::{dijkstra, Graph, NodeId, Tree};
 use landmarks::claims;
@@ -15,15 +14,13 @@ use rand::SeedableRng;
 use routing_core::bench_record::{self, TopicRecord};
 use routing_core::churn::{run_churn, ChurnConfig, ChurnPlan};
 use routing_core::{ForceMode, RepairOutcome, Scheme, SchemeParams};
-use sim::{
-    evaluate_parallel, evaluate_parallel_lenient, pairs, Router, StorageAudit, StretchStats,
-};
+use sim::{evaluate_parallel, evaluate_parallel_lenient, pairs, Router, StorageAudit};
 use treeroute::cover_router::CoverTreeRouter;
 use treeroute::labeled::{LabeledRead, LabeledTree};
 use treeroute::laing::{ErrorReportingTree, ErtRead, SearchOutcome};
 
 use crate::table::{bits, bitsf, f, Table};
-use crate::{RunConfig, TruthKind};
+use crate::RunConfig;
 
 fn spanning_tree(g: &Graph, root: NodeId) -> Tree {
     let sp = dijkstra::dijkstra(g, root);
@@ -37,50 +34,6 @@ fn pair_workload(n: usize, cfg: &RunConfig, quick: bool) -> Vec<(NodeId, NodeId)
         pairs::all(n)
     } else {
         pairs::sample(n, budget, 0xbead)
-    }
-}
-
-/// Evaluate through the engine the config selects. Results are
-/// bit-identical across thread counts and truth kinds, so tables don't
-/// depend on the flags — only wall clock and memory do.
-///
-/// Note the classic experiments still compute a dense matrix (for the
-/// matrix-built baselines and the stretch references), so
-/// `--truth ondemand` here exercises the lazy engine for parity rather
-/// than saving memory (and pays a fresh prefetch per call); the `sc`
-/// experiment is the genuinely matrix-free path.
-fn eval(
-    cfg: &RunConfig,
-    g: &Graph,
-    d: &DistMatrix,
-    router: &(dyn Router + Sync),
-    workload: &[(NodeId, NodeId)],
-) -> StretchStats {
-    match cfg.truth {
-        TruthKind::Dense => evaluate_parallel(g, d, router, workload, cfg.threads),
-        TruthKind::OnDemand => {
-            let mut truth = OnDemandTruth::new(g);
-            truth.prefetch_pairs(workload, cfg.threads);
-            evaluate_parallel(g, &truth, router, workload, cfg.threads)
-        }
-    }
-}
-
-/// Lenient counterpart of [`eval`] (ablations measure failures).
-fn eval_lenient(
-    cfg: &RunConfig,
-    g: &Graph,
-    d: &DistMatrix,
-    router: &(dyn Router + Sync),
-    workload: &[(NodeId, NodeId)],
-) -> StretchStats {
-    match cfg.truth {
-        TruthKind::Dense => evaluate_parallel_lenient(g, d, router, workload, cfg.threads),
-        TruthKind::OnDemand => {
-            let mut truth = OnDemandTruth::new(g);
-            truth.prefetch_pairs(workload, cfg.threads);
-            evaluate_parallel_lenient(g, &truth, router, workload, cfg.threads)
-        }
     }
 }
 
@@ -121,7 +74,13 @@ pub fn t1(cfg: &RunConfig) -> String {
                     continue; // k=2 S-budgets scale with n^{2/2}=n; cap the sweep
                 }
                 let scheme = Scheme::build_on_demand(g.clone(), SchemeParams::new(k, 77));
-                let stats = eval(cfg, &g, &d, &scheme, &pair_workload(g.n(), cfg, quick));
+                let stats = evaluate_parallel(
+                    &g,
+                    &d,
+                    &scheme,
+                    &pair_workload(g.n(), cfg, quick),
+                    cfg.threads,
+                );
                 let audit = StorageAudit::collect(&scheme, g.n());
                 t.row(vec![
                     fam.label().into(),
@@ -610,8 +569,8 @@ pub fn sf(cfg: &RunConfig) -> String {
         let scheme = Scheme::build_on_demand(g.clone(), SchemeParams::new(k, 100));
         let hier = baselines::HierarchicalScheme::build(g.clone(), k, 100);
         let workload = pair_workload(n, cfg, true);
-        let ss = eval(cfg, &g, &d, &scheme, &workload);
-        let hs = eval(cfg, &g, &d, &hier, &workload);
+        let ss = evaluate_parallel(&g, &d, &scheme, &workload, cfg.threads);
+        let hs = evaluate_parallel(&g, &d, &hier, &workload, cfg.threads);
         let sa = StorageAudit::collect(&scheme, n);
         let ha = StorageAudit::collect(&hier, n);
         t.row(vec![
@@ -658,8 +617,8 @@ pub fn x1(cfg: &RunConfig) -> String {
     for &k in ks {
         let scheme = Scheme::build_on_demand(g.clone(), SchemeParams::new(k, 101));
         let chain = baselines::LandmarkChaining::build_with_matrix(g.clone(), &d, k, 101);
-        let ss = eval(cfg, &g, &d, &scheme, &workload);
-        let cs = eval(cfg, &g, &d, &chain, &workload);
+        let ss = evaluate_parallel(&g, &d, &scheme, &workload, cfg.threads);
+        let cs = evaluate_parallel(&g, &d, &chain, &workload, cfg.threads);
         let sa = StorageAudit::collect(&scheme, n);
         let ca = StorageAudit::collect(&chain, n);
         t.row(vec![
@@ -706,7 +665,7 @@ pub fn x2(cfg: &RunConfig) -> String {
         ("name-indep", Box::new(Scheme::build_on_demand(g.clone(), SchemeParams::new(k, 102)))),
     ];
     for (model, r) in routers {
-        let stats = eval(cfg, &g, &d, r.as_ref(), &workload);
+        let stats = evaluate_parallel(&g, &d, r.as_ref(), &workload, cfg.threads);
         let audit = StorageAudit::collect(r.as_ref(), n);
         t.row(vec![
             r.name().into(),
@@ -748,7 +707,7 @@ pub fn a1(cfg: &RunConfig) -> String {
             let mut params = SchemeParams::new(k, 103);
             params.force_mode = mode;
             let scheme = Scheme::build_on_demand(g.clone(), params);
-            let stats = eval_lenient(cfg, &g, &d, &scheme, &workload);
+            let stats = evaluate_parallel_lenient(&g, &d, &scheme, &workload, cfg.threads);
             let audit = StorageAudit::collect(&scheme, g.n());
             let delivered = 100.0 * (stats.pairs - stats.failures) as f64 / stats.pairs as f64;
             t.row(vec![

@@ -14,20 +14,8 @@ pub mod table;
 
 pub use table::Table;
 
-/// Which ground truth the evaluation engine uses (`--truth`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum TruthKind {
-    /// Dense APSP matrix (Θ(n²) memory; exact, small n).
-    #[default]
-    Dense,
-    /// [`graphkit::OnDemandTruth`]: lazy per-source Dijkstra with a
-    /// parallel pair prefetch — same answers, no n² anywhere.
-    OnDemand,
-}
-
 /// Knobs shared by every experiment runner — the CLI surface of the
-/// `experiments` binary (`--quick`, `--pairs-sampled`, `--threads`,
-/// `--truth`).
+/// `experiments` binary (`--quick`, `--pairs-sampled`, `--threads`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RunConfig {
     /// Shrink instance sizes (the mode the integration tests run).
@@ -37,12 +25,10 @@ pub struct RunConfig {
     /// Worker threads for evaluation and truth prefetch (0 = available
     /// parallelism).
     pub threads: usize,
-    /// Ground-truth engine for stretch evaluation.
-    pub truth: TruthKind,
 }
 
 impl RunConfig {
-    /// Defaults with the given quick flag (dense truth, auto threads).
+    /// Defaults with the given quick flag (auto threads).
     pub fn new(quick: bool) -> Self {
         RunConfig { quick, ..Default::default() }
     }

@@ -19,7 +19,8 @@ fn unknown_id_is_rejected_before_any_experiment_runs() {
 
 #[test]
 fn retired_flags_are_unknown_flags() {
-    for flag in [concat!("--", "spill"), concat!("--", "per-node-budgets")] {
+    for flag in [concat!("--", "spill"), concat!("--", "per-node-budgets"), concat!("--", "truth")]
+    {
         let out = experiments(&["--quick", flag, "l5"]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{flag}: {stderr}");

@@ -26,8 +26,9 @@
 //!   to the stored one;
 //! * **cover trees** — a dense scale's whole cover collection is
 //!   reused iff its extended-range member set is unchanged and no
-//!   changed edge has both endpoints inside it (then the induced
-//!   subgraph, and hence the deterministic cover construction, is
+//!   changed edge has both endpoints inside it (the cover's searches
+//!   relax only edges with both endpoints in the member set, so they
+//!   see the same graph, and the deterministic cover construction is
 //!   identical);
 //! * **`b(u,i)`** — copied from the old plans when `u`'s distance
 //!   vector is unchanged and its center's tree was reused (same scope,
@@ -61,7 +62,9 @@ use graphkit::{
     apply_deltas, delta_impact, dijkstra, Cost, DeltaImpact, GraphDelta, NodeId, INFINITY,
 };
 
-use crate::scheme::{index_and_bits, LevelPlan, Parts, RepairState, ScaleCover, Scheme};
+use treeroute::cover_router::CoverScale;
+
+use crate::scheme::{index_and_bits, LevelPlan, Parts, RepairState, Scheme};
 
 /// Why repair declined to patch and rebuilt the scheme from scratch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -302,9 +305,12 @@ impl Prior<'_> {
     /// Cover rule: scale `s`'s old collection carries over iff its
     /// extended-range member set is unchanged (clean nodes keep their
     /// decomposition row; dirty ones are checked) and no changed edge
-    /// lies inside it — then the induced subgraph, and the deterministic
-    /// cover construction seeded by (s, tree index), are identical.
-    pub(crate) fn take_cover(&mut self, s: u32, dec: &Decomposition) -> Option<ScaleCover> {
+    /// has both endpoints in it. The cover is built in the host graph
+    /// but relaxes only edges with both endpoints in the member set, so
+    /// then it sees the same edges, and the deterministic construction
+    /// seeded by (s, tree index) is identical. The kept cover is moved
+    /// out of the old scheme.
+    pub(crate) fn take_cover(&mut self, s: u32, dec: &Decomposition) -> Option<CoverScale> {
         let old = &self.old.dec;
         let same_members =
             self.impact.dirty_nodes.iter().all(|&v| {
@@ -314,6 +320,10 @@ impl Prior<'_> {
             .changed
             .iter()
             .all(|&(p, q)| !(dec.in_extended_range(p, s) && dec.in_extended_range(q, s)));
-        (same_members && untouched).then(|| self.old.scale_covers.remove(&s)).flatten()
+        if !(same_members && untouched) {
+            return None;
+        }
+        let at = self.old.scale_covers.binary_search_by_key(&s, |&(scale, _)| scale).ok()?;
+        Some(self.old.scale_covers.remove(at).1)
     }
 }

@@ -13,13 +13,10 @@ use std::collections::HashMap;
 use decomposition::Decomposition;
 use graphkit::bits::{bits_for_node, bits_for_universe};
 use graphkit::ids::octave_radius;
-use graphkit::{
-    dijkstra, induced_subgraph, Cost, DijkstraScratch, Graph, NodeId, Tree, TreeIx, TreeScratch,
-    INFINITY,
-};
+use graphkit::{dijkstra, Cost, DijkstraScratch, Graph, NodeId, Tree, TreeScratch, INFINITY};
 use landmarks::{LandmarkDistances, LandmarkHierarchy};
 use sim::{GroundTruth, RouteTrace, Router, StretchStats};
-use treeroute::cover_router::{CoverOutcome, CoverTreeRouter};
+use treeroute::cover_router::CoverScale;
 use treeroute::laing::{ErrorReportingTree, ErtRead};
 use treeroute::{LabeledRead, Naming};
 
@@ -231,35 +228,6 @@ pub(crate) enum EScope {
     Local(Vec<(u32, Cost)>),
 }
 
-/// All cover trees of one scale `i` (over the subgraph `G_i`).
-pub(crate) struct ScaleCover {
-    pub(crate) routers: Vec<CoverEntry>,
-    /// host node id -> index of its home router (u32::MAX outside G_i).
-    pub(crate) home: Vec<u32>,
-}
-
-/// One cover tree with the Lemma 7 scheme attached.
-pub(crate) struct CoverEntry {
-    pub(crate) router: CoverTreeRouter,
-    /// host node id -> tree index.
-    pub(crate) ix: HashMap<u32, TreeIx>,
-}
-
-impl CoverEntry {
-    /// Wrap a router, deriving the host-id lookup from its tree.
-    pub(crate) fn from_router(router: CoverTreeRouter) -> Self {
-        let ix: HashMap<u32, TreeIx> = router
-            .labeled()
-            .tree()
-            .graph_ids()
-            .iter()
-            .enumerate()
-            .map(|(i, &gid)| (gid, i as TreeIx))
-            .collect();
-        CoverEntry { router, ix }
-    }
-}
-
 /// Diagnostics accumulated during preprocessing (experiment F2 reads
 /// these; violations should be zero on verified hierarchies).
 #[derive(Clone, Debug, Default)]
@@ -308,7 +276,14 @@ pub struct Scheme {
     pub(crate) landmark_bits: Vec<u64>,
     /// Largest routing label over all center trees (header accounting).
     pub(crate) max_center_label_bits: u64,
-    pub(crate) scale_covers: HashMap<u32, ScaleCover>,
+    /// One [`CoverScale`] per dense scale, ascending by scale.
+    pub(crate) scale_covers: Vec<(u32, CoverScale)>,
+    /// Per-node cover storage bits (home-root id + φ over every cover
+    /// tree containing the node) and the largest cover-tree label,
+    /// computed once wherever `scale_covers` is assembled or loaded
+    /// ([`cover_accounting`]).
+    pub(crate) cover_bits: Vec<u64>,
+    pub(crate) max_cover_label_bits: u64,
     pub(crate) stats: BuildStats,
     /// Build-time state for [`Scheme::repair`]; `None` unless built
     /// with [`SchemeParams::repairable`] (snapshots never carry it).
@@ -482,7 +457,7 @@ impl Scheme {
             plans.iter().flatten().filter(|p| p.dense).map(|p| p.a).collect();
         scales.sort_unstable();
         scales.dedup();
-        let mut scale_covers: HashMap<u32, ScaleCover> = HashMap::new();
+        let mut scale_covers: Vec<(u32, CoverScale)> = Vec::with_capacity(scales.len());
         for &s in &scales {
             let sc = match prior.as_mut().and_then(|p| p.take_cover(s, &dec)) {
                 Some(sc) => {
@@ -494,10 +469,11 @@ impl Scheme {
                     build_scale_cover(&g, &dec, &params, s)
                 }
             };
-            stats.num_cover_trees += sc.routers.len();
-            scale_covers.insert(s, sc);
+            stats.num_cover_trees += sc.num_trees();
+            scale_covers.push((s, sc));
         }
         stats.num_scales = scale_covers.len();
+        let (cover_bits, max_cover_label_bits) = cover_accounting(&scale_covers, n);
         clock.lap("covers");
         stats.phase_seconds = clock.finish();
 
@@ -513,6 +489,8 @@ impl Scheme {
             landmark_bits,
             max_center_label_bits,
             scale_covers,
+            cover_bits,
+            max_cover_label_bits,
             stats,
             repair_state,
         };
@@ -902,20 +880,20 @@ impl Scheme {
         path: &mut Vec<NodeId>,
         cost: &mut Cost,
     ) -> bool {
-        // Every lookup degrades to "not found at this level" rather
-        // than panicking: a stale plan (e.g. after a degraded repair)
-        // must cost an undelivered route, not the serving thread.
-        let Some(sc) = self.scale_covers.get(&plan.a) else { return false };
-        let Some(&home) = sc.home.get(src.idx()) else { return false };
-        debug_assert_ne!(home, u32::MAX, "source must participate at its own scale");
-        let Some(entry) = sc.routers.get(home as usize) else { return false };
-        let Some(&from) = entry.ix.get(&src.0) else { return false };
-        let (outcome, tpath) = entry.router.route(from, dst);
-        // The walk starts at the source, already the path's tail.
-        let tree = entry.router.labeled().tree();
-        path.extend(tpath.iter().skip(1).map(|&t| tree.graph_id(t)));
+        // A scale with no cover (a stale plan, e.g. after a degraded
+        // repair) degrades to "not found at this level" rather than
+        // panicking: it must cost an undelivered route, not the serving
+        // thread.
+        let Some(sc) = self.scale_cover(plan.a) else { return false };
+        let outcome = sc.route(src, dst, path);
         *cost += outcome.cost();
-        matches!(outcome, CoverOutcome::Found { .. })
+        outcome.is_found()
+    }
+
+    /// The cover of dense scale `s`, if the scheme has one.
+    fn scale_cover(&self, s: u32) -> Option<&CoverScale> {
+        let at = self.scale_covers.binary_search_by_key(&s, |&(scale, _)| scale).ok()?;
+        self.scale_covers.get(at).map(|(_, sc)| sc)
     }
 
     /// Sparse strategy (§3.3): climb to the center `c(u, i)`, run a
@@ -960,29 +938,22 @@ impl Scheme {
     }
 
     /// Storage bits at `v`, split by component (experiment T2). The
-    /// landmark component was accumulated during the fused build, so
-    /// this never touches the center store — a lazily loaded scheme
-    /// accounts its storage without a single disk read.
+    /// landmark component was accumulated during the fused build and
+    /// the cover component when the covers were built or loaded, so
+    /// this never touches the center store or a cover tree — a lazily
+    /// loaded scheme accounts its storage without a single disk read.
     pub fn storage_breakdown(&self, v: NodeId) -> StorageBreakdown {
         let n = self.g.n();
         let id = bits_for_node(n);
-        let mut b = StorageBreakdown {
+        StorageBreakdown {
             // Plans: dense flag + range + center + b per level.
             plans_bits: self.params.k as u64
                 * (1 + bits_for_universe(self.dec.log_delta() as u64 + 1)
                     + id
                     + bits_for_universe(self.params.k as u64 + 1)),
             landmark_bits: self.landmark_bits[v.idx()],
-            ..Default::default()
-        };
-        for sc in self.scale_covers.values() {
-            for entry in &sc.routers {
-                if let Some(&ix) = entry.ix.get(&v.0) {
-                    b.cover_bits += id + entry.router.node_bits(ix); // root id + φ
-                }
-            }
+            cover_bits: self.cover_bits[v.idx()],
         }
-        b
     }
 
     /// Theorem 1's per-node bound in explicit form (with the Lemma 11
@@ -998,21 +969,13 @@ impl Scheme {
     /// concrete. A message carries: the destination id, the phase index,
     /// the search round, and (while walking a tree) the largest label of
     /// any tree in the scheme plus a return label for error reporting —
-    /// O(log² n) total. (The center-tree max was recorded during the
-    /// fused build; cover labels are read off the resident routers.)
+    /// O(log² n) total. (Both label maxima were recorded when the
+    /// trees were built or loaded.)
     pub fn header_bits_bound(&self) -> u64 {
         let n = self.g.n();
         let id = bits_for_node(n);
         let phase = bits_for_universe(self.params.k as u64 + 1);
-        let mut max_label = self.max_center_label_bits;
-        for sc in self.scale_covers.values() {
-            for entry in &sc.routers {
-                let lt = entry.router.labeled();
-                for t in 0..lt.tree().size() as u32 {
-                    max_label = max_label.max(lt.label_bits(t));
-                }
-            }
-        }
+        let max_label = self.max_center_label_bits.max(self.max_cover_label_bits);
         id + 2 * phase + 2 * max_label
     }
 }
@@ -1299,51 +1262,31 @@ pub(crate) fn index_and_bits(
     (BuildIndex { members, max_search_level }, bits, max_label)
 }
 
-/// All cover trees of one dense scale `s`: the extended-range member
-/// set, its induced subgraph, the AGM cover, and one Lemma 7 router
-/// per tree lifted back to host ids. Deterministic in
-/// `(g, dec, params, s)` — repair reuses a scale's covers only when
-/// each of those provably matches what a fresh build would pass here.
-fn build_scale_cover(g: &Graph, dec: &Decomposition, params: &SchemeParams, s: u32) -> ScaleCover {
+/// All cover trees of one dense scale `s`: the AGM cover of the
+/// extended-range member set `V_s`, built in the host graph, with one
+/// Lemma 7 router per tree. Deterministic in `(g, dec, params, s)` —
+/// repair reuses a scale's covers only when each of those provably
+/// matches what a fresh build would pass here.
+fn build_scale_cover(g: &Graph, dec: &Decomposition, params: &SchemeParams, s: u32) -> CoverScale {
     let n = g.n();
     let k = params.k;
     let sigma = graphkit::ids::nth_root_ceil(n as u64, k as u32).max(2);
-    let members: Vec<u32> =
-        (0..n as u32).filter(|&v| dec.in_extended_range(NodeId(v), s)).collect();
-    let sub = induced_subgraph(g, &members);
-    let rho = octave_radius(s);
-    let cover = covers::build_cover(&sub.graph, k, rho);
-    let mut home = vec![u32::MAX; n];
-    for (local, &t) in cover.home.iter().enumerate() {
-        home[sub.to_host[local] as usize] = t;
-    }
-    let routers: Vec<CoverEntry> =
-        // merge: entries flattened in chunk (= tree index) order.
-        graphkit::metrics::par_chunks(cover.trees.len(), |range| {
-            range
-                .map(|ti| {
-                    let host_tree = remap_tree(&cover.trees[ti], &sub.to_host);
-                    CoverEntry::from_router(CoverTreeRouter::new(
-                        host_tree,
-                        sigma,
-                        params.seed ^ ((s as u64) << 32 | ti as u64),
-                    ))
-                })
-                .collect::<Vec<CoverEntry>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-    ScaleCover { routers, home }
+    let inside: Vec<bool> = (0..n as u32).map(|v| dec.in_extended_range(NodeId(v), s)).collect();
+    let cover = covers::build_cover_within(g, &inside, k, octave_radius(s));
+    CoverScale::new(cover.trees, cover.home, sigma, params.seed, s)
 }
 
-/// Relabel a tree's node ids through a host map (used to lift subgraph
-/// cover trees into host-graph ids).
-fn remap_tree(t: &Tree, to_host: &[u32]) -> Tree {
-    let ids: Vec<u32> = t.graph_ids().iter().map(|&l| to_host[l as usize]).collect();
-    let parents: Vec<u32> = (0..t.size() as u32).map(|x| t.parent(x).unwrap_or(u32::MAX)).collect();
-    let weights: Vec<u64> = (0..t.size() as u32).map(|x| t.parent_weight(x)).collect();
-    Tree::from_parents(ids, parents, weights)
+/// Per-node cover storage bits — the home-root id plus `φ(T, v)` for
+/// every cover tree `T` containing `v`, over every scale — and the
+/// largest cover-tree routing label (header accounting).
+pub(crate) fn cover_accounting(scale_covers: &[(u32, CoverScale)], n: usize) -> (Vec<u64>, u64) {
+    let id = bits_for_node(n);
+    let mut bits = vec![0u64; n];
+    for (_, sc) in scale_covers {
+        sc.add_node_bits(&mut bits, id);
+    }
+    let max_label = scale_covers.iter().map(|(_, sc)| sc.max_label_bits()).max().unwrap_or(0);
+    (bits, max_label)
 }
 
 // The parallel evaluator shards pairs across threads that all borrow

@@ -30,7 +30,6 @@
 //! is one positional read validated on the spot; saving such a scheme
 //! copies the records back out of that file.
 
-use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 
@@ -38,12 +37,10 @@ use decomposition::Decomposition;
 use graphkit::wire::{self, Reader, SnapshotReader, SnapshotWriter, Writer};
 use graphkit::Graph;
 use landmarks::LandmarkHierarchy;
-use treeroute::cover_router::{CoverStore, CoverTreeRouter};
+use treeroute::cover_router::CoverScale;
 
 use crate::center_store::CenterStore;
-use crate::scheme::{
-    BuildStats, CoverEntry, ForceMode, LevelPlan, ScaleCover, Scheme, SchemeParams,
-};
+use crate::scheme::{cover_accounting, BuildStats, ForceMode, LevelPlan, Scheme, SchemeParams};
 
 /// Section ids (stable across snapshot versions; never reuse).
 const SEC_META: u32 = 1;
@@ -58,8 +55,8 @@ const SEC_SCALE_COVERS: u32 = 9;
 
 impl Scheme {
     /// Write the scheme to `path` as a versioned snapshot. The output
-    /// is byte-deterministic: every keyed collection is serialized in
-    /// sorted key order.
+    /// is byte-deterministic: every keyed collection is held and
+    /// serialized in ascending key order.
     pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
         let mut sw = SnapshotWriter::create(path)?;
 
@@ -109,18 +106,10 @@ impl Scheme {
         sw.section(SEC_CENTER_DIR, &dir.into_bytes())?;
 
         let mut w = Writer::new();
-        // lint:allow(deterministic-output): keys are collected then sorted on the next line before any write
-        let mut scales: Vec<u32> = self.scale_covers.keys().copied().collect();
-        scales.sort_unstable();
-        w.len(scales.len());
-        for &s in &scales {
-            let sc = &self.scale_covers[&s];
-            w.u32(s);
-            w.slice_u32(&sc.home);
-            w.len(sc.routers.len());
-            for entry in &sc.routers {
-                entry.router.store().to_wire(&mut w);
-            }
+        w.len(self.scale_covers.len());
+        for (s, sc) in &self.scale_covers {
+            w.u32(*s);
+            sc.to_wire(&mut w);
         }
         sw.section(SEC_SCALE_COVERS, &w.into_bytes())?;
 
@@ -189,11 +178,12 @@ impl Scheme {
         let scale_covers = decode_scale_covers(&mut Reader::new(&covers_bytes), n)?;
         for row in &plans {
             for p in row {
-                if p.dense && !scale_covers.contains_key(&p.a) {
+                if p.dense && scale_covers.binary_search_by_key(&p.a, |&(s, _)| s).is_err() {
                     return Err(wire::invalid("plan references a scale with no cover"));
                 }
             }
         }
+        let (cover_bits, max_cover_label_bits) = cover_accounting(&scale_covers, n);
 
         let center_store = if lazy {
             let (sec_off, sec_len) = sr.section_range(SEC_CENTER_TREES)?;
@@ -219,6 +209,8 @@ impl Scheme {
             landmark_bits,
             max_center_label_bits,
             scale_covers,
+            cover_bits,
+            max_cover_label_bits,
             stats,
             repair_state: None,
         })
@@ -382,31 +374,16 @@ fn decode_center_dir(r: &mut Reader<'_>) -> io::Result<Vec<(u32, u64, u32)>> {
     Ok(dir)
 }
 
-fn decode_scale_covers(r: &mut Reader<'_>, n: usize) -> io::Result<HashMap<u32, ScaleCover>> {
+/// `(scale, cover)` pairs, strictly ascending by scale.
+fn decode_scale_covers(r: &mut Reader<'_>, n: usize) -> io::Result<Vec<(u32, CoverScale)>> {
     let count = r.len()?;
-    let mut out = HashMap::with_capacity(count);
-    let mut prev: Option<u32> = None;
+    let mut out: Vec<(u32, CoverScale)> = Vec::with_capacity(count);
     for _ in 0..count {
         let s = r.u32()?;
-        if prev.is_some_and(|p| p >= s) {
+        if out.last().is_some_and(|&(prev, _)| prev >= s) {
             return Err(wire::invalid("scale covers are not sorted"));
         }
-        prev = Some(s);
-        let home = r.slice_u32()?;
-        if home.len() != n {
-            return Err(wire::invalid("cover home map has wrong length"));
-        }
-        let routers = r.len()?;
-        let routers = (0..routers)
-            .map(|_| {
-                let store = CoverStore::from_wire(r)?;
-                Ok(CoverEntry::from_router(CoverTreeRouter::from_store(store)))
-            })
-            .collect::<io::Result<Vec<CoverEntry>>>()?;
-        if home.iter().any(|&h| h != u32::MAX && h as usize >= routers.len()) {
-            return Err(wire::invalid("cover home map points past its routers"));
-        }
-        out.insert(s, ScaleCover { routers, home });
+        out.push((s, CoverScale::from_wire(r, n)?));
     }
     Ok(out)
 }

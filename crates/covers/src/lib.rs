@@ -21,6 +21,10 @@
 //! every center merged so far, so a round costs one search over `Z`,
 //! not one per merged ball. All four properties are *verified* per
 //! instance ([`verify_cover`], test suite, experiment L6).
+//!
+//! The scheme covers the subgraph `G_i` induced by a member set `V_i`
+//! at each dense scale; [`build_cover_within`] does so in the host
+//! graph, with searches that never enter a node outside `V_i`.
 
 use graphkit::ids::nth_root_ceil;
 use graphkit::{Cost, DijkstraScratch, Graph, NodeId, Tree, TreeScratch, Weight, INFINITY};
@@ -34,7 +38,9 @@ pub struct TreeCover {
     pub k: usize,
     /// The cover trees; `graph_id`s refer to the host graph.
     pub trees: Vec<Tree>,
-    /// `home[v]` = index into `trees` of the tree containing `B(v, ρ)`.
+    /// `home[v]` = index into `trees` of the tree containing `B(v, ρ)`;
+    /// `u32::MAX` for a node outside the covered set
+    /// ([`build_cover_within`]).
     pub home: Vec<u32>,
 }
 
@@ -44,7 +50,8 @@ impl TreeCover {
         self.trees.iter().filter(|t| t.find(v).is_some()).count()
     }
 
-    /// The home tree of `v` (the tree covering `B(v, ρ)`).
+    /// The home tree of `v` (the tree covering `B(v, ρ)`). Panics for a
+    /// node outside the covered set.
     pub fn home_tree(&self, v: NodeId) -> &Tree {
         &self.trees[self.home[v.idx()] as usize]
     }
@@ -63,53 +70,66 @@ impl TreeCover {
 /// Build `TC_{k,ρ}(G)`. The graph may be disconnected; each component
 /// is covered independently (as the paper prescribes for the `G_i`).
 pub fn build_cover(g: &Graph, k: usize, rho: u64) -> TreeCover {
+    build_cover_within(g, &vec![true; g.n()], k, rho)
+}
+
+/// Build `TC_{k,ρ}(G[V_i])` for `V_i = {v : inside[v]}` without
+/// extracting the induced subgraph: no search relaxes an edge into a
+/// node outside `V_i`, so trees and `home` carry host ids. The
+/// sparsity factor is `σ = ⌈|V_i|^{1/k}⌉`, and `home[v] = u32::MAX`
+/// for every `v ∉ V_i`.
+pub fn build_cover_within(g: &Graph, inside: &[bool], k: usize, rho: u64) -> TreeCover {
     assert!(k >= 1 && rho >= 1);
+    assert_eq!(inside.len(), g.n(), "one membership flag per node");
     let n = g.n();
     let mut scratch = Scratch::new(n);
+    let mut home = vec![u32::MAX; n];
+    let mut trees: Vec<Tree> = Vec::new();
     if k == 1 {
         // Radius bound (2k−1)ρ = ρ forbids any inflation: the cover is
         // one tree per ball (overlap ≤ n = 2k·n^{1/k}/2 is within spec).
-        let trees = (0..n as u32)
-            .map(|v| {
-                let members = scratch.balls(g, &[NodeId(v)], rho);
-                scratch.cluster_tree(g, NodeId(v), &members, rho)
-            })
-            .collect();
-        return TreeCover { rho, k, trees, home: (0..n as u32).collect() };
+        for v in (0..n as u32).filter(|&v| inside[v as usize]) {
+            let members = scratch.balls(g, inside, &[NodeId(v)], rho);
+            home[v as usize] = trees.len() as u32;
+            trees.push(scratch.cluster_tree(g, NodeId(v), &members, rho));
+        }
+        return TreeCover { rho, k, trees, home };
     }
-    let mut served = vec![false; n];
-    let mut home = vec![u32::MAX; n];
-    let mut trees: Vec<Tree> = Vec::new();
+    let size = inside.iter().filter(|&&b| b).count();
+    let sigma = nth_root_ceil(size as u64, k as u32);
+    // A node outside V_i counts as served: it is never a center.
+    let mut served: Vec<bool> = inside.iter().map(|&b| !b).collect();
     // Process unserved centers in id order for determinism.
     for v in 0..n as u32 {
         if served[v as usize] {
             continue;
         }
-        let (members, merged) = grow_cluster(g, NodeId(v), rho, k, &mut served, &mut scratch);
+        let (members, merged) =
+            grow_cluster(g, inside, NodeId(v), rho, sigma, &mut served, &mut scratch);
         for w in merged {
             home[w.idx()] = trees.len() as u32;
         }
         trees.push(scratch.cluster_tree(g, NodeId(v), &members, rho));
     }
-    debug_assert!(home.iter().all(|&h| h != u32::MAX));
+    debug_assert!((0..n).all(|v| inside[v] == (home[v] != u32::MAX)));
     TreeCover { rho, k, trees, home }
 }
 
 /// One Awerbuch–Peleg cluster: start from `B(v,ρ)`, repeatedly merge
 /// the balls of *unserved* centers inside the current kernel `Y`, stop
-/// when `|Z| ≤ n^{1/k}·|Y|`. Merged centers are marked in `served`.
+/// when `|Z| ≤ σ·|Y|`. Merged centers are marked in `served`.
 /// Returns the final member set `Z` and the centers whose balls were
 /// merged.
 fn grow_cluster(
     g: &Graph,
+    inside: &[bool],
     v: NodeId,
     rho: u64,
-    k: usize,
+    sigma: u64,
     served: &mut [bool],
     scratch: &mut Scratch,
 ) -> (Vec<u32>, Vec<NodeId>) {
-    let sigma = nth_root_ceil(g.n() as u64, k as u32); // ⌈n^{1/k}⌉
-    let mut z = scratch.balls(g, &[v], rho);
+    let mut z = scratch.balls(g, inside, &[v], rho);
     let mut merged: Vec<NodeId> = Vec::new();
     loop {
         // Y = Z; merge every unserved center inside it.
@@ -124,7 +144,7 @@ fn grow_cluster(
             // Nothing new to absorb: Z is stable.
             return (z, merged);
         }
-        z = scratch.balls(g, &merged, rho);
+        z = scratch.balls(g, inside, &merged, rho);
         // Stop when the n^{1/k} growth failed: |Z| ≤ σ·|Y|.
         if z.len() as u64 <= sigma.saturating_mul(y_len as u64) {
             return (z, merged);
@@ -149,10 +169,10 @@ impl Scratch {
         }
     }
 
-    /// Members of `∪_{c ∈ centers} B(c, ρ)`, in settle order: one
-    /// multi-source run.
-    fn balls(&mut self, g: &Graph, centers: &[NodeId], rho: u64) -> Vec<u32> {
-        self.dijkstra.run_where(g, centers, rho, usize::MAX, |_, _| true);
+    /// Members of `∪_{c ∈ centers} B(c, ρ)` in the subgraph induced by
+    /// `inside`, in settle order: one multi-source run.
+    fn balls(&mut self, g: &Graph, inside: &[bool], centers: &[NodeId], rho: u64) -> Vec<u32> {
+        self.dijkstra.run_where(g, centers, rho, usize::MAX, |v, _| inside[v.idx()]);
         self.dijkstra.settled().iter().map(|&(_, v)| v).collect()
     }
 
@@ -209,25 +229,54 @@ impl CoverReport {
     }
 }
 
-/// Check all four Lemma 6 properties of a cover.
+/// Check all four Lemma 6 properties of a cover. A node whose `home`
+/// is `u32::MAX` lies outside the covered set `V_i`
+/// ([`build_cover_within`]): it is skipped, balls stay inside `V_i`,
+/// and the sparsity bound uses `|V_i|`.
+///
+/// The cover check runs tree by tree. A tree's nodes are marked in one
+/// bitmap, and the union of the balls of the nodes it is home to is
+/// one multi-source search, which must stay inside the marks. Only
+/// when it leaves them is each of those balls searched on its own, to
+/// count the nodes at fault. A valid cover thus costs one search per
+/// tree, over at most the tree's nodes.
 pub fn verify_cover(g: &Graph, cover: &TreeCover) -> CoverReport {
     let n = g.n();
     let k = cover.k;
+    let inside: Vec<bool> = cover.home.iter().map(|&h| h != u32::MAX).collect();
+    let size = inside.iter().filter(|&&b| b).count();
     let mut report = CoverReport {
-        overlap_bound: 2 * k as u64 * nth_root_ceil(n as u64, k as u32),
+        overlap_bound: 2 * k as u64 * nth_root_ceil(size as u64, k as u32),
         radius_bound: (2 * k as u64 - 1) * cover.rho,
         edge_bound: 2 * cover.rho,
         max_radius: cover.max_radius(),
         max_edge: cover.max_edge(),
         ..Default::default()
     };
-    // Cover: B(v,ρ) ⊆ home tree.
+    // Cover: B(v,ρ) ⊆ home tree, grouped by home tree.
+    let home = |v: &NodeId| cover.home[v.idx()];
+    let mut owners: Vec<NodeId> = g.nodes().filter(|&v| inside[v.idx()]).collect();
+    owners.sort_by_key(home);
     let mut scratch = Scratch::new(n);
-    for v in 0..n as u32 {
-        let ball = scratch.balls(g, &[NodeId(v)], cover.rho);
-        let map = cover.home_tree(NodeId(v)).index_map(n);
-        if ball.iter().any(|&m| map[m as usize] == u32::MAX) {
-            report.cover_violations += 1;
+    let escapes = |s: &mut Scratch, centers: &[NodeId]| {
+        let ball = s.balls(g, &inside, centers, cover.rho);
+        ball.iter().any(|&m| !s.member[m as usize])
+    };
+    for group in owners.chunk_by(|a, b| home(a) == home(b)) {
+        let Some(tree) = cover.trees.get(home(&group[0]) as usize) else {
+            report.cover_violations += group.len();
+            continue;
+        };
+        for &gid in tree.graph_ids() {
+            scratch.member[gid as usize] = true;
+        }
+        if escapes(&mut scratch, group) {
+            for &v in group {
+                report.cover_violations += escapes(&mut scratch, &[v]) as usize;
+            }
+        }
+        for &gid in tree.graph_ids() {
+            scratch.member[gid as usize] = false;
         }
     }
     // Sparsity.
@@ -357,10 +406,37 @@ mod tests {
         let mut scratch = Scratch::new(g.n());
         for v in 0..g.n() as u32 {
             let home = cover.home_tree(NodeId(v));
-            for m in scratch.balls(&g, &[NodeId(v)], cover.rho) {
+            for m in scratch.balls(&g, &vec![true; g.n()], &[NodeId(v)], cover.rho) {
                 assert!(home.find(NodeId(m)).is_some());
             }
         }
+    }
+
+    #[test]
+    fn verify_counts_each_node_at_fault() {
+        // Re-home one node of a valid cover to a tree that misses part
+        // of its ball: exactly that node is at fault, although its new
+        // tree is home to others whose balls it holds.
+        let g = Family::Ring.generate(60, 72);
+        let mut cover = build_cover(&g, 2, 3);
+        assert!(verify_cover(&g, &cover).ok());
+        let mut scratch = Scratch::new(g.n());
+        let all = vec![true; g.n()];
+        let (v, t) = (0..g.n() as u32)
+            .find_map(|v| {
+                let ball = scratch.balls(&g, &all, &[NodeId(v)], cover.rho);
+                let home = cover.home[v as usize] as usize;
+                let lacks = |t: &Tree| ball.iter().any(|&m| t.find(NodeId(m)).is_none());
+                (0..cover.trees.len())
+                    .find(|&t| t != home && lacks(&cover.trees[t]))
+                    .map(|t| (v, t))
+            })
+            .expect("a tree missing some ball");
+        cover.home[v as usize] = t as u32;
+        assert_eq!(verify_cover(&g, &cover).cover_violations, 1);
+        // A node outside the covered set is skipped, not counted.
+        cover.home[v as usize] = u32::MAX;
+        assert_eq!(verify_cover(&g, &cover).cover_violations, 0);
     }
 
     #[test]

@@ -180,8 +180,8 @@ impl Decomposition {
         r
     }
 
-    /// Is scale `i ∈ I` in `R(u)`? (Constant-time form used by the
-    /// scheme when building the subgraphs `G_i`.)
+    /// Is scale `i ∈ I` in `R(u)`? (Constant-time form the scheme uses
+    /// for the member sets `V_i` of the subgraphs `G_i`.)
     pub fn in_extended_range(&self, u: NodeId, i: u32) -> bool {
         if i > self.log_delta {
             return false;

@@ -8,7 +8,9 @@
 //!   with deterministic port numbering;
 //! * [`mod@dijkstra`] — single-source shortest paths and the reusable
 //!   [`DijkstraScratch`] behind every bounded ball `B(u, r)`, with
-//!   `(distance, id)` tie-breaking;
+//!   `(distance, id)` tie-breaking; its `run_where` edge filter keeps a
+//!   search inside a member set, so covers of an induced subgraph run
+//!   in the host graph without extracting it;
 //! * [`Tree`] — rooted weighted trees over graph-node subsets (landmark
 //!   shortest-path trees, cover trees);
 //! * [`mod@delta`] — churn primitives: [`GraphDelta`] batches applied onto
@@ -55,6 +57,6 @@ pub use dijkstra::{dijkstra, dijkstra_bounded, DijkstraScratch, Sssp};
 pub use graph::{graph_from_edges, Graph, GraphBuilder};
 pub use ids::{cost_add, octave_radius, Cost, NodeId, Weight, INFINITY};
 pub use metrics::{apsp, diameter_matrix_free, DistMatrix};
-pub use subgraph::{components, induced_subgraph, Subgraph};
+pub use subgraph::components;
 pub use tree::{Tree, TreeIx, TreeScratch};
 pub use truth::OnDemandTruth;

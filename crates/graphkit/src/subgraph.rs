@@ -1,68 +1,8 @@
-//! Induced subgraphs with id mappings.
-//!
-//! The dense-level machinery builds tree covers on the subgraphs `G_i`
-//! induced by `V_i = {u : i ∈ R(u)}`; this module extracts an induced
-//! subgraph as a standalone [`Graph`] plus the two-way node-id mapping.
+//! Connected components, the split [`crate::diameter_matrix_free`]
+//! runs on.
 
-use crate::graph::{Graph, GraphBuilder};
+use crate::graph::Graph;
 use crate::ids::NodeId;
-
-/// An induced subgraph together with its id translation tables.
-#[derive(Clone, Debug)]
-pub struct Subgraph {
-    /// The induced graph, with nodes renumbered `0..members.len()`.
-    pub graph: Graph,
-    /// `local -> host` node id.
-    pub to_host: Vec<u32>,
-    /// `host -> local` node id (`u32::MAX` when absent).
-    pub to_local: Vec<u32>,
-}
-
-impl Subgraph {
-    /// Host id of a local node.
-    pub fn host(&self, local: NodeId) -> NodeId {
-        NodeId(self.to_host[local.idx()])
-    }
-
-    /// Local id of a host node, if it belongs to the subgraph.
-    pub fn local(&self, host: NodeId) -> Option<NodeId> {
-        let l = self.to_local[host.idx()];
-        if l == u32::MAX {
-            None
-        } else {
-            Some(NodeId(l))
-        }
-    }
-
-    /// Does the subgraph contain this host node?
-    pub fn contains(&self, host: NodeId) -> bool {
-        self.to_local[host.idx()] != u32::MAX
-    }
-}
-
-/// Extract the subgraph induced by `members` (host node ids, any order,
-/// deduplicated here). Edges keep their weights.
-pub fn induced_subgraph(g: &Graph, members: &[u32]) -> Subgraph {
-    let mut to_host: Vec<u32> = members.to_vec();
-    to_host.sort_unstable();
-    to_host.dedup();
-    let mut to_local = vec![u32::MAX; g.n()];
-    for (l, &h) in to_host.iter().enumerate() {
-        to_local[h as usize] = l as u32;
-    }
-    let mut b = GraphBuilder::with_nodes(to_host.len());
-    for &h in &to_host {
-        let u = NodeId(h);
-        let lu = to_local[h as usize];
-        for (v, w) in g.edges_of(u) {
-            let lv = to_local[v.idx()];
-            if lv != u32::MAX && lu < lv {
-                b.add_edge(NodeId(lu), NodeId(lv), w);
-            }
-        }
-    }
-    Subgraph { graph: b.build(), to_host, to_local }
-}
 
 /// Connected components of a graph, each as a sorted list of node ids.
 pub fn components(g: &Graph) -> Vec<Vec<u32>> {
@@ -99,34 +39,6 @@ mod tests {
 
     fn sample() -> Graph {
         graph_from_edges(6, &[(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 6), (0, 5, 7)])
-    }
-
-    #[test]
-    fn induced_keeps_internal_edges_only() {
-        let g = sample();
-        let s = induced_subgraph(&g, &[1, 2, 3]);
-        assert_eq!(s.graph.n(), 3);
-        assert_eq!(s.graph.m(), 2); // 1-2, 2-3
-        let l1 = s.local(NodeId(1)).unwrap();
-        let l2 = s.local(NodeId(2)).unwrap();
-        assert_eq!(s.graph.edge_weight(l1, l2), Some(3));
-        assert!(!s.contains(NodeId(0)));
-        assert_eq!(s.host(l1), NodeId(1));
-    }
-
-    #[test]
-    fn induced_dedups_members() {
-        let g = sample();
-        let s = induced_subgraph(&g, &[2, 2, 1, 1]);
-        assert_eq!(s.graph.n(), 2);
-    }
-
-    #[test]
-    fn induced_full_set_is_isomorphic() {
-        let g = sample();
-        let s = induced_subgraph(&g, &[0, 1, 2, 3, 4, 5]);
-        assert_eq!(s.graph.n(), 6);
-        assert_eq!(s.graph.m(), 6);
     }
 
     #[test]

@@ -28,39 +28,7 @@ use std::io;
 
 use crate::hashing::PolyHash;
 use crate::labeled::{LabeledRead, LabeledStore, LabeledTree};
-
-/// Outcome of a cover-tree lookup.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CoverOutcome {
-    /// Delivered to the target at total weighted cost `cost`.
-    Found {
-        /// Total weighted cost of the walk.
-        cost: Cost,
-        /// Tree index of the delivery node.
-        delivered_at: TreeIx,
-    },
-    /// Target not in this tree; the message returned to the source
-    /// having paid `cost` (closed path).
-    NotFound {
-        /// Total cost of the closed path back to the source.
-        cost: Cost,
-    },
-}
-
-impl CoverOutcome {
-    /// Total cost paid.
-    pub fn cost(&self) -> Cost {
-        match *self {
-            CoverOutcome::Found { cost, .. } => cost,
-            CoverOutcome::NotFound { cost } => cost,
-        }
-    }
-
-    /// Did the lookup deliver?
-    pub fn is_found(&self) -> bool {
-        matches!(self, CoverOutcome::Found { .. })
-    }
-}
+use crate::laing::SearchOutcome;
 
 /// One level of a sibling-group guide: sampled boundaries over the DFS
 /// range `[start, end)` this guide is responsible for. A boundary is a
@@ -94,10 +62,11 @@ struct CoverNode {
 
 /// The plain-old-data half of a [`CoverTreeRouter`]: labeled store plus
 /// every Lemma-7 table in CSR arenas (child guides, sibling guides with
-/// a per-guide entry arena, directory buckets). Snapshot-serializable
-/// and routable as-is — loading performs no guide or bucket rebuild.
+/// a per-guide entry arena, directory buckets). Serialized as part of a
+/// [`CoverScale`] and routable as-is — loading performs no guide or
+/// bucket rebuild.
 #[derive(Clone, Debug)]
-pub struct CoverStore {
+struct CoverStore {
     labeled: LabeledTree,
     hash: PolyHash,
     /// Guide fanout s = σ·⌈log m⌉.
@@ -185,7 +154,7 @@ impl CoverStore {
     }
 
     /// Serialize every arena verbatim.
-    pub fn to_wire(&self, w: &mut Writer) {
+    fn to_wire(&self, w: &mut Writer) {
         w.u64(self.fanout as u64);
         w.u32(self.max_guide_depth);
         w.slice_u64(self.hash.coeffs());
@@ -202,7 +171,7 @@ impl CoverStore {
 
     /// Inverse of [`CoverStore::to_wire`] with CSR invariant checks.
     // lint:allow-fn(panic-free-serve): validate-then-index — CSR invariants are checked before the indexing passes below
-    pub fn from_wire(r: &mut Reader) -> io::Result<Self> {
+    fn from_wire(r: &mut Reader) -> io::Result<Self> {
         use wire::invalid;
         let fanout = r.u64()? as usize;
         let max_guide_depth = r.u32()?;
@@ -257,9 +226,9 @@ impl CoverStore {
 }
 
 /// A tree equipped with the Lemma 7 name-independent scheme: the thin
-/// read-path half over a [`CoverStore`]. [`CoverTreeRouter::new`]
-/// builds the store from scratch; [`CoverTreeRouter::from_store`] wraps
-/// a deserialized one with zero rebuild.
+/// read-path half over its store of Lemma-7 tables.
+/// [`CoverTreeRouter::new`] builds the store from scratch;
+/// [`CoverScale::from_wire`] reads stores back with zero rebuild.
 #[derive(Clone, Debug)]
 pub struct CoverTreeRouter {
     store: CoverStore,
@@ -278,16 +247,6 @@ impl CoverTreeRouter {
         CoverTreeRouter {
             store: CoverStore::from_nodes(b.labeled, hash, fanout, max_guide_depth, b.nodes),
         }
-    }
-
-    /// Wrap an already-built (typically snapshot-loaded) store.
-    pub fn from_store(store: CoverStore) -> Self {
-        CoverTreeRouter { store }
-    }
-
-    /// The plain-old-data half (for serialization).
-    pub fn store(&self) -> &CoverStore {
-        &self.store
     }
 
     /// DFS position responsible for a network id.
@@ -320,25 +279,39 @@ impl CoverTreeRouter {
     /// Route from tree node `from` toward the network id `target`,
     /// using only per-node storage plus an O(log² n) header (the target
     /// id, the source label, and — once learned — the target label).
-    /// Returns the outcome and the full node path walked.
-    pub fn route(&self, from: TreeIx, target: NodeId) -> (CoverOutcome, Vec<TreeIx>) {
-        let labeled = &self.store.labeled;
-        let tree = labeled.tree();
-        let mut cost: Cost = 0;
+    /// Returns the outcome and the full node path walked, `from` first.
+    pub fn route(&self, from: TreeIx, target: NodeId) -> (SearchOutcome, Vec<TreeIx>) {
         // lint:allow(no-alloc-in-route): the returned walk owns its path; one Vec per route is the API
         let mut path = Vec::with_capacity(crate::PATH_CAPACITY);
         path.push(from);
+        let outcome = self.walk_from(from, target, &mut path, |t| t);
+        (outcome, path)
+    }
+
+    /// The Lemma 7 walk from tree node `from` toward `target`: appends
+    /// `step(t)` for every node it moves to (not `from` itself) to
+    /// `path`, and returns the outcome.
+    fn walk_from<T>(
+        &self,
+        from: TreeIx,
+        target: NodeId,
+        path: &mut Vec<T>,
+        step: impl Fn(TreeIx) -> T,
+    ) -> SearchOutcome {
+        let labeled = &self.store.labeled;
+        let tree = labeled.tree();
+        let mut cost: Cost = 0;
         let source_label = labeled.label(from); // carried in the header
         let mut at = from;
         // Short-circuit: the source is the target.
         if tree.graph_id(at) == target {
-            return (CoverOutcome::Found { cost: 0, delivered_at: at }, path);
+            return SearchOutcome::Found { cost: 0, delivered_at: at };
         }
         // Phase 1: climb to the root.
         while let Some(p) = tree.parent(at) {
             cost += tree.parent_weight(at);
             at = p;
-            path.push(at);
+            path.push(step(at));
         }
         // Phase 2: descend to the directory position: the node whose
         // index is `pos`.
@@ -350,11 +323,11 @@ impl CoverTreeRouter {
             // missing entry means a corrupt guide arena: report a miss
             // from where we stand rather than panicking the server.
             let Some(mut next) = guide_pick(self.store.child_guide(at), pos) else {
-                return (CoverOutcome::NotFound { cost }, path);
+                return SearchOutcome::NotFound { cost };
             };
             cost += edge_w(tree, at, next);
             let parent = at;
-            path.push(next);
+            path.push(step(next));
             // Sibling corrections while pos is not inside `next`'s subtree:
             // consult the *tightest* guide at `next` covering pos. A group
             // leader also leads its own sub-groups, so the tightest guide
@@ -371,18 +344,18 @@ impl CoverTreeRouter {
                 else {
                     // Uncovered position = corrupt sibling guides;
                     // same degradation as a missing child guide.
-                    return (CoverOutcome::NotFound { cost }, path);
+                    return SearchOutcome::NotFound { cost };
                 };
                 // A guide that makes no progress, or a descent deeper
                 // than the deepest guide, is a corrupt store too.
                 guard += 1;
                 if cand == next || guard > self.store.max_guide_depth + 1 {
-                    return (CoverOutcome::NotFound { cost }, path);
+                    return SearchOutcome::NotFound { cost };
                 }
                 // Correction: next -> parent -> cand (2 edges).
                 cost += edge_w(tree, next, parent) + edge_w(tree, parent, cand);
-                path.push(parent);
-                path.push(cand);
+                path.push(step(parent));
+                path.push(step(cand));
                 next = cand;
             }
             at = next;
@@ -396,14 +369,14 @@ impl CoverTreeRouter {
         let hit = self.store.bucket(at).iter().find(|(gid, _)| *gid == target.0).map(|&(_, ix)| ix);
         let base = path.len();
         let label = hit.map_or(source_label, |ix| labeled.label(ix));
-        let Some((c, delivered_at)) = labeled.walk(at, label, &mut |t| path.push(t)) else {
+        let Some((c, delivered_at)) = labeled.walk(at, label, &mut |t| path.push(step(t))) else {
             path.truncate(base);
-            return (CoverOutcome::NotFound { cost }, path);
+            return SearchOutcome::NotFound { cost };
         };
         cost += c;
         match hit {
-            Some(_) => (CoverOutcome::Found { cost, delivered_at }, path),
-            None => (CoverOutcome::NotFound { cost }, path),
+            Some(_) => SearchOutcome::Found { cost, delivered_at },
+            None => SearchOutcome::NotFound { cost },
         }
     }
 
@@ -532,6 +505,136 @@ impl StorageCost for CoverTreeRouter {
     }
 }
 
+/// One scale of the dense strategy (§3.6): the Lemma 7 routers of one
+/// Lemma 6 cover, plus a home table that gives each covered node `v`
+/// its home tree `W(v, i)` and its own index in that tree. A route
+/// starts at that index, so it performs no lookup by host id.
+#[derive(Clone, Debug)]
+pub struct CoverScale {
+    routers: Vec<CoverTreeRouter>,
+    /// `home[v]` = index of `v`'s home router (`u32::MAX` outside the
+    /// cover).
+    home: Vec<u32>,
+    /// `home_ix[v]` = `v`'s index in its home router's (renumbered)
+    /// tree (`u32::MAX` outside the cover).
+    home_ix: Vec<TreeIx>,
+}
+
+impl CoverScale {
+    /// Attach a Lemma 7 router to every tree of the cover of scale `s`.
+    /// `home[v]` is the index in `trees` of host node `v`'s home tree
+    /// (`u32::MAX` outside the cover). Router `ti` is seeded with
+    /// `seed ^ ((s << 32) | ti)`.
+    pub fn new(trees: Vec<Tree>, home: Vec<u32>, sigma: u64, seed: u64, s: u32) -> Self {
+        // merge: routers concatenated in chunk (= tree index) order.
+        let routers: Vec<CoverTreeRouter> = graphkit::metrics::par_chunks(trees.len(), |range| {
+            range
+                .map(|ti| {
+                    let seed = seed ^ ((s as u64) << 32 | ti as u64);
+                    CoverTreeRouter::new(trees[ti].clone(), sigma, seed)
+                })
+                .collect::<Vec<CoverTreeRouter>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+        let home_ix = home_indices(&routers, &home);
+        CoverScale { routers, home, home_ix }
+    }
+
+    /// Number of cover trees.
+    pub fn num_trees(&self) -> usize {
+        self.routers.len()
+    }
+
+    /// Route from `src` toward `dst` in `src`'s home tree, appending
+    /// the host id of every node the walk moves to (not `src` itself)
+    /// to `path`. A source outside the cover is a miss at cost 0 with
+    /// no hops.
+    pub fn route(&self, src: NodeId, dst: NodeId, path: &mut Vec<NodeId>) -> SearchOutcome {
+        let home = self.home.get(src.idx()).and_then(|&h| self.routers.get(h as usize));
+        let (Some(router), Some(&from)) = (home, self.home_ix.get(src.idx())) else {
+            return SearchOutcome::NotFound { cost: 0 };
+        };
+        let tree = router.labeled().tree();
+        router.walk_from(from, dst, path, |t| tree.graph_id(t))
+    }
+
+    /// Add `per_membership + φ(T, v)` to `bits[v]` for every tree `T`
+    /// of the cover and every member `v` of `T`.
+    pub fn add_node_bits(&self, bits: &mut [u64], per_membership: u64) {
+        for router in &self.routers {
+            for (t, &gid) in router.labeled().tree().graph_ids().iter().enumerate() {
+                if let Some(b) = bits.get_mut(gid as usize) {
+                    *b += per_membership + router.node_bits(t as TreeIx);
+                }
+            }
+        }
+    }
+
+    /// Largest routing label over every tree of the cover.
+    pub fn max_label_bits(&self) -> u64 {
+        let label_bits = |r: &CoverTreeRouter| {
+            let lt = r.labeled();
+            (0..lt.tree().size() as TreeIx).map(|t| lt.label_bits(t)).max().unwrap_or(0)
+        };
+        self.routers.iter().map(label_bits).max().unwrap_or(0)
+    }
+
+    /// Serialize the home tree ids, the router count, then every
+    /// router's store of Lemma-7 tables.
+    pub fn to_wire(&self, w: &mut Writer) {
+        w.slice_u32(&self.home);
+        w.len(self.routers.len());
+        for router in &self.routers {
+            router.store.to_wire(w);
+        }
+    }
+
+    /// Inverse of [`CoverScale::to_wire`] over a graph of `n` nodes.
+    /// Rejects a home table of the wrong length, a home id past the
+    /// routers, a tree node outside the graph, and a covered node
+    /// missing from its home tree (which a Lemma 6 cover never
+    /// produces).
+    pub fn from_wire(r: &mut Reader, n: usize) -> io::Result<Self> {
+        let home = r.slice_u32()?;
+        if home.len() != n {
+            return Err(wire::invalid("cover home map has wrong length"));
+        }
+        let count = r.len()?;
+        let routers = (0..count)
+            .map(|_| CoverStore::from_wire(r).map(|store| CoverTreeRouter { store }))
+            .collect::<io::Result<Vec<CoverTreeRouter>>>()?;
+        if home.iter().any(|&h| h != u32::MAX && h as usize >= routers.len()) {
+            return Err(wire::invalid("cover home map points past its routers"));
+        }
+        if routers.iter().any(|r| r.labeled().tree().graph_ids().iter().any(|&v| v as usize >= n)) {
+            return Err(wire::invalid("cover tree names a node outside the graph"));
+        }
+        let home_ix = home_indices(&routers, &home);
+        if home.iter().zip(&home_ix).any(|(&h, &ix)| h != u32::MAX && ix == u32::MAX) {
+            return Err(wire::invalid("covered node missing from its home tree"));
+        }
+        Ok(CoverScale { routers, home, home_ix })
+    }
+}
+
+/// Each covered node's index in its home router's tree, from one scan
+/// of every router's graph ids (`u32::MAX` where no home tree holds
+/// the node).
+fn home_indices(routers: &[CoverTreeRouter], home: &[u32]) -> Vec<TreeIx> {
+    let mut home_ix = vec![u32::MAX; home.len()];
+    for (ti, router) in routers.iter().enumerate() {
+        for (t, &gid) in router.labeled().tree().graph_ids().iter().enumerate() {
+            let is_home = home.get(gid as usize) == Some(&(ti as u32));
+            if let Some(slot) = home_ix.get_mut(gid as usize).filter(|_| is_home) {
+                *slot = t as TreeIx;
+            }
+        }
+    }
+    home_ix
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -553,12 +656,12 @@ mod tests {
                 let target = r.labeled().tree().graph_id(t);
                 let (outcome, path) = r.route(from, target);
                 match outcome {
-                    CoverOutcome::Found { cost, delivered_at } => {
+                    SearchOutcome::Found { cost, delivered_at } => {
                         assert_eq!(delivered_at, t);
                         assert_eq!(*path.last().unwrap(), t);
                         assert!(cost <= budget, "cost {cost} > budget {budget} ({from}->{t})");
                     }
-                    CoverOutcome::NotFound { .. } => panic!("missed in-tree node {t}"),
+                    SearchOutcome::NotFound { .. } => panic!("missed in-tree node {t}"),
                 }
             }
         }
@@ -571,8 +674,8 @@ mod tests {
             for from in (0..m).step_by(7) {
                 let (outcome, path) = r.route(from, NodeId(gid));
                 match outcome {
-                    CoverOutcome::Found { .. } => panic!("found absent id {gid}"),
-                    CoverOutcome::NotFound { cost } => {
+                    SearchOutcome::Found { .. } => panic!("found absent id {gid}"),
+                    SearchOutcome::NotFound { cost } => {
                         assert_eq!(*path.last().unwrap(), from, "miss must return to source");
                         assert!(cost <= budget, "miss cost {cost} > budget {budget}");
                     }
@@ -631,7 +734,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(53);
         let g = gen::random_tree(120, WeightDist::Unit, &mut rng);
         let r = CoverTreeRouter::new(spanning_tree(&g, NodeId(0)), 3, 6);
-        assert_eq!(r.store().bk.len(), 120);
+        assert_eq!(r.store.bk.len(), 120);
         // Max load stays logarithmic-ish.
         assert!(r.max_bucket() <= 16, "bucket load {}", r.max_bucket());
     }
@@ -642,10 +745,10 @@ mod tests {
         let g = gen::star(151, 4);
         let r = CoverTreeRouter::new(spanning_tree(&g, NodeId(0)), 2, 3);
         let mut w = Writer::new();
-        r.store().to_wire(&mut w);
+        r.store.to_wire(&mut w);
         let bytes = w.into_bytes();
         let r2 =
-            CoverTreeRouter::from_store(CoverStore::from_wire(&mut Reader::new(&bytes)).unwrap());
+            CoverTreeRouter { store: CoverStore::from_wire(&mut Reader::new(&bytes)).unwrap() };
         assert_eq!(r2.fanout(), r.fanout());
         assert_eq!(r2.max_guide_depth(), r.max_guide_depth());
         assert_eq!(r2.max_bucket(), r.max_bucket());
@@ -684,8 +787,111 @@ mod tests {
         let t = Tree::from_parents(vec![5], vec![u32::MAX], vec![0]);
         let r = CoverTreeRouter::new(t, 2, 8);
         let (outcome, _) = r.route(0, NodeId(5));
-        assert_eq!(outcome, CoverOutcome::Found { cost: 0, delivered_at: 0 });
+        assert_eq!(outcome, SearchOutcome::Found { cost: 0, delivered_at: 0 });
         let (outcome, _) = r.route(0, NodeId(9));
-        assert_eq!(outcome, CoverOutcome::NotFound { cost: 0 });
+        assert_eq!(outcome, SearchOutcome::NotFound { cost: 0 });
+    }
+
+    /// A hand-made cover of a random tree graph: three overlapping
+    /// balls, each spanned by its shortest-path tree, and a home table
+    /// that sends each node to the first ball holding it (`u32::MAX`
+    /// for the nodes in none).
+    fn small_cover() -> (Vec<Tree>, Vec<u32>) {
+        let mut rng = SmallRng::seed_from_u64(55);
+        let g = gen::random_tree(80, WeightDist::UniformInt { lo: 1, hi: 9 }, &mut rng);
+        let trees: Vec<Tree> = [(0u32, 20u64), (40, 25), (79, 15)]
+            .iter()
+            .map(|&(root, radius)| {
+                let sp = dijkstra::dijkstra_bounded(&g, NodeId(root), radius);
+                Tree::from_sssp(&g, &sp, g.nodes().filter(|&v| sp.reachable(v)))
+            })
+            .collect();
+        let mut home = vec![u32::MAX; g.n()];
+        for (ti, t) in trees.iter().enumerate().rev() {
+            for &gid in t.graph_ids() {
+                home[gid as usize] = ti as u32;
+            }
+        }
+        assert!(home.contains(&u32::MAX), "some node must stay uncovered");
+        (trees, home)
+    }
+
+    /// Every `(src, dst, outcome, path)` of a scale, for every source
+    /// and every target plus one absent id; paths start at `src`.
+    fn all_routes(scale: &CoverScale) -> Vec<(u32, u32, SearchOutcome, Vec<NodeId>)> {
+        let n = scale.home.len() as u32;
+        let pairs = (0..n).flat_map(|src| (0..=n).map(move |dst| (src, dst)));
+        let route = |(src, dst)| {
+            let mut path = vec![NodeId(src)];
+            (src, dst, scale.route(NodeId(src), NodeId(dst), &mut path), path)
+        };
+        pairs.map(route).collect()
+    }
+
+    fn wire_bytes(scale: &CoverScale) -> Vec<u8> {
+        let mut w = Writer::new();
+        scale.to_wire(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn cover_scale_routes_in_the_home_tree() {
+        let (trees, home) = small_cover();
+        let (sigma, seed, s) = (3, 9, 2);
+        let scale = CoverScale::new(trees.clone(), home, sigma, seed, s);
+        // Router ti is the tree's own router, seeded by (s, ti).
+        for (ti, t) in trees.into_iter().enumerate() {
+            let own = CoverTreeRouter::new(t, sigma, seed ^ ((s as u64) << 32 | ti as u64));
+            let theirs = &scale.routers[ti];
+            assert_eq!(own.labeled().tree().graph_ids(), theirs.labeled().tree().graph_ids());
+            assert_eq!(own.store.hash.coeffs(), theirs.store.hash.coeffs());
+        }
+        for (src, dst, outcome, path) in all_routes(&scale) {
+            let Some(router) = scale.routers.get(scale.home[src as usize] as usize) else {
+                assert_eq!(outcome, SearchOutcome::NotFound { cost: 0 });
+                assert_eq!(path, [NodeId(src)], "an uncovered source takes no hop");
+                continue;
+            };
+            // Delivered exactly when the home tree holds the target, on
+            // the tree router's own walk.
+            let tree = router.labeled().tree();
+            assert_eq!(outcome.is_found(), tree.find(NodeId(dst)).is_some());
+            let (expect, tpath) = router.route(tree.find(NodeId(src)).unwrap(), NodeId(dst));
+            assert_eq!(outcome, expect);
+            assert!(path.iter().copied().eq(tpath.iter().map(|&t| tree.graph_id(t))));
+        }
+    }
+
+    #[test]
+    fn cover_scale_wire_roundtrip_is_byte_identical() {
+        let (trees, home) = small_cover();
+        let n = home.len();
+        let scale = CoverScale::new(trees, home, 3, 10, 4);
+        let bytes = wire_bytes(&scale);
+        let back = CoverScale::from_wire(&mut Reader::new(&bytes), n).unwrap();
+        assert_eq!(wire_bytes(&back), bytes);
+        assert_eq!(all_routes(&back), all_routes(&scale));
+        assert_eq!(back.max_label_bits(), scale.max_label_bits());
+        let (mut bits, mut back_bits) = (vec![0; n], vec![0; n]);
+        scale.add_node_bits(&mut bits, 7);
+        back.add_node_bits(&mut back_bits, 7);
+        assert_eq!(bits, back_bits);
+        // The home table must match the graph, and truncations error.
+        assert!(CoverScale::from_wire(&mut Reader::new(&bytes), n + 1).is_err());
+        for cut in [0, 5, bytes.len() / 2, bytes.len() - 1] {
+            assert!(CoverScale::from_wire(&mut Reader::new(&bytes[..cut]), n).is_err());
+        }
+    }
+
+    #[test]
+    fn cover_scale_rejects_a_home_tree_without_its_node() {
+        let (trees, mut home) = small_cover();
+        let n = home.len();
+        // Send a node of tree 0 only to tree 2, which lacks it.
+        let v = trees[0].graph_ids().iter().copied().find(|&v| trees[2].find(NodeId(v)).is_none());
+        home[v.unwrap() as usize] = 2;
+        let bytes = wire_bytes(&CoverScale::new(trees, home, 3, 11, 1));
+        let err = CoverScale::from_wire(&mut Reader::new(&bytes), n).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 }

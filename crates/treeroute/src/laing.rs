@@ -55,21 +55,23 @@ use crate::hashing::{digit_at, poly_eval, PolyHash, FIELD_P};
 use crate::labeled::{LabeledRead, LabeledTree, LabeledView};
 use crate::names::Naming;
 
-/// Outcome of a j-bounded search.
+/// Outcome of a tree lookup: a j-bounded search (Lemma 4) or a
+/// cover-tree route ([`crate::cover_router`], Lemma 7).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SearchOutcome {
-    /// Target reached; `cost` is the total weighted path cost from the
-    /// root, `delivered_at` the tree index of the target.
+    /// Target reached; `cost` is the total weighted path cost from
+    /// where the lookup started (the root of a search, the source of a
+    /// cover route), `delivered_at` the tree index of the target.
     Found {
-        /// Total weighted cost of the search walk.
+        /// Total weighted cost of the walk.
         cost: Cost,
         /// Tree index of the target.
         delivered_at: TreeIx,
     },
-    /// Target not found within the bound; the search returned to the
-    /// root having paid `cost` in total (the closed-path cost).
+    /// Target not found; the walk returned to where it started having
+    /// paid `cost` in total (the closed-path cost).
     NotFound {
-        /// Total cost of the closed path back to the root.
+        /// Total cost of the closed path back to the start.
         cost: Cost,
     },
 }

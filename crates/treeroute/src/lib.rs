@@ -12,7 +12,8 @@
 //!   levels;
 //! * [`cover_router`] — name-independent routing with a fixed
 //!   `4·rad + 2k·maxE` budget (Lemma 7), used on the cover trees of
-//!   dense levels;
+//!   dense levels; a [`CoverScale`] holds one scale's routers and the
+//!   home table the dense strategy starts from;
 //!
 //! plus the shared machinery: [`names`] (Σ-ary distance-rank naming)
 //! and [`hashing`] (Θ(log n)-wise independent polynomial hashing).
@@ -23,7 +24,7 @@ pub mod labeled;
 pub mod laing;
 pub mod names;
 
-pub use cover_router::{CoverOutcome, CoverStore, CoverTreeRouter};
+pub use cover_router::{CoverScale, CoverTreeRouter};
 pub use hashing::PolyHash;
 pub use labeled::{
     LabelRef, LabeledRead, LabeledStore, LabeledTree, LabeledView, RouteLabel, Step, TreeLabel,
