@@ -1,8 +1,9 @@
 //! Versioned on-disk [`Scheme`] snapshots: build once, serve anywhere.
 //!
 //! A snapshot is a [`graphkit::wire`] container (magic, format
-//! version, checksummed section table) holding every routing-time
-//! structure of a scheme in its flat-arena wire form:
+//! version, a section table with one xxHash64 checksum per section)
+//! holding every routing-time structure of a scheme in its flat-arena
+//! wire form:
 //!
 //! | section | contents |
 //! |---|---|

@@ -8,7 +8,7 @@
 //!   snapshot section;
 //! * the snapshot container — [`SnapshotWriter`] / [`SnapshotReader`]:
 //!   a magic + format-version header, streamed section payloads, and a
-//!   trailing section table of `(id, offset, len, fnv1a64)` entries.
+//!   trailing section table of `(id, offset, len, xxh64)` entries.
 //!   A loader validates the header and per-section checksums before a
 //!   single record is decoded, so corrupt or truncated files surface
 //!   as [`io::Error`]s, never panics.
@@ -377,47 +377,136 @@ pub fn read_tree(r: &mut Reader) -> io::Result<Tree> {
 }
 
 // ---------------------------------------------------------------------
-// FNV-1a 64 — the snapshot's per-section corruption guard.
+// xxHash64 (seed 0) — the snapshot's per-section corruption guard.
 // ---------------------------------------------------------------------
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const P5: u64 = 0x27D4_EB2F_1656_67C5;
 
-/// Incremental FNV-1a 64 hasher (sections are streamed).
+/// Bytes per stripe: one 8-byte word for each of the four lanes.
+const STRIPE: usize = 32;
+
+fn xxh_round(acc: u64, word: u64) -> u64 {
+    acc.wrapping_add(word.wrapping_mul(P2)).rotate_left(31).wrapping_mul(P1)
+}
+
+fn xxh_merge(h: u64, lane: u64) -> u64 {
+    (h ^ xxh_round(0, lane)).wrapping_mul(P1).wrapping_add(P4)
+}
+
+/// Streaming xxHash64 with seed 0 (Collet's specification). Four
+/// independent 64-bit lanes absorb 32-byte stripes, so the hash runs at
+/// memory speed; up to 31 bytes are carried between
+/// [`Xxh64::update`] calls, so a section streamed in pieces hashes
+/// exactly like one slice.
 #[derive(Clone, Copy)]
-pub struct Fnv64(u64);
+pub struct Xxh64 {
+    lanes: [u64; 4],
+    carry: [u8; STRIPE],
+    carried: usize,
+    total: u64,
+}
 
-impl Default for Fnv64 {
+impl Default for Xxh64 {
     fn default() -> Self {
-        Fnv64(FNV_OFFSET)
+        Xxh64 {
+            lanes: [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()],
+            carry: [0; STRIPE],
+            carried: 0,
+            total: 0,
+        }
     }
 }
 
-impl Fnv64 {
-    /// Fresh hasher at the FNV offset basis.
+impl Xxh64 {
+    /// Fresh hasher.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Absorb bytes.
-    pub fn update(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
+    pub fn update(&mut self, mut bytes: &[u8]) {
+        self.total = self.total.wrapping_add(bytes.len() as u64);
+        if self.carried > 0 {
+            let take = (STRIPE - self.carried).min(bytes.len());
+            let (head, rest) = bytes.split_at(take);
+            let end = self.carried + take;
+            if let Some(dst) = self.carry.get_mut(self.carried..end) {
+                dst.copy_from_slice(head);
+            }
+            self.carried = end;
+            bytes = rest;
+            if end < STRIPE {
+                return;
+            }
+            let carry = self.carry;
+            self.stripes(&carry);
+            self.carried = 0;
         }
-        self.0 = h;
+        let rest = self.stripes(bytes);
+        if let Some(dst) = self.carry.get_mut(..rest.len()) {
+            dst.copy_from_slice(rest);
+        }
+        self.carried = rest.len();
     }
 
-    /// The digest so far.
+    /// Fold every whole stripe of `bytes` into the lanes; returns the
+    /// ragged tail.
+    fn stripes<'b>(&mut self, bytes: &'b [u8]) -> &'b [u8] {
+        let (stripes, rest) = bytes.as_chunks::<STRIPE>();
+        let mut lanes = self.lanes;
+        for stripe in stripes {
+            for (lane, word) in lanes.iter_mut().zip(stripe.as_chunks::<8>().0) {
+                *lane = xxh_round(*lane, u64::from_le_bytes(*word));
+            }
+        }
+        self.lanes = lanes;
+        rest
+    }
+
+    /// The digest of every byte absorbed so far.
     pub fn digest(&self) -> u64 {
-        self.0
+        let mut h = if self.total >= STRIPE as u64 {
+            let [a, b, c, d] = self.lanes;
+            let h = a
+                .rotate_left(1)
+                .wrapping_add(b.rotate_left(7))
+                .wrapping_add(c.rotate_left(12))
+                .wrapping_add(d.rotate_left(18));
+            self.lanes.iter().fold(h, |h, &lane| xxh_merge(h, lane))
+        } else {
+            P5
+        };
+        h = h.wrapping_add(self.total);
+        let tail = self.carry.get(..self.carried).unwrap_or_default();
+        let (words, rest) = tail.as_chunks::<8>();
+        for word in words {
+            h ^= xxh_round(0, u64::from_le_bytes(*word));
+            h = h.rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
+        }
+        let (halves, rest) = rest.as_chunks::<4>();
+        for half in halves {
+            h ^= u64::from(u32::from_le_bytes(*half)).wrapping_mul(P1);
+            h = h.rotate_left(23).wrapping_mul(P2).wrapping_add(P3);
+        }
+        for &byte in rest {
+            h ^= u64::from(byte).wrapping_mul(P5);
+            h = h.rotate_left(11).wrapping_mul(P1);
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(P3);
+        h ^ (h >> 32)
     }
 }
 
-/// One-shot FNV-1a 64.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
+/// One-shot xxHash64, seed 0.
+pub fn xxh64(bytes: &[u8]) -> u64 {
+    let mut h = Xxh64::new();
     h.update(bytes);
     h.digest()
 }
@@ -430,7 +519,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"AGMSNAP\0";
 /// Current snapshot format version. Bump on any layout change; readers
 /// reject unknown versions instead of misparsing.
-pub const SNAPSHOT_VERSION: u32 = 4;
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Header: magic (8) + version (4) + section-table offset (8).
 const HEADER_LEN: u64 = 20;
@@ -455,7 +544,7 @@ pub struct SnapshotWriter {
     file: File,
     offset: u64,
     sections: Vec<Section>,
-    open: Option<(u32, u64, Fnv64)>,
+    open: Option<(u32, u64, Xxh64)>,
 }
 
 impl SnapshotWriter {
@@ -472,7 +561,7 @@ impl SnapshotWriter {
     pub fn begin_section(&mut self, id: u32) {
         assert!(self.open.is_none(), "previous section still open");
         assert!(self.sections.iter().all(|s| s.id != id), "duplicate section id {id}");
-        self.open = Some((id, self.offset, Fnv64::new()));
+        self.open = Some((id, self.offset, Xxh64::new()));
     }
 
     /// Append payload bytes to the open section.
@@ -556,18 +645,21 @@ impl SnapshotReader {
         }
         // lint:allow(panic-free-serve): constant 8-byte range of the fixed header array — try_into is infallible
         let table_offset = u64::from_le_bytes(header[12..20].try_into().unwrap());
-        if table_offset < HEADER_LEN || table_offset + 4 > file_len {
-            return Err(invalid("section table offset out of bounds"));
-        }
+        // The offset comes from the file: bound it with checked sums, so
+        // a crafted value near u64::MAX is InvalidData, not a wrap.
+        let entries = table_offset
+            .checked_add(4)
+            .filter(|&entries| table_offset >= HEADER_LEN && entries <= file_len)
+            .ok_or_else(|| invalid("section table offset out of bounds"))?;
         let mut count_buf = [0u8; 4];
         file.read_exact_at(&mut count_buf, table_offset)?;
         let count = u32::from_le_bytes(count_buf) as u64;
         let table_len = count.checked_mul(TABLE_ENTRY_LEN).ok_or_else(|| invalid("table size"))?;
-        if table_offset + 4 + table_len > file_len {
+        if entries.checked_add(table_len).is_none_or(|end| end > file_len) {
             return Err(invalid("section table truncated"));
         }
         let mut table = vec![0u8; table_len as usize];
-        file.read_exact_at(&mut table, table_offset + 4)?;
+        file.read_exact_at(&mut table, entries)?;
         let mut r = Reader::new(&table);
         let mut sections = Vec::with_capacity(count as usize);
         for _ in 0..count {
@@ -609,7 +701,7 @@ impl SnapshotReader {
         let s = *self.entry(id)?;
         let mut buf = vec![0u8; s.len as usize];
         self.file.read_exact_at(&mut buf, s.offset)?;
-        if fnv1a64(&buf) != s.checksum {
+        if xxh64(&buf) != s.checksum {
             return Err(invalid("section checksum mismatch"));
         }
         Ok(buf)
@@ -729,16 +821,28 @@ mod tests {
     }
 
     #[test]
-    fn fnv_reference_vectors() {
-        // Standard FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
-        // Incremental == one-shot.
-        let mut h = Fnv64::new();
-        h.update(b"foo");
-        h.update(b"bar");
-        assert_eq!(h.digest(), fnv1a64(b"foobar"));
+    fn xxh64_reference_vectors() {
+        // Published xxHash64 seed-0 vectors; the last (39 bytes) crosses
+        // a stripe, so it runs the lanes, the 8-, 4- and 1-byte tails.
+        assert_eq!(xxh64(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(xxh64(b"a"), 0xD24E_C4F1_A98C_6E5B);
+        assert_eq!(xxh64(b"abc"), 0x44BC_2CF5_AD77_0999);
+        assert_eq!(xxh64(b"Nobody inspects the spammish repetition"), 0xFBCE_A83C_8A37_8BF1);
+    }
+
+    #[test]
+    fn xxh64_streaming_equals_one_shot() {
+        let buf: Vec<u8> = (0..100u32).map(|i| (i * 131 + 7) as u8).collect();
+        let whole = xxh64(&buf);
+        for i in 0..=buf.len() {
+            for j in i..=buf.len() {
+                let mut h = Xxh64::new();
+                h.update(&buf[..i]);
+                h.update(&buf[i..j]);
+                h.update(&buf[j..]);
+                assert_eq!(h.digest(), whole, "split at {i}, {j}");
+            }
+        }
     }
 
     fn temp_path(tag: &str) -> std::path::PathBuf {
@@ -772,34 +876,69 @@ mod tests {
 
     #[test]
     fn snapshot_rejects_corruption() {
-        let path = temp_path("corrupt");
-        let mut w = SnapshotWriter::create(&path).unwrap();
-        w.section(3, b"some payload bytes").unwrap();
-        w.finish().unwrap();
-        let good = std::fs::read(&path).unwrap();
-
-        // Truncation at every prefix length: open or section read must
-        // error, never panic.
-        for cut in 0..good.len() {
-            std::fs::write(&path, &good[..cut]).unwrap();
-            if let Ok(r) = SnapshotReader::open(&path) {
-                assert!(r.section(3).is_err(), "cut={cut}");
+        // The short payload never fills a 32-byte stripe. The long one,
+        // written in uneven pieces, runs the stripe loop and the carry
+        // buffer, so the sweeps below corrupt bytes in each.
+        let long: Vec<u8> = (0..107u32).map(|i| (i * 37 + 11) as u8).collect();
+        let (a, rest) = long.split_at(5);
+        let (b, rest) = rest.split_at(37);
+        let (c, d) = rest.split_at(1);
+        let payloads: [&[&[u8]]; 2] = [&[b"some payload bytes"], &[a, b, c, d]];
+        for (p, pieces) in payloads.into_iter().enumerate() {
+            let path = temp_path(&format!("corrupt-{p}"));
+            let mut w = SnapshotWriter::create(&path).unwrap();
+            w.begin_section(3);
+            for piece in pieces {
+                w.write(piece).unwrap();
             }
-        }
-        // Single-byte flips: header flips fail open; payload flips fail
-        // the checksum; table flips fail bounds or the checksum.
-        for i in 0..good.len() {
-            let mut bad = good.clone();
-            bad[i] ^= 0x40;
-            std::fs::write(&path, &bad).unwrap();
-            if let Ok(r) = SnapshotReader::open(&path) {
-                if let Ok(payload) = r.section(3) {
-                    // A flip that still reads back must be confined to
-                    // unreachable bytes — impossible here, since every
-                    // byte of this file is load-bearing.
-                    panic!("flip at {i} went unnoticed: {payload:?}")
+            w.end_section();
+            w.finish().unwrap();
+            let good = std::fs::read(&path).unwrap();
+            assert_eq!(SnapshotReader::open(&path).unwrap().section(3).unwrap(), pieces.concat());
+
+            // Truncation at every prefix length: open or section read
+            // must error, never panic.
+            for cut in 0..good.len() {
+                std::fs::write(&path, &good[..cut]).unwrap();
+                if let Ok(r) = SnapshotReader::open(&path) {
+                    assert!(r.section(3).is_err(), "payload {p} cut={cut}");
                 }
             }
+            // Single-byte flips: header flips fail open; payload flips
+            // fail the checksum; table flips fail bounds or the
+            // checksum.
+            for i in 0..good.len() {
+                let mut bad = good.clone();
+                bad[i] ^= 0x40;
+                std::fs::write(&path, &bad).unwrap();
+                if let Ok(r) = SnapshotReader::open(&path) {
+                    if let Ok(payload) = r.section(3) {
+                        // A flip that still reads back must be confined
+                        // to unreachable bytes — impossible here, since
+                        // every byte of this file is load-bearing.
+                        panic!("payload {p}: flip at {i} went unnoticed: {payload:?}")
+                    }
+                }
+            }
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn snapshot_rejects_table_offset_overflow() {
+        let path = temp_path("table-offset");
+        let mut w = SnapshotWriter::create(&path).unwrap();
+        w.section(1, b"x").unwrap();
+        w.finish().unwrap();
+        let good = std::fs::read(&path).unwrap();
+        // Offsets whose table bounds wrap past u64::MAX, and the
+        // largest that does not.
+        for offset in [u64::MAX - 1, u64::MAX - 3, u64::MAX, u64::MAX - 4] {
+            let mut bytes = good.clone();
+            bytes[12..20].copy_from_slice(&offset.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            let err = SnapshotReader::open(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "table offset {offset:#x}");
         }
         std::fs::remove_file(&path).ok();
     }

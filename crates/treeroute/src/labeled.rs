@@ -293,6 +293,12 @@ fn advance<T: LabeledRead + ?Sized>(tree: &T, at: TreeIx, label: impl TreeLabel)
     }
 }
 
+/// Does any adjacent pair of CSR offsets decrease? One branch-free pass
+/// over every pair, the last one included.
+pub(crate) fn decreases(off: U32s<'_>) -> bool {
+    off.iter().zip(off.iter().skip(1)).fold(false, |bad, (a, b)| bad | (b < a))
+}
+
 /// A [`LabeledStore`] read in place from its wire record: borrowed
 /// little-endian arrays, no decode. [`LabeledView::split`] finds the
 /// arrays in O(1); [`LabeledView::validate`] checks, without
@@ -340,9 +346,21 @@ impl<'a> LabeledView<'a> {
     /// Acyclicity needs no traversal: every non-root `t` must satisfy
     /// `parent(t) < t`, so every parent chain strictly descends and must
     /// end at the one node without a parent — the root.
+    ///
+    /// Each per-element check is one pass over one array that folds its
+    /// predicate with `|` and never exits early: a record that passes
+    /// (the only kind a healthy store meets) reads every element anyway,
+    /// and the branch-free loop runs at memory speed.
     pub fn validate(&self) -> io::Result<()> {
         use wire::invalid;
         let m = self.graph_ids.len();
+        // Tree indices are u32: a record of more nodes is no tree (its
+        // subtree interval at t = u32::MAX could not end past t), and
+        // rejecting it here lets every pass below compare in u32, which
+        // vectorizes where a widening compare to usize does not.
+        let Ok(m32) = u32::try_from(m) else {
+            return Err(invalid("inconsistent tree record"));
+        };
         if m == 0 || self.parents.len() != m || self.weights.len() != m {
             return Err(invalid("inconsistent tree record"));
         }
@@ -356,21 +374,19 @@ impl<'a> LabeledView<'a> {
         {
             return Err(invalid("labeled store light-path arena bounds"));
         }
-        let mut prev_off = 0;
-        let nodes = self.parents.iter().zip(self.dfs_out.iter()).zip(self.light_off.iter());
-        for (t, ((p, out), off)) in nodes.enumerate() {
-            if t > 0 && p as usize >= t {
-                return Err(invalid("parent relation is not a connected tree"));
-            }
-            if out as usize <= t || out as usize > m {
-                return Err(invalid("labeled store subtree interval out of range"));
-            }
-            if off < prev_off {
-                return Err(invalid("labeled store light offsets decrease"));
-            }
-            prev_off = off;
+        // t < m ≤ u32::MAX, so `t as u32` is exact.
+        let parents = self.parents.iter().enumerate().skip(1);
+        if parents.fold(false, |bad, (t, p)| bad | (p >= t as u32)) {
+            return Err(invalid("parent relation is not a connected tree"));
         }
-        if self.hops.iter().any(|child| child as usize >= m) {
+        let outs = self.dfs_out.iter().enumerate();
+        if outs.fold(false, |bad, (t, out)| bad | (out <= t as u32) | (out > m32)) {
+            return Err(invalid("labeled store subtree interval out of range"));
+        }
+        if decreases(self.light_off) {
+            return Err(invalid("labeled store light offsets decrease"));
+        }
+        if self.hops.iter().fold(false, |bad, child| bad | (child >= m32)) {
             return Err(invalid("labeled store light hop out of range"));
         }
         Ok(())

@@ -52,7 +52,7 @@ use graphkit::{Cost, NodeId, Tree, TreeIx};
 use std::io;
 
 use crate::hashing::{digit_at, poly_eval, PolyHash, FIELD_P};
-use crate::labeled::{LabeledRead, LabeledTree, LabeledView};
+use crate::labeled::{decreases, LabeledRead, LabeledTree, LabeledView};
 use crate::names::Naming;
 
 /// Outcome of a tree lookup: a j-bounded search (Lemma 4) or a
@@ -366,27 +366,23 @@ impl<'a> ErtView<'a> {
         if self.k == 0
             || self.sigma == 0
             || self.coeffs.is_empty()
-            || self.coeffs.iter().any(|c| c >= FIELD_P)
+            || self.coeffs.iter().fold(false, |bad, c| bad | (c >= FIELD_P))
         {
             return Err(invalid("bad ERT record header"));
         }
         self.labeled.validate()?;
         let m = self.labeled.size();
+        // The labeled store passed, so m ≤ u32::MAX: compare in u32.
+        let m32 = u32::try_from(m).unwrap_or(u32::MAX);
         let check_csr = |off: U32s<'_>, arena: Pairs<'_>, what: &str| {
-            let mut prev = 0u32;
-            let monotone = off.iter().all(|o| {
-                let ok = o >= prev;
-                prev = o;
-                ok
-            });
             if off.len() != m + 1
                 || off.get(0) != Some(0)
                 || off.get(m) != Some(arena.len() as u32)
-                || !monotone
+                || decreases(off)
             {
                 return Err(invalid(&format!("ERT {what} directory offsets corrupt")));
             }
-            if arena.iter().any(|(_, ix)| ix as usize >= m) {
+            if arena.iter().fold(false, |bad, (_, ix)| bad | (ix >= m32)) {
                 return Err(invalid(&format!("ERT {what} directory entry out of range")));
             }
             Ok(())
@@ -1164,17 +1160,89 @@ mod tests {
         assert!(ErrorReportingTree::from_wire(&mut wire::Reader::new(&bad)).is_err());
     }
 
-    /// Overwrite one `u32` of array `array` (record order: 0 the hash
-    /// coefficients, 1 graph ids, 2 parents, 3 weights, 4 subtree ends,
-    /// 5 light offsets, …) and check that the view and the owned decode
-    /// both reject the result.
-    fn assert_u32_patch_rejected(good: &[u8], array: usize, at: usize, value: u32) {
+    /// `good` with its `at`-th `u32` of array `array` set to `value`.
+    /// Record order: 0 the hash coefficients, 1 graph ids, 2 parents,
+    /// 3 weights, 4 subtree ends, 5 light offsets, 6 light hops, 7 and
+    /// 8 the name-child offsets and entries, 9 and 10 the hash
+    /// directory's; directory entry `i`'s tree index is `u32` 2i + 1.
+    fn patched(good: &[u8], array: usize, at: usize, value: u32) -> Vec<u8> {
         let (_, layout) = ErtView::locate(good).unwrap();
         let start = if array == 0 { HEADER } else { layout.ends[array - 1] as usize } + 8;
         let mut bad = good.to_vec();
         bad[start + 4 * at..start + 4 * at + 4].copy_from_slice(&value.to_le_bytes());
+        bad
+    }
+
+    /// Patch as [`patched`] and check that the view and the owned decode
+    /// both reject the result.
+    fn assert_u32_patch_rejected(good: &[u8], array: usize, at: usize, value: u32) {
+        let bad = patched(good, array, at, value);
         assert!(ErtView::new(&bad).is_err(), "array {array}[{at}] = {value}");
         assert!(ErrorReportingTree::from_wire(&mut wire::Reader::new(&bad)).is_err());
+    }
+
+    #[test]
+    fn each_record_check_fails_alone_at_both_ends() {
+        // The validators fold every element without an early exit, so a
+        // bad element goes where an off-by-one in a fold's range would
+        // miss it: the first and the last position it can occupy. Each
+        // patch breaks one check only, and the error must name it.
+        let mut rng = SmallRng::seed_from_u64(67);
+        let g = gen::random_tree(40, WeightDist::UniformInt { lo: 1, hi: 5 }, &mut rng);
+        let s = build(&g, NodeId(0), 2, 16);
+        let good = record_of(&s);
+        assert!(ErtView::new(&good).is_ok());
+        assert!(ErtStore::from_wire(&mut wire::Reader::new(&good)).is_ok());
+        let st = s.store();
+        let m = st.labeled.size();
+        let light_off = |t: usize| -> u32 {
+            (0..t as u32).map(|u| st.labeled.label(u).light_path.len() as u32).sum()
+        };
+        let hops = light_off(m) as usize;
+        assert!(hops >= 2 && st.nc.len() >= 2 && st.hd.len() >= 2, "every arena has two entries");
+        let m32 = m as u32;
+        let parent = "parent relation is not a connected tree";
+        let interval = "subtree interval out of range";
+        let mut cases = vec![
+            (2, 1, 1, parent),
+            (2, m - 1, m32 - 1, parent),
+            (4, 0, 0, interval),
+            (4, m - 1, m32 - 1, interval),
+            (4, 0, m32 + 1, interval),
+            (4, m - 1, m32 + 1, interval),
+            // Offset 0 is pinned to 0, so (1, 2) is the first pair that
+            // can decrease; (m − 1, m) is the last.
+            (5, 1, light_off(2) + 1, "light offsets decrease"),
+            (5, m - 1, hops as u32 + 1, "light offsets decrease"),
+            (6, 0, m32, "light hop out of range"),
+            (6, hops - 1, m32, "light hop out of range"),
+        ];
+        let dirs = [
+            (
+                7,
+                &st.nc_off,
+                st.nc.len(),
+                ["name-child directory offsets", "name-child directory entry"],
+            ),
+            (9, &st.hd_off, st.hd.len(), ["hash directory offsets", "hash directory entry"]),
+        ];
+        for (a, offs, n, [corrupt, range]) in dirs {
+            cases.extend([
+                (a, 1, offs[2] + 1, corrupt),
+                (a, m - 1, n as u32 + 1, corrupt),
+                (a + 1, 1, m32, range),
+                (a + 1, 2 * (n - 1) + 1, m32, range),
+            ]);
+        }
+        for (array, at, value, msg) in cases {
+            let bad = patched(&good, array, at, value);
+            let view = ErtView::new(&bad).map(|_| ()).unwrap_err();
+            let owned = ErtStore::from_wire(&mut wire::Reader::new(&bad)).map(|_| ()).unwrap_err();
+            for err in [view, owned] {
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "array {array}[{at}] = {value}");
+                assert!(err.to_string().contains(msg), "array {array}[{at}] = {value}: {err}");
+            }
+        }
     }
 
     #[test]
