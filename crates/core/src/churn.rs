@@ -68,8 +68,8 @@ pub struct ChurnConfig {
     /// Departed nodes rejoining per epoch (FIFO).
     pub node_joins: usize,
     /// Skip any event that would disconnect the *live* part of the
-    /// graph (departed nodes are expected islands). Keeps edge-only
-    /// schedules repairable every epoch.
+    /// graph (departed nodes are expected islands), so an edge-only
+    /// schedule can repair every epoch.
     pub keep_connected: bool,
 }
 
@@ -330,8 +330,8 @@ fn delivery_rate(s: &StretchStats) -> f64 {
 /// Drive a scheme through a churn plan: per epoch, mutate the live
 /// graph, measure the stale scheme via path replay, repair with every
 /// outstanding delta, and (when repair ran) measure the repaired
-/// scheme on the same workload. The scheme is built on-demand with
-/// repair state retained regardless of `params.repairable`.
+/// scheme on the same workload. The scheme is built on-demand from
+/// `params`; every repair reads what it reuses off the scheme itself.
 pub fn run_churn(
     g0: &Graph,
     params: SchemeParams,
@@ -340,7 +340,7 @@ pub fn run_churn(
     workload_seed: u64,
     threads: usize,
 ) -> Vec<EpochRow> {
-    let mut scheme = Scheme::build_on_demand(g0.clone(), params.with_repair());
+    let mut scheme = Scheme::build_on_demand(g0.clone(), params);
     let mut g_now = g0.clone();
     let mut pending: Vec<GraphDelta> = Vec::new();
     let mut rows = Vec::with_capacity(plan.epochs.len());

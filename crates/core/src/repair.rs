@@ -15,15 +15,18 @@
 //! construction. Only the expensive artifacts have reuse rules, one
 //! [`Prior`] method each:
 //!
-//! * **center trees** — a tree `T(c)` is reused iff `c` was a center
-//!   before, its member list `(v, d(v, c))` is unchanged, and every
-//!   changed edge sits strictly outside the tree's Dijkstra radius
-//!   `R(c)` on both the old and new graph
-//!   (`prox(c) > R(c)`, where `prox` is the distance from `c` to the
-//!   nearest changed-edge endpoint). Under those conditions the
-//!   bounded run never relaxes a changed edge, so the fresh tree —
-//!   and its Lemma 4 scheme, seeded by `c` alone — is bit-identical
-//!   to the stored one;
+//! * **center trees** — a tree `T(c)` is reused iff every changed edge
+//!   sits strictly outside its radius `r` (the largest new member
+//!   distance) on both the old and new graph (`prox(c) > r`, where
+//!   `prox` is the distance from `c` to the nearest changed-edge
+//!   endpoint), and its old record is the tree a fresh build over the
+//!   new members makes: rooted at `c`, every member a node at depth
+//!   `d(v, c)`, every non-root leaf a member. Under those conditions
+//!   the bounded run sees the same ball and picks the same parents,
+//!   the members close under them to the old node set, and the Lemma 4
+//!   scheme, seeded by `c` alone, encodes to the stored bytes. The rule
+//!   reads only the record, so a scheme loaded from a snapshot repairs
+//!   incrementally too;
 //! * **cover trees** — a dense scale's whole cover collection is
 //!   reused iff its extended-range member set is unchanged and no
 //!   changed edge has both endpoints inside it (the cover's searches
@@ -45,35 +48,27 @@
 //! ## Residue cases
 //!
 //! Repair declines in a few documented situations instead of risking
-//! a wrong patch: a scheme without retained
-//! [`crate::SchemeParams::repairable`] state, or a delta batch after
-//! which the seeded hierarchy re-verification picks a different
-//! landmark set — each runs the assembler with no prior (a full
-//! rebuild) and says so. A batch that leaves the graph
-//! disconnected is *deferred*: the scheme is left untouched (stale),
-//! and the caller accumulates deltas until connectivity returns —
-//! `core::churn` leans on this for node-leave/join epochs.
-
-use std::collections::HashMap;
+//! a wrong patch: a delta batch after which the seeded hierarchy
+//! re-verification picks a different landmark set runs the assembler
+//! with no prior (a full rebuild) and says so. A batch that leaves the
+//! graph disconnected is *deferred*: the scheme is left untouched
+//! (stale), and the caller accumulates deltas until connectivity
+//! returns — `core::churn` leans on this for node-leave/join epochs.
 
 use decomposition::Decomposition;
-use graphkit::bits::bits_for_node;
 use graphkit::{
     apply_deltas, delta_impact, dijkstra, Cost, DeltaImpact, GraphDelta, NodeId, INFINITY,
 };
-
 use treeroute::cover_router::CoverScale;
+use treeroute::laing::ErtRead;
+use treeroute::LabeledRead;
 
-use crate::scheme::{index_and_bits, LevelPlan, Parts, RepairState, Scheme};
+use crate::center_store::Records;
+use crate::scheme::{LevelPlan, Parts, Scheme};
 
 /// Why repair declined to patch and rebuilt the scheme from scratch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RebuildReason {
-    /// The scheme carries no repair state — built without
-    /// [`crate::SchemeParams::repairable`] or loaded from a snapshot (which
-    /// never serializes it). The rebuild turns `repairable` on, so
-    /// subsequent repairs are incremental.
-    NotPrepared,
     /// Re-verifying the seeded landmark hierarchy on the mutated graph
     /// selected a different landmark set (a different sampling attempt
     /// passed Claims 1–2), so every center assignment is suspect and
@@ -147,7 +142,9 @@ impl Scheme {
     /// to date, reusing every center tree and cover collection the
     /// batch provably left untouched. On return (except
     /// [`RepairOutcome::Deferred`]) the scheme routes exactly like a
-    /// fresh build on the mutated graph.
+    /// fresh build on the mutated graph. A loaded scheme
+    /// ([`Scheme::load`], [`Scheme::load_lazy`]) repairs incrementally
+    /// too, and every repaired scheme holds its center trees resident.
     ///
     /// Panics on malformed deltas (failing a missing edge, restoring a
     /// present one — see [`GraphDelta`]): delta bookkeeping is the
@@ -167,22 +164,13 @@ impl Scheme {
         if dijkstra(&g2, NodeId(0)).dist.contains(&INFINITY) {
             return RepairOutcome::Deferred { reason: DeferReason::Disconnected };
         }
-        // Rebuilds keep (or gain) repair state so the *next* repair
-        // can be incremental.
-        let mut params = self.params;
-        params.repairable = true;
+        let params = self.params;
         let parts = Parts::compute(&g2, &params);
-        let state = match self.repair_state.take() {
-            Some(state) if parts.hier.levels() == self.hier.levels() => state,
-            state => {
-                let reason = match state {
-                    None => RebuildReason::NotPrepared,
-                    Some(_) => RebuildReason::HierarchyChanged,
-                };
-                *self = Scheme::assemble(g2, params, parts, None).0;
-                return RepairOutcome::RebuiltFull { reason, seconds: t0.elapsed().as_secs_f64() };
-            }
-        };
+        if parts.hier.levels() != self.hier.levels() {
+            *self = Scheme::assemble(g2, params, parts, None).0;
+            let reason = RebuildReason::HierarchyChanged;
+            return RepairOutcome::RebuiltFull { reason, seconds: t0.elapsed().as_secs_f64() };
+        }
         let impact = delta_impact(&self.g, &g2, deltas);
         let mut changed: Vec<(NodeId, NodeId)> = deltas
             .iter()
@@ -194,7 +182,7 @@ impl Scheme {
         changed.sort_unstable();
         changed.dedup();
         let (changed_edges, dirty_nodes) = (changed.len(), impact.dirty_nodes.len());
-        let prior = Prior { old: self, state, impact, changed };
+        let prior = Prior { old: self, impact, changed };
         let (scheme, report) = Scheme::assemble(g2, params, parts, Some(prior));
         *self = scheme;
         let seconds = t0.elapsed().as_secs_f64();
@@ -207,83 +195,45 @@ impl Scheme {
 /// one reuse rule from the module docs.
 pub(crate) struct Prior<'a> {
     old: &'a mut Scheme,
-    state: RepairState,
     impact: DeltaImpact,
     /// Distinct changed edges as ordered endpoint pairs, ascending.
     changed: Vec<(NodeId, NodeId)>,
 }
 
-/// What the kept center trees bring to the new scheme.
-#[derive(Default)]
-pub(crate) struct Carried {
-    /// The kept trees' records, moved out of the old store.
-    pub(crate) records: Vec<(u32, Box<[u8]>)>,
-    /// Per-node landmark bits of the kept trees (empty: none).
-    pub(crate) landmark_bits: Vec<u64>,
-    /// Largest routing label per kept tree.
-    pub(crate) labels: HashMap<u32, u64>,
-}
-
 impl Prior<'_> {
-    /// Center-tree rule: `T(c)` is kept iff `c` was a center with the
-    /// same member list, and every changed edge lies strictly outside
-    /// the tree's radius on both graphs.
+    /// Center-tree rule: `T(c)` is kept iff every changed edge lies
+    /// strictly outside the radius of `mem` on both graphs, and `c`'s
+    /// old record reads and is the tree a fresh build over `mem` makes.
     pub(crate) fn keeps_tree(&self, c: u32, mem: &[(u32, Cost)]) -> bool {
-        let same_members = self
-            .state
-            .centers
-            .binary_search(&c)
-            .is_ok_and(|oci| self.state.members.members(oci) == mem);
-        same_members && {
-            let r = mem.iter().map(|&(_, d)| d).max().unwrap_or(0);
-            self.impact.old_prox[c as usize] > r && self.impact.new_prox[c as usize] > r
-        }
+        let r = mem.iter().map(|&(_, d)| d).max().unwrap_or(0);
+        let far = |prox: &[Cost]| prox.get(c as usize).is_some_and(|&p| p > r);
+        far(&self.impact.old_prox)
+            && far(&self.impact.new_prox)
+            && self
+                .old
+                .center_store
+                .with_tree(c, |ert| is_tree_over(ert.labeled(), c, mem))
+                .unwrap_or(false)
     }
 
-    /// Carry the kept trees over: the stored record of an identical tree
-    /// is the fresh encoding, so each kept record moves out of the old
-    /// store as bytes (that store is about to be replaced, so repair
-    /// holds no tree twice). The old storage accounting carries over
-    /// minus every tree the repair retires — a center gone, or rebuilt
-    /// — read off its old record. `kept` is aligned with the new
-    /// `centers`. Counts the centers added and removed.
+    /// Move the `kept` centers' records out of the old store as bytes —
+    /// the stored record of an identical tree is the fresh encoding, and
+    /// that store is about to be replaced, so repair holds no tree
+    /// twice. A kept record that can no longer be read is dropped:
+    /// routes through that center fall through to their next level
+    /// (degraded delivery, no panic). Counts the centers added and
+    /// removed against the new `centers`.
     pub(crate) fn carry_trees(
         &mut self,
         centers: &[u32],
-        kept: &[bool],
+        kept: &[u32],
         report: &mut RepairReport,
-    ) -> Carried {
-        let id_bits = bits_for_node(self.old.g.n());
-        let mut landmark_bits = std::mem::take(&mut self.old.landmark_bits);
-        let mut labels = std::mem::take(&mut self.state.center_labels);
-        let mut records = Vec::new();
-        for &c in &self.state.centers {
-            let now = centers.binary_search(&c);
-            if now.is_ok_and(|ci| kept[ci]) {
-                // A kept record that can no longer be read is dropped:
-                // routes through that center fall through to their next
-                // level (degraded delivery, no panic).
-                if let Ok(bytes) = self.old.center_store.take_record(c) {
-                    records.push((c, bytes));
-                }
-                continue;
-            }
-            report.centers_removed += usize::from(now.is_err());
-            // An unreadable old record leaves that center's old bits in
-            // place: the storage stats over-count (conservative),
-            // routing is unaffected.
-            if let Ok((_, bits, _)) =
-                self.old.center_store.with_tree(c, |t| index_and_bits(t, id_bits))
-            {
-                for (gid, b) in bits {
-                    landmark_bits[gid as usize] -= b;
-                }
-            }
-            labels.remove(&c);
-        }
-        report.centers_added =
-            centers.iter().filter(|c| self.state.centers.binary_search(c).is_err()).count();
-        Carried { records, landmark_bits, labels }
+    ) -> Records {
+        let store = &mut self.old.center_store;
+        let old: Vec<u32> = store.centers().collect();
+        report.centers_added = centers.iter().filter(|c| old.binary_search(c).is_err()).count();
+        report.centers_removed = old.iter().filter(|c| centers.binary_search(c).is_err()).count();
+        kept.iter().filter_map(|&c| Some((c, store.take_record(c).ok()?))).collect()
     }
 
     /// `b(u,i)` rule: the old plan's `b` and source index carry over iff
@@ -325,5 +275,87 @@ impl Prior<'_> {
         }
         let at = self.old.scale_covers.binary_search_by_key(&s, |&(scale, _)| scale).ok()?;
         Some(self.old.scale_covers.remove(at).1)
+    }
+}
+
+/// Is `tree`, the old record of center `c`, the tree a fresh build over
+/// `mem` (`(v, d(v, c))`, `v` ascending) makes, given that no changed
+/// edge lies within `mem`'s radius? Yes iff its root is `c`, every
+/// member is a node at depth `d(v, c)`, and every non-root leaf is a
+/// member (the proof is in DESIGN.md §"Churn & incremental repair").
+/// Sorts the tree's nodes by host id and merges them with `mem`: no
+/// n-length table, and no host id read off the record indexes one.
+fn is_tree_over(tree: &impl LabeledRead, c: u32, mem: &[(u32, Cost)]) -> bool {
+    if tree.host(0) != Some(c) {
+        return false;
+    }
+    // (host id, depth, non-root leaf) per node. Parents precede their
+    // children, so one forward pass finds the depths and clears every
+    // parent's leaf flag.
+    let size = tree.size();
+    let mut nodes: Vec<(u32, Cost, bool)> = Vec::with_capacity(size);
+    for t in 0..size as u32 {
+        let depth = match tree.parent(t).and_then(|p| nodes.get_mut(p as usize)) {
+            Some(parent) => {
+                parent.2 = false;
+                parent.1.saturating_add(tree.parent_weight(t))
+            }
+            None => 0,
+        };
+        nodes.push((tree.host(t).unwrap_or(u32::MAX), depth, t != 0));
+    }
+    nodes.sort_unstable();
+    let mut mem = mem.iter().peekable();
+    let mut prev = None;
+    for &(v, depth, leaf) in &nodes {
+        if prev == Some(v) {
+            return false; // a host twice is no tree
+        }
+        prev = Some(v);
+        match mem.next_if(|&&(m, _)| m == v) {
+            Some(&(_, d)) if d != depth => return false,
+            None if leaf => return false,
+            _ => {}
+        }
+    }
+    // A member that is no node stops the merge, so it is left over.
+    mem.next().is_none()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use graphkit::Tree;
+    use treeroute::LabeledTree;
+
+    /// Node 0 is the root; nodes 1, 2, 3 hang below `parents` at
+    /// weights 3, 4, 2.
+    fn tree(hosts: [u32; 4], parents: [u32; 4]) -> LabeledTree {
+        LabeledTree::new(Tree::from_parents(hosts.to_vec(), parents.to_vec(), vec![0, 3, 4, 2]))
+    }
+
+    #[test]
+    fn record_rule_checks_root_members_depths_and_leaves() {
+        // Root 5 with children 2 (depth 3) and 9 (depth 4); 7 below 2
+        // (depth 5). Leaves 7 and 9, inner node 2.
+        let t = tree([5, 2, 9, 7], [u32::MAX, 0, 0, 1]);
+        let full = [(2, 3), (5, 0), (7, 5), (9, 4)];
+        // The tree over its own members, or over just its leaves: the
+        // closure under parents is the same node set.
+        assert!(is_tree_over(&t, 5, &full));
+        assert!(is_tree_over(&t, 5, &[(7, 5), (9, 4)]));
+        assert!(!is_tree_over(&t, 2, &full), "root is not the center");
+        assert!(!is_tree_over(&t, 5, &[(2, 3), (7, 5)]), "leaf 9 is no member");
+        assert!(!is_tree_over(&t, 5, &[(7, 6), (9, 4)]), "7 at the wrong depth");
+        for extra in [1, 8, 11] {
+            let mut mem = vec![(7, 5), (9, 4), (extra, 1)];
+            mem.sort_unstable();
+            assert!(!is_tree_over(&t, 5, &mem), "member {extra} is no node");
+        }
+        // A path 5 - 9 - 8 - 7 over its one leaf, then with host 9 twice.
+        let chain = [u32::MAX, 0, 1, 2];
+        assert!(is_tree_over(&tree([5, 9, 8, 7], chain), 5, &[(7, 9)]));
+        let twice = tree([5, 9, 9, 7], chain);
+        assert!(!is_tree_over(&twice, 5, &[(7, 9)]), "host 9 twice");
     }
 }

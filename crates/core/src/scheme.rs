@@ -20,8 +20,8 @@ use treeroute::cover_router::CoverScale;
 use treeroute::laing::{ErrorReportingTree, ErtRead};
 use treeroute::{LabeledRead, Naming};
 
-use crate::center_store::{self, CenterStore};
-use crate::repair::{Carried, Prior, RepairReport};
+use crate::center_store::{self, CenterStore, Records};
+use crate::repair::{Prior, RepairReport};
 
 /// Ablation switch (experiment A1): disable one side of the
 /// sparse/dense decomposition to show why the paper needs both.
@@ -50,22 +50,13 @@ pub struct SchemeParams {
     pub landmark_attempts: u32,
     /// Ablation override (None = the paper's decomposition).
     pub force_mode: Option<ForceMode>,
-    /// Retain the build-time state (`RepairState`) that
-    /// [`Scheme::repair`] needs to patch the scheme in place after
-    /// graph deltas — old membership lists and per-center label sizes,
-    /// ~O(total members) extra resident memory. Off by default so the
-    /// construction-scale memory tripwires are unaffected; a scheme
-    /// built without it (or loaded from a snapshot, which never
-    /// serializes repair state) falls back to a full rebuild on the
-    /// first repair call.
-    pub repairable: bool,
 }
 
 impl SchemeParams {
     /// Defaults: verified sampling with 16 attempts, the paper's
-    /// decomposition, no repair state.
+    /// decomposition.
     pub fn new(k: usize, seed: u64) -> Self {
-        SchemeParams { k, seed, landmark_attempts: 16, force_mode: None, repairable: false }
+        SchemeParams { k, seed, landmark_attempts: 16, force_mode: None }
     }
 
     /// Builder-style ablation switch.
@@ -74,9 +65,11 @@ impl SchemeParams {
         self
     }
 
-    /// Builder-style incremental-repair switch.
-    pub fn with_repair(mut self) -> Self {
-        self.repairable = true;
+    /// A no-op, kept so existing callers still compile: every scheme —
+    /// built, repaired or loaded from a snapshot — repairs
+    /// incrementally, reading what [`Scheme::repair`] needs off the
+    /// scheme itself.
+    pub fn with_repair(self) -> Self {
         self
     }
 }
@@ -199,22 +192,6 @@ impl CenterMembers {
     }
 }
 
-/// Build-time state retained (under [`SchemeParams::repairable`]) so
-/// [`Scheme::repair`] can tell which center trees a delta batch left
-/// untouched and keep the bit-exact storage accounting without
-/// re-deriving the whole scheme. Everything else repair needs is
-/// recomputed fresh on the mutated graph (see DESIGN.md §"Churn &
-/// incremental repair").
-pub(crate) struct RepairState {
-    /// The distinct centers of the previous build, ascending.
-    pub(crate) centers: Vec<u32>,
-    /// Their membership lists (CSR aligned with `centers`).
-    pub(crate) members: CenterMembers,
-    /// Per-center max routing-label bits — lets repair maintain
-    /// `max_center_label_bits` exactly when trees are added/removed.
-    pub(crate) center_labels: HashMap<u32, u64>,
-}
-
 /// How a sparse level's region `E(u, i)` is enumerated during
 /// construction.
 #[derive(Debug, PartialEq)]
@@ -285,9 +262,6 @@ pub struct Scheme {
     pub(crate) cover_bits: Vec<u64>,
     pub(crate) max_cover_label_bits: u64,
     pub(crate) stats: BuildStats,
-    /// Build-time state for [`Scheme::repair`]; `None` unless built
-    /// with [`SchemeParams::repairable`] (snapshots never carry it).
-    pub(crate) repair_state: Option<RepairState>,
 }
 
 impl Scheme {
@@ -363,12 +337,17 @@ impl Scheme {
         let mut report = RepairReport { centers_total: centers.len(), ..RepairReport::default() };
 
         // ---- fused per-center pipeline -------------------------------
-        // Every center whose tree the prior does not keep is a job.
-        let kept: Vec<bool> = centers
-            .iter()
-            .enumerate()
-            .map(|(ci, &c)| prior.as_ref().is_some_and(|p| p.keeps_tree(c, members.members(ci))))
-            .collect();
+        // Every center whose tree the prior does not keep is a job. A
+        // kept record is a finished tree: it moves out of the old store
+        // and goes through the same per-tree pass as a fresh one.
+        // merge: flags concatenated in chunk (= center) order.
+        let kept = graphkit::metrics::par_chunks(centers.len(), |range| {
+            let keeps = |ci: usize| {
+                prior.as_ref().is_some_and(|p| p.keeps_tree(centers[ci], members.members(ci)))
+            };
+            range.map(keeps).collect::<Vec<bool>>()
+        })
+        .concat();
         let jobs: Vec<(u32, &[(u32, Cost)])> = centers
             .iter()
             .enumerate()
@@ -377,44 +356,39 @@ impl Scheme {
             .collect();
         report.trees_rebuilt = jobs.len();
         report.trees_reused = centers.len() - jobs.len();
-        let TreeBatch { mut records, mut bix, lm_bits: mut landmark_bits, labels } =
-            build_center_trees(&g, &params, &jobs);
+        let (mut records, mut trees) = build_center_trees(&g, &params, &jobs);
         drop(jobs);
-        let carried = prior.as_mut().map(|p| p.carry_trees(&centers, &kept, &mut report));
-        let Carried { records: kept_records, landmark_bits: kept_bits, labels: mut center_labels } =
-            carried.unwrap_or_default();
-        records.extend(kept_records);
-        for (acc, add) in landmark_bits.iter_mut().zip(&kept_bits) {
-            *acc += add;
+        drop(members);
+        let kept_centers: Vec<u32> =
+            centers.iter().zip(&kept).filter(|&(_, &keep)| keep).map(|(&c, _)| c).collect();
+        if let Some(p) = prior.as_mut() {
+            records.extend(p.carry_trees(&centers, &kept_centers, &mut report));
         }
-        center_labels.extend(labels);
-        let max_center_label_bits = center_labels.values().copied().max().unwrap_or(0);
         let center_store = CenterStore::resident(records);
+        let id_bits = bits_for_node(n);
+        // merge: TreeIndex::merge — keyed by center, sums and a max, so
+        // shard order is immaterial.
+        trees.merge(graphkit::metrics::par_chunks(kept_centers.len(), |range| {
+            let mut index = TreeIndex::new(n);
+            for &c in kept_centers.get(range).unwrap_or_default() {
+                // A kept record that could not be carried over is not in
+                // the store: routes through its center miss this level.
+                let _ = center_store.with_tree(c, |t| index.add(c, t, id_bits));
+            }
+            index
+        }));
+        let TreeIndex { bix, lm_bits: landmark_bits, max_label: max_center_label_bits } = trees;
         clock.lap("center_trees");
 
         // ---- b(u, i) + Lemma 3 verification --------------------------
         // A plan the prior keeps copies its b and source index; every
-        // other sparse plan is derived from its center's index, which a
-        // kept tree gets read off the store.
+        // other sparse plan is derived from its center's index.
         let kept_plan = |u: usize, i: usize| {
             let p = prior.as_ref()?;
             let plan = plans[u][i];
             let tree_kept = centers.binary_search(&plan.center).is_ok_and(|ci| kept[ci]);
             p.kept_plan((u, i), plan, tree_kept)
         };
-        let id_bits = bits_for_node(n);
-        for (u, row) in scopes.iter().enumerate() {
-            for (i, scope) in row.iter().enumerate() {
-                let c = plans[u][i].center;
-                if scope.is_some() && !bix.contains_key(&c) && kept_plan(u, i).is_none() {
-                    if let Ok((entry, _, _)) =
-                        center_store.with_tree(c, |t| index_and_bits(t, id_bits))
-                    {
-                        bix.insert(c, entry);
-                    }
-                }
-            }
-        }
         // merge: rows concatenated in chunk (= node id) order; the
         // counters are sums, which commute.
         let b_shards = graphkit::metrics::par_chunks(n, |nodes| {
@@ -477,8 +451,6 @@ impl Scheme {
         clock.lap("covers");
         stats.phase_seconds = clock.finish();
 
-        let repair_state =
-            params.repairable.then_some(RepairState { centers, members, center_labels });
         let scheme = Scheme {
             g,
             params,
@@ -492,7 +464,6 @@ impl Scheme {
             cover_bits,
             max_cover_label_bits,
             stats,
-            repair_state,
         };
         (scheme, report)
     }
@@ -1139,14 +1110,68 @@ pub(crate) struct Prepared {
     pub(crate) s_budgets: Vec<usize>,
 }
 
-/// One finished batch from the fused per-center pipeline: the encoded
-/// tree records, the b-pass indexes keyed by center, per-node
-/// storage-bit contributions, and each tree's largest routing label.
-struct TreeBatch {
-    records: Vec<(u32, Box<[u8]>)>,
+/// What the later passes read off a set of finished center trees,
+/// fresh or kept: the b-pass index per center, per-node landmark
+/// storage bits, and the largest routing label.
+struct TreeIndex {
     bix: HashMap<u32, BuildIndex>,
     lm_bits: Vec<u64>,
-    labels: Vec<(u32, u64)>,
+    max_label: u64,
+}
+
+impl TreeIndex {
+    fn new(n: usize) -> Self {
+        TreeIndex { bix: HashMap::new(), lm_bits: vec![0; n], max_label: 0 }
+    }
+
+    /// The per-tree pass on center `c`'s tree, just built or read in
+    /// place from its record: its b-pass index, each node's storage bits
+    /// (root id + τ) and its largest routing label.
+    fn add(&mut self, c: u32, ert: &impl ErtRead, id_bits: u64) {
+        let tree = ert.labeled();
+        let size = tree.size();
+        let naming = Naming::new(size, ert.sigma());
+        // Lemma-4 distance ranks: members in (depth, host id) order. Every
+        // parent precedes its child, so one forward pass finds the depths.
+        let mut depths: Vec<Cost> = Vec::with_capacity(size);
+        let mut by_rank: Vec<(Cost, u32, u32)> = Vec::with_capacity(size);
+        for ix in 0..size as u32 {
+            let above = tree.parent(ix).and_then(|p| depths.get(p as usize).copied());
+            let depth = above.map_or(0, |d| d.saturating_add(tree.parent_weight(ix)));
+            depths.push(depth);
+            let gid = tree.host(ix).unwrap_or(u32::MAX);
+            by_rank.push((depth, gid, ix));
+            // Stored records name only graph nodes (see `center_store`);
+            // the checked index keeps a host id from indexing past n.
+            if let Some(acc) = self.lm_bits.get_mut(gid as usize) {
+                *acc += id_bits + ert.node_bits(ix);
+            }
+            self.max_label = self.max_label.max(tree.label_bits(ix));
+        }
+        by_rank.sort_unstable();
+        let mut members: Vec<(u32, u32, u8)> = by_rank
+            .iter()
+            .enumerate()
+            .map(|(rank, &(_, gid, ix))| {
+                (gid, ix, naming.level_of_rank(rank).clamp(1, u8::MAX as usize) as u8)
+            })
+            .collect();
+        let max_search_level = members.iter().map(|&(_, _, lvl)| lvl).max().unwrap_or(1);
+        members.sort_unstable();
+        self.bix.insert(c, BuildIndex { members, max_search_level });
+    }
+
+    /// Fold shards in: entries keyed by center, elementwise bit sums and
+    /// a max, so shard order is immaterial.
+    fn merge(&mut self, shards: Vec<TreeIndex>) {
+        for shard in shards {
+            self.bix.extend(shard.bix);
+            for (acc, add) in self.lm_bits.iter_mut().zip(&shard.lm_bits) {
+                *acc += add;
+            }
+            self.max_label = self.max_label.max(shard.max_label);
+        }
+    }
 }
 
 /// The fused per-center pipeline over an explicit job list: bounded
@@ -1160,28 +1185,19 @@ fn build_center_trees(
     g: &Graph,
     params: &SchemeParams,
     jobs: &[(u32, &[(u32, Cost)])],
-) -> TreeBatch {
+) -> (Records, TreeIndex) {
     let n = g.n();
     let k = params.k;
     let sigma = graphkit::ids::nth_root_ceil(n as u64, k as u32).max(2);
     let id_bits = bits_for_node(n);
-    struct CenterShard {
-        records: Vec<(u32, Box<[u8]>)>,
-        index: Vec<(u32, BuildIndex)>,
-        lm_bits: Vec<u64>,
-        labels: Vec<(u32, u64)>,
-    }
-    // merge: keyed by center id (maps), plus elementwise bit sums and
-    // per-center label entries — shard order immaterial.
+    // merge: records concatenated (the store sorts them by center),
+    // plus TreeIndex::merge — shard order immaterial.
     let shards = graphkit::metrics::par_chunks(jobs.len(), |range| {
         let mut scratch = DijkstraScratch::new(n);
         let mut tscratch = TreeScratch::new(n);
-        let mut records = Vec::new();
-        let mut index = Vec::with_capacity(range.len());
-        let mut lm_bits = vec![0u64; n];
-        let mut labels = Vec::with_capacity(range.len());
-        for ji in range {
-            let (c, mem) = jobs[ji];
+        let mut records = Vec::with_capacity(range.len());
+        let mut index = TreeIndex::new(n);
+        for &(c, mem) in jobs.get(range).unwrap_or_default() {
             let radius = mem.iter().map(|&(_, dist)| dist).max().unwrap_or(0);
             scratch.run(g, NodeId(c), radius, usize::MAX);
             let tree = Tree::from_dist_parents_with(
@@ -1198,68 +1214,15 @@ fn build_center_trees(
                 sigma,
                 params.seed ^ (c as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
             );
-            let (entry, bits, max_label) = index_and_bits(&ert, id_bits);
-            for &(gid, b) in &bits {
-                lm_bits[gid as usize] += b;
-            }
-            labels.push((c, max_label));
-            index.push((c, entry));
+            index.add(c, &ert, id_bits);
             records.push((c, center_store::encode(&ert)));
         }
-        CenterShard { records, index, lm_bits, labels }
+        (records, index)
     });
-    let mut records = Vec::new();
-    let mut bix: HashMap<u32, BuildIndex> = HashMap::with_capacity(jobs.len());
-    let mut lm_bits = vec![0u64; n];
-    let mut labels = Vec::with_capacity(jobs.len());
-    for shard in shards {
-        records.extend(shard.records);
-        for (acc, add) in lm_bits.iter_mut().zip(&shard.lm_bits) {
-            *acc += add;
-        }
-        bix.extend(shard.index);
-        labels.extend(shard.labels);
-    }
-    TreeBatch { records, bix, lm_bits, labels }
-}
-
-/// Per-tree derived data, usable on a freshly built tree or one read
-/// back from the store: the b-pass index, each member's
-/// `(host id, storage-bit)` contribution (root id + τ), and the largest
-/// routing label.
-pub(crate) fn index_and_bits(
-    ert: &impl ErtRead,
-    id_bits: u64,
-) -> (BuildIndex, Vec<(u32, u64)>, u64) {
-    let tree = ert.labeled();
-    let size = tree.size();
-    let naming = Naming::new(size, ert.sigma());
-    // Lemma-4 distance ranks: members in (depth, host id) order. Every
-    // parent precedes its child, so one forward pass finds the depths.
-    let mut depths: Vec<Cost> = Vec::with_capacity(size);
-    let mut by_rank: Vec<(Cost, u32, u32)> = Vec::with_capacity(size);
-    let mut bits: Vec<(u32, u64)> = Vec::with_capacity(size);
-    let mut max_label = 0u64;
-    for ix in 0..size as u32 {
-        let above = tree.parent(ix).and_then(|p| depths.get(p as usize).copied());
-        let depth = above.map_or(0, |d| d.saturating_add(tree.parent_weight(ix)));
-        depths.push(depth);
-        let gid = tree.host(ix).unwrap_or(u32::MAX);
-        by_rank.push((depth, gid, ix));
-        bits.push((gid, id_bits + ert.node_bits(ix)));
-        max_label = max_label.max(tree.label_bits(ix));
-    }
-    by_rank.sort_unstable();
-    let mut members: Vec<(u32, u32, u8)> = by_rank
-        .iter()
-        .enumerate()
-        .map(|(rank, &(_, gid, ix))| {
-            (gid, ix, naming.level_of_rank(rank).clamp(1, u8::MAX as usize) as u8)
-        })
-        .collect();
-    let max_search_level = members.iter().map(|&(_, _, lvl)| lvl).max().unwrap_or(1);
-    members.sort_unstable();
-    (BuildIndex { members, max_search_level }, bits, max_label)
+    let (records, indexes): (Vec<_>, Vec<_>) = shards.into_iter().unzip();
+    let mut index = TreeIndex::new(n);
+    index.merge(indexes);
+    (records.into_iter().flatten().collect(), index)
 }
 
 /// All cover trees of one dense scale `s`: the AGM cover of the

@@ -195,9 +195,9 @@ impl Scheme {
                 }
                 abs.push((c, sec_off + off, len));
             }
-            CenterStore::file(sr.into_file(), &abs)
+            CenterStore::file(sr.into_file(), &abs, n)
         } else {
-            CenterStore::section(sr.section(SEC_CENTER_TREES)?, &dir)?
+            CenterStore::section(sr.section(SEC_CENTER_TREES)?, &dir, n)?
         };
 
         Ok(Scheme {
@@ -213,7 +213,6 @@ impl Scheme {
             cover_bits,
             max_cover_label_bits,
             stats,
-            repair_state: None,
         })
     }
 
@@ -303,15 +302,7 @@ fn decode_meta(r: &mut Reader<'_>) -> io::Result<(SchemeParams, BuildStats, u64)
     stats.phase_seconds = (0..phases)
         .map(|_| Ok((r.str()?, r.f64()?)))
         .collect::<io::Result<Vec<(String, f64)>>>()?;
-    let params = SchemeParams {
-        k,
-        seed,
-        landmark_attempts,
-        force_mode,
-        // Repair state is build-time-only and never serialized; a
-        // loaded scheme's first repair() falls back to a full rebuild.
-        repairable: false,
-    };
+    let params = SchemeParams { k, seed, landmark_attempts, force_mode };
     Ok((params, stats, max_center_label_bits))
 }
 

@@ -11,9 +11,10 @@ use std::sync::Barrier;
 use graphkit::gen::Family;
 use graphkit::metrics::apsp;
 use graphkit::wire::{Reader, SnapshotReader};
+use graphkit::{apply_deltas, GraphDelta};
 use proptest::prelude::*;
-use routing_core::{Scheme, SchemeParams};
-use sim::{evaluate, pairs, RouteTrace, Router};
+use routing_core::{RepairOutcome, Scheme, SchemeParams};
+use sim::{evaluate, pairs, validate_trace, RouteTrace, Router};
 
 /// Snapshot section ids (stable across snapshot versions).
 const SEC_CENTER_DIR: u32 = 7;
@@ -224,6 +225,52 @@ fn corrupt_center_trees_degrade_lazy_routes_instead_of_panicking() {
         flipped[off] ^= 0x20;
         serve(&flipped);
     }
+}
+
+/// A center record may name a node that is not in the graph: the
+/// record check cannot know n, and lazy mode never checksums the
+/// section, so every fetch checks the host ids. With graph id 1 set to
+/// u32::MAX − 1 in every record, no delivered route may fail
+/// `validate_trace` (such a record is unreadable, so its level misses),
+/// and a repair neither panics nor keeps such a record: it rebuilds
+/// those trees and routes like a fresh build.
+#[test]
+fn records_naming_nodes_outside_the_graph_are_never_routed() {
+    let g = Family::Geometric.generate(110, 0x54B7);
+    let params = SchemeParams::new(2, 0x54B7);
+    let scheme = Scheme::build_on_demand(g.clone(), params);
+    let path = TempPath::new();
+    scheme.save(&path.0).expect("save");
+    let mut bytes = std::fs::read(&path.0).expect("read back");
+    let mut corrupted = 0;
+    for (off, _) in center_records(&path.0) {
+        // Record layout as in the test above: graph ids after the
+        // header and the hash coefficients.
+        let at = off + 25 + 8 * read_u64(&bytes, off + 17);
+        if read_u64(&bytes, at) > 1 {
+            let p = at + 8 + 4;
+            bytes[p..p + 4].copy_from_slice(&(u32::MAX - 1).to_le_bytes());
+            corrupted += 1;
+        }
+    }
+    assert!(corrupted > 0);
+    let bad = TempPath::new();
+    std::fs::write(&bad.0, &bytes).expect("write corrupt");
+    let mut lazy = Scheme::load_lazy(&bad.0).expect("lazy load never reads the trees");
+    let nodes: Vec<_> = g.nodes().collect();
+    for &s in &nodes {
+        for &t in &nodes {
+            let trace = lazy.route(s, t);
+            if trace.delivered {
+                assert_eq!(validate_trace(&g, s, t, &trace), Ok(()), "{s}->{t}");
+            }
+        }
+    }
+    let (u, v, w) = g.all_edges().next().expect("an edge");
+    let batch = [GraphDelta::SetWeight { u, v, w: w + 1 }];
+    assert!(matches!(lazy.repair(&batch), RepairOutcome::Repaired(_)));
+    let fresh = Scheme::build_on_demand(apply_deltas(&g, &batch), params);
+    assert_parity(&apply_deltas(&g, &batch), &fresh, &lazy, "repaired over corrupt hosts");
 }
 
 /// Two threads released together by a barrier route the same pairs on

@@ -392,6 +392,16 @@ impl<'a> LabeledView<'a> {
         Ok(())
     }
 
+    /// Check that every host id names a node of an `n`-node graph (which
+    /// [`LabeledView::validate`] cannot know), in one branch-free fold.
+    pub fn validate_hosts(&self, n: usize) -> io::Result<()> {
+        let n32 = u32::try_from(n).unwrap_or(u32::MAX);
+        if self.graph_ids.iter().fold(false, |bad, v| bad | (v >= n32)) {
+            return Err(wire::invalid("tree record names a node outside the graph"));
+        }
+        Ok(())
+    }
+
     /// Copy a validated view into an owned [`LabeledStore`].
     pub(crate) fn to_store(self) -> io::Result<LabeledStore> {
         let tree = Tree::try_from_parents(

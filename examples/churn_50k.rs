@@ -72,7 +72,7 @@ fn main() {
     );
 
     let t_build = Instant::now();
-    let mut scheme = Scheme::build_on_demand(g.clone(), SchemeParams::new(k, seed).with_repair());
+    let mut scheme = Scheme::build_on_demand(g.clone(), SchemeParams::new(k, seed));
     println!(
         "[{:>7.2}s] scheme built in {:.1}s: {} center trees",
         t0.elapsed().as_secs_f64(),
