@@ -34,7 +34,7 @@
 //! connectivity probe and keeps "everyone else left and came back"
 //! schedules meaningful.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 use graphkit::{
     apply_deltas, dijkstra, Graph, GraphDelta, NodeId, OnDemandTruth, Weight, INFINITY,
@@ -118,9 +118,10 @@ pub struct ChurnPlan {
     pub skipped_disconnecting: usize,
 }
 
-/// Is the live (non-departed) part of `g` connected? BFS over live
-/// nodes from the lowest-id live node; departed islands are ignored.
-fn live_connected(g: &Graph, departed: &[bool]) -> bool {
+/// Is the live (non-departed) part of `g` connected once every edge
+/// `cut` names is removed? BFS over live nodes from the lowest-id live
+/// node; departed islands are ignored.
+fn live_connected(g: &Graph, departed: &[bool], cut: impl Fn(u32, u32) -> bool) -> bool {
     let n = g.n();
     let Some(root) = (0..n).find(|&v| !departed[v]) else {
         return true;
@@ -131,7 +132,7 @@ fn live_connected(g: &Graph, departed: &[bool]) -> bool {
     let mut reached = 1;
     while let Some(u) = queue.pop_front() {
         for &v in g.neighbors(NodeId(u)) {
-            if !seen[v as usize] && !departed[v as usize] {
+            if !seen[v as usize] && !departed[v as usize] && !cut(u, v) {
                 seen[v as usize] = true;
                 reached += 1;
                 queue.push_back(v);
@@ -141,23 +142,47 @@ fn live_connected(g: &Graph, departed: &[bool]) -> bool {
     reached == (0..n).filter(|&v| !departed[v]).count()
 }
 
+/// Canonical undirected key of edge `{a, b}`.
+fn key(a: u32, b: u32) -> (u32, u32) {
+    (a.min(b), a.max(b))
+}
+
+/// Apply the deltas an event phase accepted, `plan.deltas[*applied..]`,
+/// to `g_now` in one rebuild.
+fn catch_up(g_now: &mut Graph, plan: &EpochPlan, applied: &mut usize) {
+    if *applied < plan.deltas.len() {
+        *g_now = apply_deltas(g_now, &plan.deltas[*applied..]);
+        *applied = plan.deltas.len();
+    }
+}
+
 impl ChurnPlan {
     /// Materialise the schedule: a stateful walk over `g0` tracking
     /// live/failed edges and departures, drawing targets from the
     /// seeded RNG. Deterministic in `(g0, cfg)`.
+    ///
+    /// Each event phase (rejoins, departures, failures, restores,
+    /// re-weights) reads the graph as it stood when the phase began and
+    /// applies its accepted deltas once at the end. Within a phase a
+    /// departed node's edges are skipped by the departed flags, and a
+    /// candidate failure is tested with it and the phase's earlier
+    /// failures masked out, so every draw and every check sees the
+    /// graph an event-by-event rebuild would.
     pub fn generate(g0: &Graph, cfg: &ChurnConfig) -> ChurnPlan {
+        let n = g0.n();
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
         let mut g_now = g0.clone();
         // Failed edges remember their last weight only for bookkeeping;
         // restores draw a fresh weight near it.
         let mut failed: BTreeMap<(u32, u32), Weight> = BTreeMap::new();
-        let mut departed = vec![false; g0.n()];
+        let mut departed = vec![false; n];
         let mut departed_fifo: Vec<u32> = Vec::new();
         let mut skipped = 0usize;
         let mut epochs = Vec::with_capacity(cfg.epochs);
 
         for _ in 0..cfg.epochs {
             let mut plan = EpochPlan::default();
+            let mut applied = 0;
 
             // Rejoins first (FIFO): only nodes departed in *earlier*
             // epochs are eligible, bringing back their still-failed
@@ -181,57 +206,67 @@ impl ChurnPlan {
                     let (u, vv) = d.endpoints();
                     failed.remove(&(u.0, vv.0));
                 }
-                g_now = apply_deltas(&g_now, &back);
                 plan.deltas.extend(back);
                 plan.joins += 1;
             }
+            catch_up(&mut g_now, &plan, &mut applied);
 
             // Departures (after rejoins, so a node is down for at
             // least one full epoch and the deferred-repair path is
-            // actually exercised).
+            // actually exercised). A departed node has no live edge, so
+            // a node's live edges are those to nodes still live.
             for _ in 0..cfg.node_leaves {
-                let candidates: Vec<u32> = (1..g_now.n() as u32)
-                    .filter(|&v| !departed[v as usize] && g_now.degree(NodeId(v)) > 0)
+                let live_edges =
+                    |v: u32| g_now.edges_of(NodeId(v)).filter(|(u, _)| !departed[u.idx()]);
+                let candidates: Vec<u32> = (1..n as u32)
+                    .filter(|&v| !departed[v as usize] && live_edges(v).next().is_some())
                     .collect();
                 let Some(&v) = pick(&mut rng, &candidates) else { continue };
                 let cut: Vec<(u32, u32, Weight)> =
-                    g_now.edges_of(NodeId(v)).map(|(u, w)| (v.min(u.0), v.max(u.0), w)).collect();
-                let deltas: Vec<GraphDelta> = cut
-                    .iter()
-                    .map(|&(a, b, _)| GraphDelta::EdgeFail { u: NodeId(a), v: NodeId(b) })
-                    .collect();
-                let g_next = apply_deltas(&g_now, &deltas);
-                let mut departed_next = departed.clone();
-                departed_next[v as usize] = true;
-                if cfg.keep_connected && !live_connected(&g_next, &departed_next) {
+                    live_edges(v).map(|(u, w)| (v.min(u.0), v.max(u.0), w)).collect();
+                departed[v as usize] = true;
+                if cfg.keep_connected && !live_connected(&g_now, &departed, |_, _| false) {
+                    departed[v as usize] = false;
                     skipped += 1;
                     continue;
                 }
                 for &(a, b, w) in &cut {
                     failed.insert((a, b), w);
+                    plan.deltas.push(GraphDelta::EdgeFail { u: NodeId(a), v: NodeId(b) });
                 }
-                departed = departed_next;
                 departed_fifo.push(v);
-                g_now = g_next;
-                plan.deltas.extend(deltas);
                 plan.leaves += 1;
             }
+            catch_up(&mut g_now, &plan, &mut applied);
 
-            // Single-edge failures.
+            // Single-edge failures. `edges` is the live edge list in
+            // `all_edges` order; `cut` the phase's accepted failures, and
+            // `in_cut` flags their endpoints, so the connectivity test
+            // looks an edge up only where one may be cut.
+            let mut edges: Vec<(NodeId, NodeId, Weight)> = g_now.all_edges().collect();
+            let mut cut: HashSet<(u32, u32)> = HashSet::new();
+            let mut in_cut = vec![false; n];
             for _ in 0..cfg.edge_fails {
-                let edges: Vec<_> = g_now.all_edges().collect();
-                let Some(&(u, v, w)) = pick(&mut rng, &edges) else { continue };
-                let delta = GraphDelta::EdgeFail { u, v };
-                let g_next = apply_deltas(&g_now, std::slice::from_ref(&delta));
-                if cfg.keep_connected && !live_connected(&g_next, &departed) {
+                let Some(at) = pick_index(&mut rng, edges.len()) else { continue };
+                let (u, v, w) = edges[at];
+                let tried = key(u.0, v.0);
+                let masked = |a: u32, b: u32| {
+                    let e = key(a, b);
+                    e == tried || (in_cut[a as usize] && in_cut[b as usize] && cut.contains(&e))
+                };
+                if cfg.keep_connected && !live_connected(&g_now, &departed, masked) {
                     skipped += 1;
                     continue;
                 }
-                failed.insert((u.0.min(v.0), u.0.max(v.0)), w);
-                g_now = g_next;
-                plan.deltas.push(delta);
+                failed.insert(tried, w);
+                cut.insert(tried);
+                in_cut[u.idx()] = true;
+                in_cut[v.idx()] = true;
+                edges.remove(at);
+                plan.deltas.push(GraphDelta::EdgeFail { u, v });
                 plan.fails += 1;
             }
+            catch_up(&mut g_now, &plan, &mut applied);
 
             // Restores of previously failed edges (both endpoints alive).
             for _ in 0..cfg.edge_restores {
@@ -242,29 +277,30 @@ impl ChurnPlan {
                     .collect();
                 let Some(&((a, b), w)) = pick(&mut rng, &candidates) else { continue };
                 failed.remove(&(a, b));
-                let delta = GraphDelta::EdgeRestore {
+                plan.deltas.push(GraphDelta::EdgeRestore {
                     u: NodeId(a),
                     v: NodeId(b),
                     w: redraw_weight(&mut rng, w),
-                };
-                g_now = apply_deltas(&g_now, std::slice::from_ref(&delta));
-                plan.deltas.push(delta);
+                });
                 plan.restores += 1;
             }
+            catch_up(&mut g_now, &plan, &mut applied);
 
-            // Weight re-draws on live edges.
+            // Weight re-draws on live edges, each drawn at the edge's
+            // current weight.
+            let mut edges: Vec<(NodeId, NodeId, Weight)> = g_now.all_edges().collect();
             for _ in 0..cfg.weight_changes {
-                let edges: Vec<_> = g_now.all_edges().collect();
-                let Some(&(u, v, w)) = pick(&mut rng, &edges) else { continue };
+                let Some(at) = pick_index(&mut rng, edges.len()) else { continue };
+                let (u, v, w) = edges[at];
                 let w2 = redraw_weight(&mut rng, w);
                 if w2 == w {
                     continue;
                 }
-                let delta = GraphDelta::SetWeight { u, v, w: w2 };
-                g_now = apply_deltas(&g_now, std::slice::from_ref(&delta));
-                plan.deltas.push(delta);
+                edges[at].2 = w2;
+                plan.deltas.push(GraphDelta::SetWeight { u, v, w: w2 });
                 plan.reweights += 1;
             }
+            catch_up(&mut g_now, &plan, &mut applied);
 
             epochs.push(plan);
         }
@@ -272,12 +308,14 @@ impl ChurnPlan {
     }
 }
 
+/// A uniform index into a list of `len` items, or `None` (drawing
+/// nothing) when it is empty.
+fn pick_index(rng: &mut SmallRng, len: usize) -> Option<usize> {
+    (len > 0).then(|| rng.gen_range(0..len))
+}
+
 fn pick<'a, T>(rng: &mut SmallRng, xs: &'a [T]) -> Option<&'a T> {
-    if xs.is_empty() {
-        None
-    } else {
-        Some(&xs[rng.gen_range(0..xs.len())])
-    }
+    pick_index(rng, xs.len()).map(|at| &xs[at])
 }
 
 /// A fresh weight "near" `w`: uniform in `[⌈w/2⌉, 2w]`, clamped to be
@@ -488,5 +526,93 @@ mod tests {
         for ep in &plan.epochs {
             g_now = apply_deltas(&g_now, &ep.deltas); // strict-mode panics would fail here
         }
+    }
+
+    /// `(label, graph, config)` for every schedule the fingerprint test
+    /// pins: the benchmark's churn workloads at seed 1, the `churn`
+    /// experiment (quick and full), the 50k churn smoke's shape at
+    /// n = 3 000, and three node leave/join schedules — one where a
+    /// rejoin leaves the live part disconnected (so every later check
+    /// fails), one that never checks connectivity.
+    fn pinned_schedules() -> Vec<(&'static str, Graph, ChurnConfig)> {
+        use graphkit::gen::{preferential_attachment, WeightDist};
+        let pa = |n: usize, max_exp: u32, seed: u64| {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            preferential_attachment(n, 3, WeightDist::PowerOfTwo { max_exp }, &mut rng)
+        };
+        let bench = |epochs, edge_fails, edge_restores, weight_changes| ChurnConfig {
+            seed: 1u64.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xC4A1,
+            epochs,
+            edge_fails,
+            edge_restores,
+            weight_changes,
+            node_leaves: 0,
+            node_joins: 0,
+            keep_connected: true,
+        };
+        let smoke_graph = pa(3_000, 30, 0xC4A0 + 3_000);
+        let fails = smoke_graph.m() / 100;
+        let smoke =
+            ChurnConfig { seed: (0xC4A0 + 3_000) ^ 0xE90C, ..bench(1, fails, 0, fails / 10) };
+        let nodes = ChurnConfig {
+            seed: 0xC9,
+            epochs: 5,
+            edge_fails: 2,
+            edge_restores: 1,
+            weight_changes: 2,
+            node_leaves: 1,
+            node_joins: 1,
+            keep_connected: true,
+        };
+        let rejoin =
+            ChurnConfig { seed: 2 ^ 0xD0, epochs: 6, weight_changes: 1, node_leaves: 3, ..nodes };
+        let unchecked = ChurnConfig { seed: 0xCB, node_leaves: 2, keep_connected: false, ..nodes };
+        vec![
+            ("bench pa-k2 / pa-k3", pa(3_000, 20, 0x5EB0 + 3_000), bench(1, 1, 0, 1)),
+            ("bench churn-pa-k3", pa(3_000, 20, 0x5EB0 + 3_000), bench(3, 2, 1, 2)),
+            (
+                "churn quick",
+                pa(1_200, 30, 0xC4A0 + 1_200),
+                ChurnConfig::edges_only(0xC4A1, 3, 6, 6),
+            ),
+            (
+                "churn full",
+                pa(10_000, 30, 0xC4A0 + 10_000),
+                ChurnConfig::edges_only(0xC4A1, 3, 30, 30),
+            ),
+            ("smoke n=3000", smoke_graph, smoke),
+            ("leave/join", Family::Geometric.generate(120, 0xC8), nodes),
+            ("rejoin disconnects", Family::Geometric.generate(40, 2), rejoin),
+            ("unchecked", Family::Geometric.generate(120, 0xCA), unchecked),
+        ]
+    }
+
+    /// Every delta and count of each pinned schedule, hashed.
+    fn schedule_fingerprints() -> Vec<(&'static str, u64)> {
+        pinned_schedules()
+            .into_iter()
+            .map(|(label, g, cfg)| {
+                let plan = ChurnPlan::generate(&g, &cfg);
+                (label, graphkit::wire::xxh64(format!("{plan:?}").as_bytes()))
+            })
+            .collect()
+    }
+
+    /// The schedules drawn at the commit where every event rebuilt the
+    /// graph and ran the connectivity check on the rebuild: applying a
+    /// phase's deltas once must not change a single draw.
+    #[test]
+    fn schedules_match_their_pinned_fingerprints() {
+        let want: [(&str, u64); 8] = [
+            ("bench pa-k2 / pa-k3", 0x905f98325d1fd0a5),
+            ("bench churn-pa-k3", 0x15f68d6036cf08c9),
+            ("churn quick", 0x73aeb21fab6d94a8),
+            ("churn full", 0xc4f09a01f5d7a436),
+            ("smoke n=3000", 0x0e9b867c82702f1f),
+            ("leave/join", 0x120902c01fcd8265),
+            ("rejoin disconnects", 0xe09c744c04a8aaa8),
+            ("unchecked", 0x8c968d0689983caf),
+        ];
+        assert_eq!(schedule_fingerprints(), want);
     }
 }

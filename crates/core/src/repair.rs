@@ -4,75 +4,65 @@
 //! ## Strategy (see DESIGN.md §"Churn & incremental repair")
 //!
 //! A repair runs the assembler a fresh build runs
-//! ([`Scheme::assemble`]) on the mutated graph, with the old scheme as
-//! its [`Prior`]. A build is the same call with no prior: it reuses
-//! nothing. The reuse rules below are the only difference between the
-//! two. The build's cost is wildly skewed: at 50k nodes the per-center
-//! tree pipeline is ~96% of assembly, while classification, S budgets,
-//! membership, `b(u,i)`, and cover trees are a few percent combined.
-//! So the cheap phases carry no reuse logic: the assembler recomputes
-//! them in full, which makes their output bit-identical to a rebuild by
-//! construction. Only the expensive artifacts have reuse rules, one
-//! [`Prior`] method each:
+//! ([`Scheme::assemble`]) on the mutated graph, with the old scheme's
+//! center trees as its [`Prior`]. A build is the same call with no
+//! prior: it reuses nothing. The one reuse rule below is the only
+//! difference between the two. The build's cost is wildly skewed: at
+//! 50k nodes the per-center tree pipeline is ~96% of assembly, while
+//! classification, S budgets, membership, `b(u,i)`, and cover trees are
+//! a few percent combined. So the cheap phases carry no reuse logic:
+//! the assembler recomputes them in full, which makes their output
+//! bit-identical to a rebuild by construction. Only the center trees
+//! are reused:
 //!
-//! * **center trees** — a tree `T(c)` is reused iff every changed edge
-//!   sits strictly outside its radius `r` (the largest new member
-//!   distance) on both the old and new graph (`prox(c) > r`, where
-//!   `prox` is the distance from `c` to the nearest changed-edge
-//!   endpoint), and its old record is the tree a fresh build over the
-//!   new members makes: rooted at `c`, every member a node at depth
-//!   `d(v, c)`, every non-root leaf a member. Under those conditions
-//!   the bounded run sees the same ball and picks the same parents,
-//!   the members close under them to the old node set, and the Lemma 4
-//!   scheme, seeded by `c` alone, encodes to the stored bytes. The rule
-//!   reads only the record, so a scheme loaded from a snapshot repairs
-//!   incrementally too;
-//! * **cover trees** — a dense scale's whole cover collection is
-//!   reused iff its extended-range member set is unchanged and no
-//!   changed edge has both endpoints inside it (the cover's searches
-//!   relax only edges with both endpoints in the member set, so they
-//!   see the same graph, and the deterministic cover construction is
-//!   identical);
-//! * **`b(u,i)`** — copied from the old plans when `u`'s distance
-//!   vector is unchanged and its center's tree was reused (same scope,
-//!   same tree ⇒ same bounded-search level), recomputed otherwise.
+//! * a tree `T(c)` is reused iff every changed edge sits strictly
+//!   outside its radius `r` (the largest new member distance) on both
+//!   the old and new graph (`prox(c) > r`, where `prox` is the distance
+//!   from `c` to the nearest changed-edge endpoint), and its old record
+//!   is the tree a fresh build over the new members makes: rooted at
+//!   `c`, every member a node at depth `d(v, c)`, every non-root leaf a
+//!   member. Under those conditions the bounded run sees the same ball
+//!   and picks the same parents, the members close under them to the
+//!   old node set, and the Lemma 4 scheme, seeded by `c` alone, encodes
+//!   to the stored bytes. The rule reads only the record, the new
+//!   members and the two proximity arrays — never the landmark
+//!   hierarchy — so it holds whatever hierarchy the mutated graph
+//!   verifies, and a scheme loaded from a snapshot repairs
+//!   incrementally too.
 //!
-//! Change detection is exact, not heuristic: `graphkit::delta_impact`
-//! compares per-endpoint distance columns on the two final graphs,
-//! and a node outside its dirty set provably has its *entire*
-//! distance vector unchanged — hence the same decomposition row,
-//! landmark lists, centers, and sorted positions. This is what makes
-//! `repair ≡ rebuild` hold byte for byte (every snapshot section but
-//! `META`, asserted across families and `k` by `tests/repair_parity.rs`).
+//! Every `b(u,i)` is derived from its center's tree, kept or built
+//! fresh, and every dense scale's cover is built, exactly as a build
+//! does. So `repair ≡ rebuild` holds byte for byte: every snapshot
+//! section but `META`, and every [`crate::BuildStats`] field but the
+//! phase timings (asserted across families and `k` by
+//! `tests/repair_parity.rs`).
 //!
-//! ## Residue cases
+//! ## Residue case
 //!
-//! Repair declines in a few documented situations instead of risking
-//! a wrong patch: a delta batch after which the seeded hierarchy
-//! re-verification picks a different landmark set runs the assembler
-//! with no prior (a full rebuild) and says so. A batch that leaves the
-//! graph disconnected is *deferred*: the scheme is left untouched
-//! (stale), and the caller accumulates deltas until connectivity
-//! returns — `core::churn` leans on this for node-leave/join epochs.
+//! A batch that leaves the graph disconnected is *deferred*: the scheme
+//! is left untouched (stale), and the caller accumulates deltas until
+//! connectivity returns — `core::churn` leans on this for
+//! node-leave/join epochs.
 
-use decomposition::Decomposition;
 use graphkit::{
     apply_deltas, delta_impact, dijkstra, Cost, DeltaImpact, GraphDelta, NodeId, INFINITY,
 };
-use treeroute::cover_router::CoverScale;
 use treeroute::laing::ErtRead;
 use treeroute::LabeledRead;
 
-use crate::center_store::Records;
-use crate::scheme::{LevelPlan, Parts, Scheme};
+use crate::center_store::{CenterStore, Records};
+use crate::scheme::{Parts, Scheme};
 
-/// Why repair declined to patch and rebuilt the scheme from scratch.
+/// Why repair rebuilt the scheme from scratch. No repair returns
+/// [`RepairOutcome::RebuiltFull`] any more: every repair runs the
+/// assembler with the old center trees as its prior, whatever landmark
+/// hierarchy the mutated graph verifies. Kept so callers that match on
+/// the variant still compile.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RebuildReason {
     /// Re-verifying the seeded landmark hierarchy on the mutated graph
-    /// selected a different landmark set (a different sampling attempt
-    /// passed Claims 1–2), so every center assignment is suspect and
-    /// reuse potential is nil.
+    /// selected a different landmark set. Never returned: the tree
+    /// rule does not read the hierarchy.
     HierarchyChanged,
 }
 
@@ -91,8 +81,7 @@ pub enum DeferReason {
 pub struct RepairReport {
     /// Distinct edges changed by the delta batch.
     pub changed_edges: usize,
-    /// Nodes whose distance vector changed (the exact invalidation
-    /// set; everything outside it kept its build state verbatim).
+    /// Nodes whose distance vector changed (`graphkit::delta_impact`).
     pub dirty_nodes: usize,
     /// Distinct centers after repair.
     pub centers_total: usize,
@@ -100,17 +89,14 @@ pub struct RepairReport {
     pub trees_rebuilt: usize,
     /// Center trees reused bit-identically.
     pub trees_reused: usize,
-    /// Centers that exist now but not before.
-    pub centers_added: usize,
-    /// Centers that existed before but not now.
-    pub centers_removed: usize,
-    /// Dense scales whose cover collections were rebuilt.
+    /// Dense scales whose covers were built: every scale, as in a
+    /// fresh build.
     pub scales_rebuilt: usize,
-    /// Dense scales whose cover collections were reused.
+    /// Dense scales whose covers were reused: always 0, since covers
+    /// are rebuilt. Kept for callers that still read it.
     pub scales_reused: usize,
-    /// Sparse `(u, i)` pairs whose `b(u,i)` was re-derived (the rest
-    /// copied over; Lemma 3 counters in [`crate::BuildStats`] reflect
-    /// only these re-verified pairs after a repair).
+    /// Sparse `(u, i)` pairs whose `b(u,i)` was derived: every pair
+    /// whose center tree is in the store, as in a fresh build.
     pub b_recomputed: usize,
     /// Wall-clock seconds for the whole repair.
     pub seconds: f64,
@@ -122,8 +108,9 @@ pub enum RepairOutcome {
     /// The scheme was patched in place — bit-identical to a fresh
     /// build on the mutated graph.
     Repaired(RepairReport),
-    /// A residue case forced a full rebuild (the scheme is still
-    /// correct and current — just not incrementally so).
+    /// A full rebuild. No repair returns this any more (see
+    /// [`RebuildReason`]); kept so callers that match on it still
+    /// compile.
     RebuiltFull {
         /// Which residue case fired.
         reason: RebuildReason,
@@ -139,12 +126,12 @@ pub enum RepairOutcome {
 
 impl Scheme {
     /// Apply `deltas` to the underlying graph and bring the scheme up
-    /// to date, reusing every center tree and cover collection the
-    /// batch provably left untouched. On return (except
-    /// [`RepairOutcome::Deferred`]) the scheme routes exactly like a
-    /// fresh build on the mutated graph. A loaded scheme
-    /// ([`Scheme::load`], [`Scheme::load_lazy`]) repairs incrementally
-    /// too, and every repaired scheme holds its center trees resident.
+    /// to date, reusing every center tree the batch provably left
+    /// untouched. On return (except [`RepairOutcome::Deferred`]) the
+    /// scheme equals a fresh build on the mutated graph. A loaded
+    /// scheme ([`Scheme::load`], [`Scheme::load_lazy`]) repairs
+    /// incrementally too, and every repaired scheme holds its center
+    /// trees resident.
     ///
     /// Panics on malformed deltas (failing a missing edge, restoring a
     /// present one — see [`GraphDelta`]): delta bookkeeping is the
@@ -155,7 +142,6 @@ impl Scheme {
             return RepairOutcome::Repaired(RepairReport {
                 centers_total: self.stats.num_center_trees,
                 trees_reused: self.stats.num_center_trees,
-                scales_reused: self.stats.num_scales,
                 seconds: t0.elapsed().as_secs_f64(),
                 ..Default::default()
             });
@@ -163,13 +149,6 @@ impl Scheme {
         let g2 = apply_deltas(&self.g, deltas);
         if dijkstra(&g2, NodeId(0)).dist.contains(&INFINITY) {
             return RepairOutcome::Deferred { reason: DeferReason::Disconnected };
-        }
-        let params = self.params;
-        let parts = Parts::compute(&g2, &params);
-        if parts.hier.levels() != self.hier.levels() {
-            *self = Scheme::assemble(g2, params, parts, None).0;
-            let reason = RebuildReason::HierarchyChanged;
-            return RepairOutcome::RebuiltFull { reason, seconds: t0.elapsed().as_secs_f64() };
         }
         let impact = delta_impact(&self.g, &g2, deltas);
         let mut changed: Vec<(NodeId, NodeId)> = deltas
@@ -182,7 +161,9 @@ impl Scheme {
         changed.sort_unstable();
         changed.dedup();
         let (changed_edges, dirty_nodes) = (changed.len(), impact.dirty_nodes.len());
-        let prior = Prior { old: self, impact, changed };
+        let params = self.params;
+        let parts = Parts::compute(&g2, &params);
+        let prior = Prior { store: &mut self.center_store, impact };
         let (scheme, report) = Scheme::assemble(g2, params, parts, Some(prior));
         *self = scheme;
         let seconds = t0.elapsed().as_secs_f64();
@@ -190,18 +171,16 @@ impl Scheme {
     }
 }
 
-/// The scheme under repair and what the delta batch changed: the input
-/// that turns the assembler's fresh build into a repair. Each method is
-/// one reuse rule from the module docs.
+/// The center trees of the scheme under repair and what the delta
+/// batch changed: the input that turns the assembler's fresh build into
+/// a repair.
 pub(crate) struct Prior<'a> {
-    old: &'a mut Scheme,
+    store: &'a mut CenterStore,
     impact: DeltaImpact,
-    /// Distinct changed edges as ordered endpoint pairs, ascending.
-    changed: Vec<(NodeId, NodeId)>,
 }
 
 impl Prior<'_> {
-    /// Center-tree rule: `T(c)` is kept iff every changed edge lies
+    /// The reuse rule: `T(c)` is kept iff every changed edge lies
     /// strictly outside the radius of `mem` on both graphs, and `c`'s
     /// old record reads and is the tree a fresh build over `mem` makes.
     pub(crate) fn keeps_tree(&self, c: u32, mem: &[(u32, Cost)]) -> bool {
@@ -209,11 +188,7 @@ impl Prior<'_> {
         let far = |prox: &[Cost]| prox.get(c as usize).is_some_and(|&p| p > r);
         far(&self.impact.old_prox)
             && far(&self.impact.new_prox)
-            && self
-                .old
-                .center_store
-                .with_tree(c, |ert| is_tree_over(ert.labeled(), c, mem))
-                .unwrap_or(false)
+            && self.store.with_tree(c, |ert| is_tree_over(ert.labeled(), c, mem)).unwrap_or(false)
     }
 
     /// Move the `kept` centers' records out of the old store as bytes —
@@ -221,60 +196,9 @@ impl Prior<'_> {
     /// that store is about to be replaced, so repair holds no tree
     /// twice. A kept record that can no longer be read is dropped:
     /// routes through that center fall through to their next level
-    /// (degraded delivery, no panic). Counts the centers added and
-    /// removed against the new `centers`.
-    pub(crate) fn carry_trees(
-        &mut self,
-        centers: &[u32],
-        kept: &[u32],
-        report: &mut RepairReport,
-    ) -> Records {
-        let store = &mut self.old.center_store;
-        let old: Vec<u32> = store.centers().collect();
-        report.centers_added = centers.iter().filter(|c| old.binary_search(c).is_err()).count();
-        report.centers_removed = old.iter().filter(|c| centers.binary_search(c).is_err()).count();
-        kept.iter().filter_map(|&c| Some((c, store.take_record(c).ok()?))).collect()
-    }
-
-    /// `b(u,i)` rule: the old plan's `b` and source index carry over iff
-    /// `u`'s distance vector is unchanged (same scope, same center) and
-    /// that center's tree was kept (same search levels).
-    pub(crate) fn kept_plan(
-        &self,
-        (u, i): (usize, usize),
-        fresh: LevelPlan,
-        tree_kept: bool,
-    ) -> Option<LevelPlan> {
-        (tree_kept && !self.impact.dirty[u]).then(|| {
-            let old = self.old.plans[u][i];
-            debug_assert_eq!((old.center, old.a), (fresh.center, fresh.a));
-            old
-        })
-    }
-
-    /// Cover rule: scale `s`'s old collection carries over iff its
-    /// extended-range member set is unchanged (clean nodes keep their
-    /// decomposition row; dirty ones are checked) and no changed edge
-    /// has both endpoints in it. The cover is built in the host graph
-    /// but relaxes only edges with both endpoints in the member set, so
-    /// then it sees the same edges, and the deterministic construction
-    /// seeded by (s, tree index) is identical. The kept cover is moved
-    /// out of the old scheme.
-    pub(crate) fn take_cover(&mut self, s: u32, dec: &Decomposition) -> Option<CoverScale> {
-        let old = &self.old.dec;
-        let same_members =
-            self.impact.dirty_nodes.iter().all(|&v| {
-                old.in_extended_range(NodeId(v), s) == dec.in_extended_range(NodeId(v), s)
-            });
-        let untouched = self
-            .changed
-            .iter()
-            .all(|&(p, q)| !(dec.in_extended_range(p, s) && dec.in_extended_range(q, s)));
-        if !(same_members && untouched) {
-            return None;
-        }
-        let at = self.old.scale_covers.binary_search_by_key(&s, |&(scale, _)| scale).ok()?;
-        Some(self.old.scale_covers.remove(at).1)
+    /// (degraded delivery, no panic).
+    pub(crate) fn carry_trees(&mut self, kept: &[u32]) -> Records {
+        kept.iter().filter_map(|&c| Some((c, self.store.take_record(c).ok()?))).collect()
     }
 }
 
@@ -325,7 +249,12 @@ fn is_tree_over(tree: &impl LabeledRead, c: u32, mem: &[(u32, Cost)]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::SchemeParams;
+    use crate::BuildStats;
+    use graphkit::gen::Family;
+    use graphkit::wire::{xxh64, SnapshotReader};
     use graphkit::Tree;
+    use sim::{pairs, Router};
     use treeroute::LabeledTree;
 
     /// Node 0 is the root; nodes 1, 2, 3 hang below `parents` at
@@ -357,5 +286,82 @@ mod tests {
         assert!(is_tree_over(&tree([5, 9, 8, 7], chain), 5, &[(7, 9)]));
         let twice = tree([5, 9, 9, 7], chain);
         assert!(!is_tree_over(&twice, 5, &[(7, 9)]), "host 9 twice");
+    }
+
+    /// What a scheme shows of itself: every snapshot section but META
+    /// (which holds the phase timings), every build stat but the
+    /// timings, the storage bits, the header bound and 250 routes.
+    fn observed(scheme: &Scheme, tag: &str) -> Vec<String> {
+        let path = std::env::temp_dir()
+            .join(format!("agm-repair-hierarchy-{tag}-{}.bin", std::process::id()));
+        scheme.save(&path).expect("save");
+        let sr = SnapshotReader::open(&path).expect("open snapshot");
+        let mut out: Vec<String> = (2..=9)
+            .map(|id| format!("section {id}: {:016x}", xxh64(&sr.section(id).expect("section"))))
+            .collect();
+        drop(sr);
+        let _ = std::fs::remove_file(&path);
+        let stats = BuildStats { phase_seconds: vec![], ..scheme.stats().clone() };
+        out.push(format!("{stats:?}"));
+        let n = scheme.graph().n();
+        let bits: Vec<u64> = (0..n as u32).map(|v| scheme.storage_bits(NodeId(v))).collect();
+        out.push(format!("storage {bits:?}, header {}", scheme.header_bits_bound()));
+        for (s, t) in pairs::sample(n, 250, 0x41E7) {
+            let tr = scheme.route(s, t);
+            out.push(format!("{s}->{t}: {} {} {:?}", tr.delivered, tr.cost, tr.path));
+        }
+        out
+    }
+
+    /// The tree rule never reads the landmark hierarchy, so a repair
+    /// needs no fallback when the mutated graph verifies another one.
+    /// No natural batch changes it (none of 652 probed did), so this
+    /// test forces it: the prefix of the mutated graph is sampled under
+    /// other hierarchy seeds (with `params` unchanged), and assembling
+    /// on it with the old trees as prior must equal assembling with no
+    /// prior — while the prior still supplies trees.
+    #[test]
+    fn repair_under_another_hierarchy_equals_a_fresh_assemble() {
+        let mut reused = 0;
+        for fam in [Family::Geometric, Family::PrefAttach] {
+            let g0 = fam.generate(110, 0x9E9A);
+            // An empty batch and a one-edge failure that keeps the graph
+            // connected.
+            let (u, v, _) = g0
+                .all_edges()
+                .find(|&(u, v, _)| {
+                    let g = apply_deltas(&g0, &[GraphDelta::EdgeFail { u, v }]);
+                    !dijkstra(&g, NodeId(0)).dist.contains(&INFINITY)
+                })
+                .expect("a non-bridge edge");
+            for batch in [vec![], vec![GraphDelta::EdgeFail { u, v }]] {
+                let g1 = apply_deltas(&g0, &batch);
+                for k in [2usize, 3] {
+                    let params = SchemeParams::new(k, 0x9E9A);
+                    for seed in 1..=3u64 {
+                        let label =
+                            format!("{} k={k} |batch|={} seed {seed}", fam.label(), batch.len());
+                        let parts = || Parts::compute(&g1, &SchemeParams { seed, ..params });
+                        let mut old = Scheme::build_on_demand(g0.clone(), params);
+                        let impact = delta_impact(&g0, &g1, &batch);
+                        let prior = Prior { store: &mut old.center_store, impact };
+                        let (repaired, report) =
+                            Scheme::assemble(g1.clone(), params, parts(), Some(prior));
+                        let fresh = Scheme::assemble(g1.clone(), params, parts(), None).0;
+                        assert_ne!(
+                            repaired.hierarchy().levels(),
+                            old.hierarchy().levels(),
+                            "{label}: the hierarchy did not change"
+                        );
+                        let (got, want) = (observed(&repaired, "got"), observed(&fresh, "want"));
+                        for (got, want) in got.iter().zip(&want) {
+                            assert_eq!(got, want, "{label}");
+                        }
+                        reused += report.trees_reused;
+                    }
+                }
+            }
+        }
+        assert!(reused > 0, "no prior supplied a tree");
     }
 }

@@ -212,8 +212,8 @@ pub struct BuildStats {
     /// (u, i, v) triples where Lemma 3 failed: `v ∈ E(u,i)` but the
     /// center's tree does not contain `v`.
     pub lemma3_violations: usize,
-    /// Sparse (u, i, v) membership triples checked. After a repair,
-    /// both Lemma 3 counters cover only the pairs it re-verified.
+    /// Sparse (u, i, v) membership triples checked. A repair derives
+    /// every pair, so both Lemma 3 counters equal a fresh build's.
     pub lemma3_checked: usize,
     /// S-set budget per landmark level: the max requirement over all
     /// nodes, capped at the paper's budget. It counts only what local
@@ -308,12 +308,12 @@ impl Scheme {
     /// scale; every phase fans out over deterministic chunks and merges
     /// in chunk order.
     ///
-    /// With no `prior` it reuses nothing: every center is a job, every
-    /// `b(u,i)` is derived and every scale cover is built — a fresh
-    /// build. With the scheme under repair as `prior`, the reuse rules
-    /// of [`Prior`] decide which center trees, `b(u,i)` values and cover
-    /// collections carry over; everything else is computed exactly as a
-    /// build computes it. The report counts what was reused and rebuilt.
+    /// Every `b(u,i)` is derived and every scale cover is built. With no
+    /// `prior` every center is a job — a fresh build. With the old
+    /// scheme's center trees as `prior`, [`Prior::keeps_tree`] decides
+    /// which records carry over; everything else is computed exactly as
+    /// a build computes it. The report counts what was reused and
+    /// rebuilt.
     pub(crate) fn assemble(
         g: Graph,
         params: SchemeParams,
@@ -362,7 +362,7 @@ impl Scheme {
         let kept_centers: Vec<u32> =
             centers.iter().zip(&kept).filter(|&(_, &keep)| keep).map(|(&c, _)| c).collect();
         if let Some(p) = prior.as_mut() {
-            records.extend(p.carry_trees(&centers, &kept_centers, &mut report));
+            records.extend(p.carry_trees(&kept_centers));
         }
         let center_store = CenterStore::resident(records);
         let id_bits = bits_for_node(n);
@@ -381,46 +381,36 @@ impl Scheme {
         clock.lap("center_trees");
 
         // ---- b(u, i) + Lemma 3 verification --------------------------
-        // A plan the prior keeps copies its b and source index; every
-        // other sparse plan is derived from its center's index.
-        let kept_plan = |u: usize, i: usize| {
-            let p = prior.as_ref()?;
-            let plan = plans[u][i];
-            let tree_kept = centers.binary_search(&plan.center).is_ok_and(|ci| kept[ci]);
-            p.kept_plan((u, i), plan, tree_kept)
-        };
+        // Every sparse plan is derived from its center's index, whether
+        // the tree was kept or built fresh.
         // merge: rows concatenated in chunk (= node id) order; the
         // counters are sums, which commute.
         let b_shards = graphkit::metrics::par_chunks(n, |nodes| {
             let base = nodes.start;
             let mut out = vec![(0u8, u32::MAX); nodes.len() * k];
-            let (mut checked, mut violations, mut recomputed) = (0usize, 0usize, 0usize);
+            let (mut checked, mut violations, mut derived) = (0usize, 0usize, 0usize);
             for u in nodes {
                 for i in 0..k {
                     let Some(scope) = &scopes[u][i] else { continue };
-                    let fill = &mut out[(u - base) * k + i];
-                    if let Some(old) = kept_plan(u, i) {
-                        *fill = (old.b, old.src_ix);
-                    } else if let Some(ix) = bix.get(&plans[u][i].center) {
-                        let pf = ix.plan(u as u32, scope, n, k);
-                        *fill = (pf.b, pf.src_ix);
-                        checked += pf.checked;
-                        violations += pf.violations;
-                        recomputed += 1;
-                    }
-                    // Otherwise the center's record is unreadable: the
-                    // plan keeps no source index, so routing misses this
-                    // level and falls through to the next.
+                    // A center whose record could not be carried over has
+                    // no index: the plan keeps no source index, so routing
+                    // misses this level and falls through to the next.
+                    let Some(ix) = bix.get(&plans[u][i].center) else { continue };
+                    let pf = ix.plan(u as u32, scope, n, k);
+                    out[(u - base) * k + i] = (pf.b, pf.src_ix);
+                    checked += pf.checked;
+                    violations += pf.violations;
+                    derived += 1;
                 }
             }
-            (out, checked, violations, recomputed)
+            (out, checked, violations, derived)
         });
         let mut b_flat = Vec::with_capacity(n * k);
-        for (out, checked, violations, recomputed) in b_shards {
+        for (out, checked, violations, derived) in b_shards {
             b_flat.extend(out);
             stats.lemma3_checked += checked;
             stats.lemma3_violations += violations;
-            report.b_recomputed += recomputed;
+            report.b_recomputed += derived;
         }
         set_plan_fills(&mut plans, &b_flat, k);
         drop(bix);
@@ -431,22 +421,11 @@ impl Scheme {
             plans.iter().flatten().filter(|p| p.dense).map(|p| p.a).collect();
         scales.sort_unstable();
         scales.dedup();
-        let mut scale_covers: Vec<(u32, CoverScale)> = Vec::with_capacity(scales.len());
-        for &s in &scales {
-            let sc = match prior.as_mut().and_then(|p| p.take_cover(s, &dec)) {
-                Some(sc) => {
-                    report.scales_reused += 1;
-                    sc
-                }
-                None => {
-                    report.scales_rebuilt += 1;
-                    build_scale_cover(&g, &dec, &params, s)
-                }
-            };
-            stats.num_cover_trees += sc.num_trees();
-            scale_covers.push((s, sc));
-        }
+        let scale_covers: Vec<(u32, CoverScale)> =
+            scales.iter().map(|&s| (s, build_scale_cover(&g, &dec, &params, s))).collect();
+        stats.num_cover_trees = scale_covers.iter().map(|(_, sc)| sc.num_trees()).sum();
         stats.num_scales = scale_covers.len();
+        report.scales_rebuilt = scale_covers.len();
         let (cover_bits, max_cover_label_bits) = cover_accounting(&scale_covers, n);
         clock.lap("covers");
         stats.phase_seconds = clock.finish();
@@ -1079,7 +1058,7 @@ impl PhaseClock {
 /// Claims-1/2-verified landmark hierarchy with its landmark columns.
 pub(crate) struct Parts {
     dec: Decomposition,
-    pub(crate) hier: LandmarkHierarchy,
+    hier: LandmarkHierarchy,
     ld: LandmarkDistances,
 }
 
@@ -1227,9 +1206,8 @@ fn build_center_trees(
 
 /// All cover trees of one dense scale `s`: the AGM cover of the
 /// extended-range member set `V_s`, built in the host graph, with one
-/// Lemma 7 router per tree. Deterministic in `(g, dec, params, s)` —
-/// repair reuses a scale's covers only when each of those provably
-/// matches what a fresh build would pass here.
+/// Lemma 7 router per tree. Deterministic in `(g, dec, params, s)`, so
+/// a repair, which builds every scale, gets the fresh build's covers.
 fn build_scale_cover(g: &Graph, dec: &Decomposition, params: &SchemeParams, s: u32) -> CoverScale {
     let n = g.n();
     let k = params.k;

@@ -326,7 +326,8 @@ fn decode_plans(r: &mut Reader<'_>, n: usize, k: usize) -> io::Result<Vec<Vec<Le
     // The source index needs no range check here: routing reads it
     // through checked accessors and requires it to name the source.
     let src_ix = r.slice_u32()?;
-    if [dense.len(), a.len(), center.len(), b.len(), src_ix.len()].iter().any(|&len| len != n * k) {
+    let lens = [dense.len(), a.len(), center.len(), b.len(), src_ix.len()];
+    if lens.iter().any(|&len| Some(len) != n.checked_mul(k)) {
         return Err(wire::invalid("plan table has wrong length"));
     }
     let mut plans = Vec::with_capacity(n);

@@ -10,13 +10,14 @@ use std::sync::Barrier;
 
 use graphkit::gen::Family;
 use graphkit::metrics::apsp;
-use graphkit::wire::{Reader, SnapshotReader};
+use graphkit::wire::{Reader, SnapshotReader, SnapshotWriter, Writer};
 use graphkit::{apply_deltas, GraphDelta};
 use proptest::prelude::*;
 use routing_core::{RepairOutcome, Scheme, SchemeParams};
 use sim::{evaluate, pairs, validate_trace, RouteTrace, Router};
 
 /// Snapshot section ids (stable across snapshot versions).
+const SEC_DECOMPOSITION: u32 = 3;
 const SEC_CENTER_DIR: u32 = 7;
 const SEC_CENTER_TREES: u32 = 8;
 
@@ -157,6 +158,46 @@ fn corrupted_snapshots_error_instead_of_panicking() {
         corrupt[off] ^= 0x20;
         std::fs::write(&bad.0, &corrupt).expect("write corrupt");
         assert!(Scheme::load(&bad.0).is_err(), "flip at byte {off} must not load");
+    }
+}
+
+/// A DECOMPOSITION header whose range-table size overflows, written
+/// with a valid checksum (the checksum catches only accidental
+/// corruption): both loaders decode it before comparing its `k` with
+/// META's, and must refuse it as `InvalidData`, not panic.
+#[test]
+fn crafted_decomposition_header_is_invalid_data() {
+    let g = Family::Geometric.generate(70, 0x54B2);
+    let path = TempPath::new();
+    Scheme::build_on_demand(g, SchemeParams::new(2, 0x54B2)).save(&path.0).expect("save");
+    let sr = SnapshotReader::open(&path.0).expect("open");
+    type Loader = fn(&Path) -> std::io::Result<Scheme>;
+    let loaders: [(&str, Loader); 2] =
+        [("resident", |p| Scheme::load(p)), ("lazy", |p| Scheme::load_lazy(p))];
+    // (k, n, range-table length): k + 1 overflows; n · (k + 1)
+    // overflows and wraps to the length.
+    for (k, n, len) in [(u64::MAX, 10, 0), (1 << 62, 8, 8)] {
+        let mut w = Writer::new();
+        w.u64(k);
+        w.u64(n);
+        w.u32(10);
+        w.slice_u32(&vec![0; len]);
+        let dec = w.into_bytes();
+        let crafted = TempPath::new();
+        let mut sw = SnapshotWriter::create(&crafted.0).expect("create");
+        for id in sr.section_ids() {
+            let bytes = if id == SEC_DECOMPOSITION {
+                dec.clone()
+            } else {
+                sr.section(id).expect("section")
+            };
+            sw.section(id, &bytes).expect("write section");
+        }
+        sw.finish().expect("finish");
+        for (mode, load) in loaders {
+            let err = load(&crafted.0).err().expect("a crafted header must not load");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{mode}: k = {k}, n = {n}");
+        }
     }
 }
 

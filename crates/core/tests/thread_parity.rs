@@ -65,15 +65,13 @@ fn delta_batch(g: &Graph) -> Vec<GraphDelta> {
 }
 
 /// Every count a repair reports (all but its wall-clock seconds).
-fn counts(r: &RepairReport) -> [usize; 10] {
+fn counts(r: &RepairReport) -> [usize; 8] {
     [
         r.changed_edges,
         r.dirty_nodes,
         r.centers_total,
         r.trees_rebuilt,
         r.trees_reused,
-        r.centers_added,
-        r.centers_removed,
         r.scales_rebuilt,
         r.scales_reused,
         r.b_recomputed,

@@ -262,7 +262,10 @@ impl Decomposition {
         if k < 1 || n < 2 || log_delta < 4 {
             return Err(graphkit::wire::invalid("bad decomposition header"));
         }
-        if ranges.len() != n * (k + 1) {
+        // k and n are read off the wire: a crafted header must not
+        // overflow the table size.
+        let row_len = k.checked_add(1);
+        if row_len.and_then(|len| n.checked_mul(len)) != Some(ranges.len()) {
             return Err(graphkit::wire::invalid("decomposition range table has wrong length"));
         }
         for row in ranges.chunks(k + 1) {
@@ -701,6 +704,29 @@ mod tests {
                     assert_eq!(dense.a(NodeId(u), i), od.a(NodeId(u), i), "k={k} u={u} i={i}");
                 }
             }
+        }
+    }
+
+    /// A DECOMPOSITION payload with header `(k, n, log_delta)` and a
+    /// range table of `len` zeros.
+    fn wire_header(k: u64, n: u64, len: usize) -> Vec<u8> {
+        let mut w = graphkit::wire::Writer::new();
+        w.u64(k);
+        w.u64(n);
+        w.u32(10);
+        w.slice_u32(&vec![0; len]);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn from_wire_rejects_a_table_size_that_overflows() {
+        // k + 1 overflows; then n · (k + 1) overflows, and wraps to the
+        // table length a crafted payload would carry.
+        for (k, n, len) in [(u64::MAX, 10, 0), (1 << 62, 8, 8)] {
+            let bytes = wire_header(k, n, len);
+            let err = Decomposition::from_wire(&mut graphkit::wire::Reader::new(&bytes))
+                .expect_err("a table size that overflows must not decode");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "k = {k}, n = {n}");
         }
     }
 
